@@ -138,24 +138,23 @@ def _witness_json(sf: StrategicForm, w: FourCycleWitness) -> dict:
 
 
 def _table_json(sf: StrategicForm, table: PotentialTable) -> list[dict]:
-    rows = []
-    for profile in sf.profiles():
-        rows.append(
-            {
-                "profile": [sf.strategies[k][si] for k, si in enumerate(profile)],
-                "value": format_rational(table.values[profile]),
-            }
-        )
-    return rows
+    return [
+        {
+            "profile": [sf.strategies[k][si] for k, si in enumerate(profile)],
+            "value": format_rational(value),
+        }
+        for profile, value in table.values.items()
+    ]
 
 
 def _matrix_json(sf: StrategicForm) -> dict:
+    utilities = sf.utilities
     return {
         "rows": list(sf.strategies[0]),
         "cols": list(sf.strategies[1]),
         "cells": [
             [
-                [format_rational(u) for u in sf.utilities[(ri, ci)]]
+                [format_rational(u) for u in utilities[(ri, ci)]]
                 for ci in range(len(sf.strategies[1]))
             ]
             for ri in range(len(sf.strategies[0]))
@@ -239,15 +238,15 @@ def _cmd_potential(args) -> tuple[dict, int]:
     started = time.perf_counter()
     game, partition, digest = _load(args.file)
     cg = CoalitionalGame(game, partition)
-    sf = materialize(cg)
     report = linearity_report(game)
     linearity = _linearity_json(report)
     all_linear = all(entry.linear for entry in report.values())
     if game.is_simple:
         equivalence = check_linearity_equivalence(game, partition)
-        verdict = equivalence.potential
+        sf, verdict = equivalence.form, equivalence.potential
         equivalence_json = _equivalence_json(equivalence)
     else:
+        sf = materialize(cg)
         verdict = exact_potential(sf)
         equivalence_json = None
     verdicts = {

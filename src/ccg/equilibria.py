@@ -6,6 +6,10 @@ equilibrium enumeration, the restricted variant where block members must
 occupy distinct resources, and executable checkers for the two lifting
 statements: an equilibrium congestion vector realized with per-block-distinct
 resources is an equilibrium of the coalitional game (restricted or not).
+
+Best replies, deviation search and enumeration compare exact integers on the
+game's compiled cost tables (`game.CompiledGame`); the values they report
+(`BestReplySet.value`, `DeviationWitness`) are divided back into rationals.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .errors import (
     InvalidVectorError,
@@ -24,6 +29,7 @@ from .errors import (
 from .game import (
     BlockStrategy,
     CoalitionalGame,
+    CompiledGame,
     CongestionGame,
     CongestionVector,
     PureProfile,
@@ -31,13 +37,12 @@ from .game import (
     assemble_profile,
     canonical_block_strategies,
     canonical_multiplicity,
-    canonicalize,
     congestion,
-    contribution,
     private_congestion,
     validate_profile,
 )
 from .limits import ensure_within_limit
+from .rationals import unscale
 
 
 @dataclass(frozen=True)
@@ -200,54 +205,29 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
 # Coalitional equilibria
 #
 # For fixed opponents, a block's utility depends on the opponents only
-# through their congestion vector, so best-reply values are cached per
-# (block, opponent congestion). One _Analyzer is built per enumeration call.
+# through their congestion vector, so the values of all of a block's
+# strategies are cached per (block, opponent congestion). One _Analyzer is
+# built per call.
 
 
 class _Analyzer:
     def __init__(self, cg: CoalitionalGame, restricted: bool = False):
         self.cg = cg
-        self.tables = [cg.base.costs[r].values for r in cg.base.resources]
-        self.n_res = len(cg.base.resources)
-        self.strats = [
-            canonical_block_strategies(cg, k, restricted=restricted)
-            for k in range(len(cg.blocks))
-        ]
-        self.contribs = [
-            [contribution(cg.base, t) for t in per_block] for per_block in self.strats
-        ]
-        self._br: dict[tuple[int, tuple[int, ...]], tuple[Fraction, tuple[int, ...]]] = {}
+        self.kernel = CompiledGame(cg, restricted=restricted)
+        self.strats = self.kernel.strategies
+        self._br: dict[tuple[int, tuple[int, ...]], tuple[list[int], int, tuple[int, ...]]] = {}
 
-    def utility(self, k: int, strat_idx: int, counts: list[int]) -> Fraction:
-        cost = Fraction(0)
-        contrib = self.contribs[k][strat_idx]
-        for r in range(self.n_res):
-            used = contrib[r]
-            if used:
-                cost += used * self.tables[r][counts[r] - 1]
-        return -cost
-
-    def best_reply(self, k: int, env: tuple[int, ...]) -> tuple[Fraction, tuple[int, ...]]:
-        """Best value and all maximizing strategy indices of block k against
-        an opponent congestion vector `env`."""
+    def best_reply(self, k: int, env: tuple[int, ...]) -> tuple[list[int], int, tuple[int, ...]]:
+        """Scaled values of all of block k's strategies against an opponent
+        congestion vector `env`, the best of them, and every maximizer."""
         key = (k, env)
         cached = self._br.get(key)
-        if cached is not None:
-            return cached
-        best: Fraction | None = None
-        arg: list[int] = []
-        for si in range(len(self.strats[k])):
-            contrib = self.contribs[k][si]
-            counts = [env[r] + contrib[r] for r in range(self.n_res)]
-            u = self.utility(k, si, counts)
-            if best is None or u > best:
-                best, arg = u, [si]
-            elif u == best:
-                arg.append(si)
-        assert best is not None
-        result = (best, tuple(arg))
-        self._br[key] = result
-        return result
+        if cached is None:
+            values = self.kernel.values_against(k, env)
+            best = max(values)
+            cached = (values, best, tuple(si for si, v in enumerate(values) if v == best))
+            self._br[key] = cached
+        return cached
 
     def strat_index(self, k: int, strat: BlockStrategy) -> int:
         try:
@@ -258,30 +238,35 @@ class _Analyzer:
             ) from exc
 
     def profile_indices(self, s: PureProfile) -> tuple[int, ...]:
-        canon = canonicalize(self.cg, s)
+        key = self.cg.base.choice_key
         return tuple(
-            self.strat_index(k, tuple(canon.choices[i] for i in block))
+            self.strat_index(k, tuple(sorted((s.choices[i] for i in block), key=key)))
             for k, block in enumerate(self.cg.blocks)
         )
 
-    def total_counts(self, idx: tuple[int, ...]) -> list[int]:
-        counts = [0] * self.n_res
+    def deviation(self, idx: tuple[int, ...]) -> tuple[int, int, int, int] | None:
+        """First block with a strictly improving deviation from the joint
+        profile `idx`: (block, first best reply, current value, best value),
+        values scaled; None at an equilibrium."""
+        usage = [vectors[si] for vectors, si in zip(self.kernel.usage, idx)]
+        counts = list(map(sum, zip(*usage)))
+        cache = self._br
         for k, si in enumerate(idx):
-            contrib = self.contribs[k][si]
-            for r in range(self.n_res):
-                counts[r] += contrib[r]
-        return counts
+            env = tuple(map(sub, counts, usage[k]))
+            values, best, arg = cache.get((k, env)) or self.best_reply(k, env)
+            if best > values[si]:
+                return k, arg[0], values[si], best
+        return None
 
     def find_deviation(self, idx: tuple[int, ...]) -> DeviationWitness | None:
-        counts = self.total_counts(idx)
-        for k, si in enumerate(idx):
-            contrib = self.contribs[k][si]
-            env = tuple(counts[r] - contrib[r] for r in range(self.n_res))
-            value, arg = self.best_reply(k, env)
-            current = self.utility(k, si, counts)
-            if value > current:
-                return DeviationWitness(k, self.strats[k][arg[0]], current, value)
-        return None
+        found = self.deviation(idx)
+        if found is None:
+            return None
+        k, si, current, best = found
+        scale = self.kernel.scale
+        return DeviationWitness(
+            k, self.strats[k][si], unscale(current, scale), unscale(best, scale)
+        )
 
 
 def coalition_best_response(
@@ -298,14 +283,14 @@ def coalition_best_response(
     ensure_within_limit(len(an.strats[k]), limit, f"block {k} strategy space")
     block = set(cg.block(k))
     index = cg.base.resource_index()
-    env = [0] * an.n_res
+    env = [0] * len(index)
     for i, choice in enumerate(s.choices):
         if i in block:
             continue
         for r in choice:
             env[index[r]] += 1
-    value, arg = an.best_reply(k, tuple(env))
-    return BestReplySet(k, tuple(an.strats[k][si] for si in arg), value)
+    _, best, arg = an.best_reply(k, tuple(env))
+    return BestReplySet(k, tuple(an.strats[k][si] for si in arg), unscale(best, an.kernel.scale))
 
 
 def find_deviation(
@@ -345,7 +330,7 @@ def enumerate_pure_ne(
     exhaustive = True
     for idx in itertools.product(*(range(len(s)) for s in an.strats)):
         checked += 1
-        if an.find_deviation(idx) is None:
+        if an.deviation(idx) is None:
             profile = assemble_profile(cg, [an.strats[k][si] for k, si in enumerate(idx)])
             equilibria.append(profile)
             multiplicities.append(canonical_multiplicity(cg, profile))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 from .equilibria import enumerate_pure_ne, is_ccg_ne
+from .errors import InvalidParamsError
 from .game import CoalitionalGame, materialize
 from .gamefile import game_to_dict
 from .instances import no_ne_triple_fixture, random_game, random_partition
@@ -19,12 +20,25 @@ from .potential import check_linearity_equivalence, four_cycle_residual
 MAX_REPORTED_COUNTEREXAMPLES = 5
 
 
+def _require_at_least(
+    kind: str, max_players: int, players: int, max_resources: int, resources: int
+) -> None:
+    """Refuse size bounds below the smallest instance `kind` draws."""
+    for name, value, least in (
+        ("max_players", max_players, players),
+        ("max_resources", max_resources, resources),
+    ):
+        if value < least:
+            raise InvalidParamsError(f"{kind}: {name} must be at least {least}, got {value}")
+
+
 def pair_solver_sweep(
     trials: int, seed, max_players: int = 6, max_resources: int = 4
 ) -> dict:
     """Run the constructive pair solver on random instances and verify each
     output independently; also confirm by direct search that an equilibrium
     exists at all. Both counts must equal `trials`."""
+    _require_at_least("theorem1", max_players, 1, max_resources, 1)
     driver = random.Random(f"pair-sweep:{seed}")
     verified = 0
     nonempty = 0
@@ -57,6 +71,7 @@ def linearity_sweep(
     """Confusion matrix of (all costs affine) versus (exact potential exists)
     over partitions with a singleton and a pair. The off-diagonal cells must
     stay empty; every negative verdict's witness is re-evaluated."""
+    _require_at_least("theorem2", max_players, 3, max_resources, 2)
     driver = random.Random(f"linearity-sweep:{seed}")
     confusion = {
         "linear+potential": 0,
@@ -102,6 +117,7 @@ def block_size_sweep(
     Trial 0 is the canned triple-coalition instance, so at least one empty
     set is always observed. Counterexamples ship as game file objects.
     """
+    _require_at_least("pairs-vs-triples", max_players, 3, max_resources, 2)
     driver = random.Random(f"block-sweep:{seed}")
     empty = 0
     injected_empty = False

@@ -9,9 +9,14 @@ chooses a tuple of member strategies and receives the sum of member utilities
 (utilities are negated costs).
 
 Everything is an immutable value; every operation is a pure function; all
-arithmetic uses `fractions.Fraction` so equilibrium and potential verdicts are
-exact. Sub-agents and blocks are 0-indexed throughout the library; the file
-format and CLI translate to 1-based ids.
+arithmetic is exact, so equilibrium and potential verdicts are too. Costs are
+stored as `fractions.Fraction`. For analysis a coalitional game is compiled
+once (`CompiledGame`): every cost table is multiplied by the LCM of all cost
+denominators in the game, so inner loops run on Python integers, and values
+become Fractions again only when they leave the kernel. `materialize` emits a
+flat `StrategicForm` of such scaled integers. Sub-agents and blocks are
+0-indexed throughout the library; the file format and CLI translate to
+1-based ids.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -32,7 +38,7 @@ from .errors import (
     UnequalTotalsError,
 )
 from .limits import ensure_within_limit
-from .rationals import as_fraction
+from .rationals import as_fraction, scaled_integers, unscale
 
 # A choice is a nonempty tuple of resource ids, kept sorted in the owning
 # game's resource order.
@@ -281,39 +287,106 @@ class CongestionVector:
         return dict(zip(self.resources, self.counts))
 
 
-@dataclass(frozen=True)
-class StrategicForm:
-    """A finite normal-form game with a total rational utility table.
+def row_major_strides(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Mixed-radix strides of a profile grid with `sizes[k]` values in
+    coordinate k: profile `p` has flat index `sum(p[k] * strides[k])`, and
+    the last coordinate varies fastest (the order of `itertools.product`)."""
+    strides = [1] * len(sizes)
+    for k in range(len(sizes) - 1, 0, -1):
+        strides[k - 1] = strides[k] * sizes[k]
+    return tuple(strides)
 
-    `strategies[i]` lists player i's strategy labels; `utilities` maps every
-    joint strategy index tuple to one utility per player.
+
+def profile_at(flat: int, sizes: Sequence[int]) -> tuple[int, ...]:
+    """The profile with row-major flat index `flat` on a grid of `sizes`."""
+    digits = []
+    for m in reversed(sizes):
+        flat, digit = divmod(flat, m)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class StrategicForm:
+    """A finite normal-form game with a total, exact utility table.
+
+    `strategies[i]` lists player i's strategy labels. Joint profiles are
+    numbered row-major (see `row_major_strides`), and `payoffs[i][f]` is
+    player i's utility at flat profile f multiplied by the positive integer
+    `scale`: the utility itself is `Fraction(payoffs[i][f], scale)`.
+    `utility` and `utilities` give values back as rationals; `utilities`
+    builds a new mapping on every access.
+
+    `StrategicForm(strategies, utilities)` converts a mapping from every
+    joint strategy index tuple to one utility per player, once;
+    `from_payoffs` takes scaled tables as they are.
     """
 
     strategies: tuple[tuple[str, ...], ...]
-    utilities: Mapping[tuple[int, ...], tuple[Fraction, ...]]
+    payoffs: tuple[tuple[int, ...], ...]
+    scale: int
+    strides: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        strategies = tuple(tuple(s) for s in self.strategies)
-        object.__setattr__(self, "strategies", strategies)
+    def __init__(self, strategies, utilities: Mapping[tuple[int, ...], Sequence]):
+        strategies = tuple(tuple(s) for s in strategies)
         expected = math.prod(len(s) for s in strategies)
-        if len(self.utilities) != expected:
+        if len(utilities) != expected:
             raise InvalidGameError(
-                f"utility table has {len(self.utilities)} entries, expected {expected}"
+                f"utility table has {len(utilities)} entries, expected {expected}"
             )
-        for profile, values in self.utilities.items():
+        for profile, values in utilities.items():
             if len(values) != len(strategies):
                 raise InvalidGameError(f"profile {profile} has {len(values)} utilities")
+        grid = itertools.product(*(range(len(s)) for s in strategies))
+        try:
+            rows = [utilities[p] for p in grid]
+        except KeyError as exc:
+            raise InvalidGameError(f"utility table misses profile {exc.args[0]}") from exc
+        flat, scale = scaled_integers(v for row in rows for v in row)
+        n = len(strategies)
+        self._set(strategies, tuple(tuple(flat[i::n]) for i in range(n)), scale)
+
+    @classmethod
+    def from_payoffs(
+        cls, strategies, payoffs: Sequence[Sequence[int]], scale: int
+    ) -> "StrategicForm":
+        """A form over scaled integer tables, one per player, each indexed
+        by row-major flat profile index."""
+        form = cls.__new__(cls)
+        form._set(tuple(tuple(s) for s in strategies), tuple(map(tuple, payoffs)), scale)
+        return form
+
+    def _set(self, strategies, payoffs, scale: int) -> None:
+        object.__setattr__(self, "strategies", strategies)
+        object.__setattr__(self, "payoffs", payoffs)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "strides", row_major_strides([len(s) for s in strategies]))
 
     @property
     def players(self) -> int:
         return len(self.strategies)
 
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(len(s) for s in self.strategies)
+
     def profiles(self) -> Iterator[tuple[int, ...]]:
-        """All joint strategy index tuples, lexicographic."""
+        """All joint strategy index tuples, lexicographic (= flat index order)."""
         return itertools.product(*(range(len(s)) for s in self.strategies))
 
+    def index(self, profile: Sequence[int]) -> int:
+        """Row-major flat index of a joint profile."""
+        return sum(p * s for p, s in zip(profile, self.strides))
+
     def utility(self, profile: tuple[int, ...], player: int) -> Fraction:
-        return self.utilities[profile][player]
+        return unscale(self.payoffs[player][self.index(profile)], self.scale)
+
+    @property
+    def utilities(self) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
+        """Every joint profile's utilities as rationals, in flat order."""
+        columns = [[unscale(v, self.scale) for v in column] for column in self.payoffs]
+        rows = zip(*columns) if columns else [()]
+        return dict(zip(self.profiles(), rows))
 
     def num_profiles(self) -> int:
         return math.prod(len(s) for s in self.strategies)
@@ -451,17 +524,28 @@ def congestion_distance(u: CongestionVector, v: CongestionVector) -> Fraction:
 # Canonical coalition strategies
 
 # Within a block, member choices can be permuted without changing any
-# utility, so enumeration and reporting use the sorted tuple as the canonical
-# representative of each orbit.
+# utility, so enumeration works on sorted choice tuples (one per orbit). A
+# reported profile hands each block's choices to its members in the
+# lexicographically least order every member can actually play.
+
+
+def _playable_order(g: CongestionGame, block: Sequence[int], choices) -> tuple[Choice, ...]:
+    """The lexicographically least assignment of the choice multiset
+    `choices` to the members of `block` in which every member plays a choice
+    from its own strategy set; the sorted order when there is none."""
+    ordered = sorted(choices, key=g.choice_key)
+    for perm in itertools.permutations(ordered):
+        if all(c in g.strategy_sets[i] for i, c in zip(block, perm)):
+            return perm
+    return tuple(ordered)
 
 
 def canonicalize(cg: CoalitionalGame, s: PureProfile) -> PureProfile:
-    """Sort each block's member choices into the canonical order."""
-    key = cg.base.choice_key
+    """Replace each block's member choices by its orbit's representative:
+    the lexicographically least playable assignment of the same choices."""
     choices = list(s.choices)
     for block in cg.blocks:
-        selected = sorted((choices[i] for i in block), key=key)
-        for i, choice in zip(block, selected):
+        for i, choice in zip(block, _playable_order(cg.base, block, [choices[i] for i in block])):
             choices[i] = choice
     return PureProfile(tuple(choices))
 
@@ -517,15 +601,16 @@ def canonical_block_strategies(
 def assemble_profile(
     cg: CoalitionalGame, block_strategies: Sequence[BlockStrategy]
 ) -> PureProfile:
-    """Place one strategy tuple per block into a flat profile (members in
-    ascending order receive the tuple entries in order)."""
+    """Place one strategy tuple per block into a flat profile: each block's
+    members receive the tuple's choices in the lexicographically least order
+    they can all play (ascending when every order is playable)."""
     if len(block_strategies) != len(cg.blocks):
         raise InvalidBlockError(f"need {len(cg.blocks)} block strategies, got {len(block_strategies)}")
     choices: list[Choice] = [()] * cg.base.n
     for block, strat in zip(cg.blocks, block_strategies):
         if len(strat) != len(block):
             raise InvalidProfileError(f"tuple of {len(strat)} choices for block of {len(block)}")
-        for i, choice in zip(block, strat):
+        for i, choice in zip(block, _playable_order(cg.base, block, strat)):
             choices[i] = choice
     return PureProfile(tuple(choices))
 
@@ -541,17 +626,97 @@ def block_strategy_label(strat: BlockStrategy) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Materialization
+# Compiled games and materialization
 
 
-def contribution(g: CongestionGame, strat: BlockStrategy) -> tuple[int, ...]:
-    """Per-resource usage counts of one block strategy."""
-    index = g.resource_index()
-    counts = [0] * len(g.resources)
-    for choice in strat:
-        for r in choice:
-            counts[index[r]] += 1
-    return tuple(counts)
+class CompiledGame:
+    """A coalitional game compiled once for exact integer evaluation.
+
+    `costs[r][c - 1]` is resource r's per-user cost at occupancy c times
+    `scale`, the LCM of every cost denominator in the game. The factor must
+    be common to all resources because a block's utility sums costs across
+    resources; positive scaling leaves every comparison, argmax and zero test
+    unchanged, so values are divided back by `scale` only when they leave
+    the kernel.
+
+    The compiled blocks are `blocks` (all blocks by default), in that order;
+    for the one at position p, `strategies[p]` lists its canonical
+    strategies, `usage[p][si]` the per-resource usage counts of strategy si
+    and `contributions[p][si]` the same counts as sparse `(resource, uses)`
+    pairs.
+    """
+
+    def __init__(
+        self, cg: CoalitionalGame, blocks: Iterable[int] | None = None, restricted: bool = False
+    ):
+        g = cg.base
+        tables = [g.costs[r].values for r in g.resources]
+        self.scale = math.lcm(*(v.denominator for table in tables for v in table))
+        self.costs = [[int(v * self.scale) for v in table] for table in tables]
+        if blocks is None:
+            blocks = range(len(cg.blocks))
+        self.strategies = [canonical_block_strategies(cg, k, restricted) for k in blocks]
+        index = g.resource_index()
+        self.usage = []
+        for per_block in self.strategies:
+            vectors = []
+            for strat in per_block:
+                counts = [0] * len(index)
+                for choice in strat:
+                    for r in choice:
+                        counts[index[r]] += 1
+                vectors.append(tuple(counts))
+            self.usage.append(vectors)
+        self.contributions = [
+            [tuple((r, used) for r, used in enumerate(vector) if used) for vector in per_block]
+            for per_block in self.usage
+        ]
+
+    def values_against(self, p: int, env: Sequence[int]) -> list[int]:
+        """Scaled utility of every strategy of the block at position p when
+        everyone else occupies the resources as counted in `env`."""
+        costs = self.costs
+        return [
+            -sum([used * costs[r][env[r] + used - 1] for r, used in contrib])
+            for contrib in self.contributions[p]
+        ]
+
+    def payoffs(self, env: Sequence[int]) -> list[list[int]]:
+        """Scaled utility table of each compiled block over their joint
+        profiles in row-major order, with `env` counting the occupancy of
+        sub-agents outside the compiled blocks.
+
+        Works a resource at a time: its occupancy over all joint profiles is
+        an outer sum of per-block usage columns, which a table lookup turns
+        into the per-user cost there; a block pays its usage times that
+        cost on every resource it can use.
+        """
+        sizes = [len(s) for s in self.strategies]
+        n_profiles = math.prod(sizes)
+        unit_costs = []
+        for r, table in enumerate(self.costs):
+            occupancy = [env[r]]
+            for vectors in self.usage:
+                occupancy = [c + vector[r] for c in occupancy for vector in vectors]
+            unit_costs.append(list(map(([0] + table).__getitem__, occupancy)))
+        tables = []
+        for vectors, m, stride in zip(self.usage, sizes, row_major_strides(sizes)):
+            utility = [0] * n_profiles
+            for r, unit_cost in enumerate(unit_costs):
+                uses = [vector[r] for vector in vectors]
+                if any(uses):
+                    column = [u for u in uses for _ in range(stride)] * (n_profiles // (m * stride))
+                    utility = list(map(sub, utility, map(mul, column, unit_cost)))
+            tables.append(utility)
+        return tables
+
+    def form(self, env: Sequence[int], limit: int | None = None) -> StrategicForm:
+        """The compiled blocks' strategic form against the fixed occupancy
+        `env`; refuses tables larger than the size limit."""
+        n_profiles = math.prod(len(s) for s in self.strategies)
+        ensure_within_limit(n_profiles * len(self.strategies), limit, "materialized utility table")
+        labels = [[block_strategy_label(t) for t in per_block] for per_block in self.strategies]
+        return StrategicForm.from_payoffs(labels, self.payoffs(env), self.scale)
 
 
 def materialize(cg: CoalitionalGame, limit: int | None = None) -> StrategicForm:
@@ -559,29 +724,7 @@ def materialize(cg: CoalitionalGame, limit: int | None = None) -> StrategicForm:
 
     Players are the blocks; strategies are canonical member-choice tuples in
     lexicographic resource order; utilities are the blocks' summed member
-    utilities. Refuses games whose utility table would exceed the size limit.
+    utilities, as scaled integers (see `StrategicForm`). Refuses games whose
+    utility table would exceed the size limit.
     """
-    strats = [canonical_block_strategies(cg, k) for k in range(len(cg.blocks))]
-    n_profiles = math.prod(len(s) for s in strats)
-    ensure_within_limit(n_profiles * len(strats), limit, "materialized utility table")
-
-    tables = [cg.base.costs[r].values for r in cg.base.resources]
-    contribs = [[contribution(cg.base, t) for t in per_block] for per_block in strats]
-    n_res = len(cg.base.resources)
-
-    utilities: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-    for idx in itertools.product(*(range(len(s)) for s in strats)):
-        counts = [0] * n_res
-        for k, si in enumerate(idx):
-            for r, used in enumerate(contribs[k][si]):
-                counts[r] += used
-        row = []
-        for k, si in enumerate(idx):
-            cost = Fraction(0)
-            for r, used in enumerate(contribs[k][si]):
-                if used:
-                    cost += used * tables[r][counts[r] - 1]
-            row.append(-cost)
-        utilities[idx] = tuple(row)
-    labels = tuple(tuple(block_strategy_label(t) for t in per_block) for per_block in strats)
-    return StrategicForm(labels, utilities)
+    return CompiledGame(cg).form([0] * len(cg.base.resources), limit)

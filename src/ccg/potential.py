@@ -4,10 +4,17 @@ An exact potential is a single function over joint profiles whose change
 under any unilateral deviation equals the deviating player's utility change.
 Existence is decided constructively: integrate utility differences along the
 lexicographic path from the all-first-strategies profile, then verify the
-candidate on every deviation. For finite games this is sound and complete,
+candidate. P is an exact potential iff `U_i - P` is constant along every
+player-i fiber (the profiles that differ only in player i's strategy; Monderer
+& Shapley, *Potential Games*, GEB 14, 1996), so verification is one pass per
+player over the profile table. For finite games this is sound and complete,
 and on failure some deviation square (a *four-cycle*: two players, two
 strategies each) must carry a nonzero residual, which is extracted as a
 witness.
+
+Every step works on the flat integer tables of a `StrategicForm` (utilities
+times the form's `scale`); the potential table and the witness residual are
+divided back into rationals when they are reported.
 
 The module also ties potential existence back to congestion structure: for a
 simple game with a partition containing at least one singleton and one pair
@@ -18,37 +25,74 @@ potential exactly when every resource cost table is affine.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Mapping
 
 from .errors import (
     CoverageMismatchError,
+    InvalidGameError,
     InvalidIndicesError,
+    InvalidProfileError,
     LinearityEquivalenceViolationError,
     PreconditionViolatedError,
 )
 from .game import (
     CoalitionalGame,
+    CompiledGame,
     CongestionGame,
     CostTable,
     Partition,
-    PureProfile,
     StrategicForm,
     as_profile,
-    block_strategy_label,
-    canonical_block_strategies,
-    coalition_utility,
     materialize,
+    profile_at,
 )
 from .limits import ensure_within_limit
+from .rationals import scaled_integers, unscale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PotentialTable:
-    """Candidate potential values, one per joint strategy index tuple."""
+    """Candidate potential values, one per joint strategy index tuple.
 
-    values: Mapping[tuple[int, ...], Fraction]
+    Stored flat like a `StrategicForm`: `flat[f] / scale` is the value at
+    the profile with row-major flat index f on a grid of `sizes`. `values`
+    builds the mapping from profiles to rationals on every access.
+    `PotentialTable(values)` converts such a mapping, which must cover a
+    full grid of profiles.
+    """
+
+    sizes: tuple[int, ...]
+    flat: tuple[int, ...]
+    scale: int
+
+    def __init__(self, values: Mapping[tuple[int, ...], Fraction]):
+        profiles = sorted(values)
+        width = len(profiles[0]) if profiles else 0
+        sizes = tuple(max(p[k] for p in profiles) + 1 for k in range(width))
+        if not profiles or len(profiles) != math.prod(sizes):
+            raise InvalidGameError("a potential table must cover a full grid of profiles")
+        flat, scale = scaled_integers(values[p] for p in profiles)
+        self._set(sizes, flat, scale)
+
+    @classmethod
+    def from_flat(cls, sizes, flat, scale: int) -> "PotentialTable":
+        table = cls.__new__(cls)
+        table._set(sizes, flat, scale)
+        return table
+
+    def _set(self, sizes, flat, scale: int) -> None:
+        object.__setattr__(self, "sizes", tuple(sizes))
+        object.__setattr__(self, "flat", tuple(flat))
+        object.__setattr__(self, "scale", scale)
+
+    @property
+    def values(self) -> dict[tuple[int, ...], Fraction]:
+        grid = itertools.product(*(range(m) for m in self.sizes))
+        return {p: unscale(v, self.scale) for p, v in zip(grid, self.flat)}
 
 
 @dataclass(frozen=True)
@@ -110,7 +154,8 @@ class EquivalenceVerdict:
     """Joint verdict of cost linearity and potential existence.
 
     `consistent` is None when the partition shape makes the equivalence
-    inapplicable; when applicable, inconsistency raises instead.
+    inapplicable; when applicable, inconsistency raises instead. `form` is
+    the materialized game the potential verdict was decided on.
     """
 
     applicable: bool
@@ -119,29 +164,55 @@ class EquivalenceVerdict:
     consistent: bool | None
     potential: PotentialVerdict
     linearity: dict[str, LinearityEntry]
+    form: StrategicForm
 
 
 def build_potential_by_path(game: StrategicForm, limit: int | None = None) -> PotentialTable:
     """Integrate utility differences along one-coordinate steps from the
     all-first-strategies profile (anchored at zero).
 
-    The table is well-defined for any finite game; whether it actually is a
-    potential is decided by `verify_exact_potential`.
+    The value at a profile whose last nonzero coordinate is player j's is
+    the value with that coordinate reset to 0, plus player j's utility
+    change between the two. The table is well-defined for any finite game;
+    whether it actually is a potential is decided by
+    `verify_exact_potential`.
     """
-    ensure_within_limit(game.num_profiles(), limit, "potential table")
-    values: dict[tuple[int, ...], Fraction] = {}
-    for profile in game.profiles():
-        last = None
-        for i in range(game.players - 1, -1, -1):
-            if profile[i] != 0:
-                last = i
-                break
-        if last is None:
-            values[profile] = Fraction(0)
+    n_profiles = game.num_profiles()
+    ensure_within_limit(n_profiles, limit, "potential table")
+    values = [0] * n_profiles
+    for j, (m, stride) in enumerate(zip(game.sizes, game.strides)):
+        u = game.payoffs[j]
+        span = m * stride
+        # Each base has zeros from coordinate j on; the profiles it reaches by
+        # changing coordinate j are those whose last nonzero coordinate is j.
+        for base in range(0, n_profiles, span):
+            offset = values[base] - u[base]
+            values[base + stride : base + span : stride] = [
+                offset + x for x in u[base + stride : base + span : stride]
+            ]
+    return PotentialTable.from_flat(game.sizes, values, game.scale)
+
+
+def _rescaled(values: tuple[int, ...], factor: int) -> tuple[int, ...] | list[int]:
+    return values if factor == 1 else [v * factor for v in values]
+
+
+def _first_uneven_fiber(gap: list[int], m: int, stride: int) -> tuple[int, int] | None:
+    """The first fiber along which `gap` is not constant, as (flat index of
+    its first profile, first position that differs from it), or None. A
+    fiber is the `m` entries `stride` apart that differ in one coordinate."""
+    span = m * stride
+    for base in range(0, len(gap), span):
+        # Every fiber starting in [base, base + stride) is constant iff each
+        # entry equals the one a stride before it.
+        if gap[base + stride : base + span] == gap[base : base + span - stride]:
             continue
-        prev = profile[:last] + (0,) + profile[last + 1 :]
-        values[profile] = values[prev] + game.utility(profile, last) - game.utility(prev, last)
-    return PotentialTable(values)
+        for start in range(base, base + stride):
+            fiber = gap[start : start + span : stride]
+            for t in range(1, m):
+                if fiber[t] != fiber[0]:
+                    return start, t
+    return None
 
 
 def verify_exact_potential(
@@ -149,23 +220,42 @@ def verify_exact_potential(
 ) -> tuple[bool, PotentialViolation | None]:
     """Check the potential equation on every unilateral deviation, exactly.
 
+    Uses the fiber test: the equation holds iff `U_i - P` is constant along
+    every player-i fiber, which is one pass over the table per player.
     Returns (True, None) or (False, first violation) in lexicographic order
-    of (profile, player, alternative). Each undirected deviation edge is
-    checked once; the equation is antisymmetric so this covers both
-    directions.
+    of (profile, player, alternative), where `alternative` exceeds the
+    profile's own strategy: that profile is the first of its fiber, and the
+    alternative is the first strategy on which `U_i - P` differs from it.
     """
-    values = table.values
-    for profile in game.profiles():
-        p_here = values[profile]
-        u_here = game.utilities[profile]
-        for i in range(game.players):
-            for t in range(profile[i] + 1, len(game.strategies[i])):
-                other = profile[:i] + (t,) + profile[i + 1 :]
-                pot_delta = p_here - values[other]
-                util_delta = u_here[i] - game.utility(other, i)
-                if pot_delta != util_delta:
-                    return False, PotentialViolation(profile, i, t, pot_delta, util_delta)
-    return True, None
+    if table.sizes != game.sizes:
+        raise InvalidGameError(f"potential table over {table.sizes}, game over {game.sizes}")
+    scale = math.lcm(game.scale, table.scale)
+    potential = _rescaled(table.flat, scale // table.scale)
+    first = None
+    for i, (m, stride) in enumerate(zip(game.sizes, game.strides)):
+        u = _rescaled(game.payoffs[i], scale // game.scale)
+        found = _first_uneven_fiber(list(map(sub, u, potential)), m, stride)
+        if found is not None and (first is None or found[0] < first[0]):
+            first = (found[0], i, found[1], u)
+    if first is None:
+        return True, None
+    start, i, t, u = first
+    other = start + t * game.strides[i]
+    return False, PotentialViolation(
+        profile_at(start, game.sizes),
+        i,
+        t,
+        unscale(potential[start] - potential[other], scale),
+        unscale(u[start] - u[other], scale),
+    )
+
+
+def _square_residual(game: StrategicForm, i: int, j: int, f: int, step_i: int, step_j: int) -> int:
+    """Scaled residual of the deviation square at flat profile f where
+    players i and j move by `step_i` and `step_j` flat positions."""
+    ui, uj = game.payoffs[i], game.payoffs[j]
+    f10, f01, f11 = f + step_i, f + step_j, f + step_i + step_j
+    return (ui[f] - ui[f10]) + (uj[f10] - uj[f11]) + (ui[f11] - ui[f01]) + (uj[f01] - uj[f])
 
 
 def four_cycle_residual(
@@ -193,28 +283,30 @@ def four_cycle_residual(
     if not 0 <= t_j < len(game.strategies[j]):
         raise InvalidIndicesError(f"bad alternative {t_j} for player {j}")
 
-    p00 = s
-    p10 = s[:i] + (t_i,) + s[i + 1 :]
-    p11 = p10[:j] + (t_j,) + p10[j + 1 :]
-    p01 = s[:j] + (t_j,) + s[j + 1 :]
-    return (
-        (game.utility(p00, i) - game.utility(p10, i))
-        + (game.utility(p10, j) - game.utility(p11, j))
-        + (game.utility(p11, i) - game.utility(p01, i))
-        + (game.utility(p01, j) - game.utility(p00, j))
-    )
+    step_i = (t_i - s[i]) * game.strides[i]
+    step_j = (t_j - s[j]) * game.strides[j]
+    return unscale(_square_residual(game, i, j, game.index(s), step_i, step_j), game.scale)
 
 
 def _find_nonzero_cycle(game: StrategicForm) -> FourCycleWitness | None:
-    """Lexicographically first deviation square with nonzero residual."""
+    """Lexicographically first deviation square with nonzero residual, in
+    the order (player i, player j, profile, alternative i, alternative j)."""
+    sizes, strides = game.sizes, game.strides
     for i in range(game.players):
         for j in range(i + 1, game.players):
-            for s in game.profiles():
-                for t_i in range(s[i] + 1, len(game.strategies[i])):
-                    for t_j in range(s[j] + 1, len(game.strategies[j])):
-                        residual = four_cycle_residual(game, i, j, s, t_i, t_j)
-                        if residual != 0:
-                            return FourCycleWitness(i, j, s, t_i, t_j, residual)
+            m_i, m_j = sizes[i], sizes[j]
+            for f in range(game.num_profiles()):
+                s_i = f // strides[i] % m_i
+                s_j = f // strides[j] % m_j
+                for t_i in range(s_i + 1, m_i):
+                    for t_j in range(s_j + 1, m_j):
+                        step_i = (t_i - s_i) * strides[i]
+                        step_j = (t_j - s_j) * strides[j]
+                        residual = _square_residual(game, i, j, f, step_i, step_j)
+                        if residual:
+                            return FourCycleWitness(
+                                i, j, profile_at(f, sizes), t_i, t_j, unscale(residual, game.scale)
+                            )
     return None
 
 
@@ -274,7 +366,8 @@ def check_linearity_equivalence(
     partition.validate_for(g.n)
     report = linearity_report(g)
     all_linear = all(entry.linear for entry in report.values())
-    verdict = exact_potential(materialize(CoalitionalGame(g, partition), limit=limit), limit=limit)
+    form = materialize(CoalitionalGame(g, partition), limit=limit)
+    verdict = exact_potential(form, limit=limit)
     applicable = (
         bool(partition.singletons()) and bool(partition.pairs()) and len(g.resources) >= 2
     )
@@ -285,7 +378,9 @@ def check_linearity_equivalence(
             raise LinearityEquivalenceViolationError(
                 f"all_linear={all_linear} but has_potential={verdict.has_potential}"
             )
-    return EquivalenceVerdict(applicable, all_linear, verdict.has_potential, consistent, verdict, report)
+    return EquivalenceVerdict(
+        applicable, all_linear, verdict.has_potential, consistent, verdict, report, form
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +393,9 @@ def fix_strategies_subgame(
     """Strategic form over a subset of blocks with everyone else frozen.
 
     `fixed` maps each sub-agent outside the free blocks to its frozen choice;
-    it must cover exactly those sub-agents. With all blocks free this is just
-    materialization.
+    it must cover exactly those sub-agents, and each must be able to play it.
+    This is materialization of the free blocks with the frozen sub-agents'
+    occupancy added; with all blocks free it is just `materialize`.
     """
     free = sorted(set(free_blocks))
     for k in free:
@@ -311,21 +407,13 @@ def fix_strategies_subgame(
             f"fixed profile covers {sorted(fixed)}, expected {sorted(frozen_agents)}"
         )
 
-    base_choices = list(
-        as_profile(
-            cg.base,
-            [fixed.get(i, cg.base.resources[0]) for i in range(cg.base.n)],
-        ).choices
-    )
-    strats = [canonical_block_strategies(cg, k) for k in free]
-    labels = tuple(tuple(block_strategy_label(t) for t in per_block) for per_block in strats)
-
-    utilities: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-    for idx in itertools.product(*(range(len(s)) for s in strats)):
-        choices = list(base_choices)
-        for pos, k in enumerate(free):
-            for i, choice in zip(cg.blocks[k], strats[pos][idx[pos]]):
-                choices[i] = choice
-        profile = PureProfile(tuple(choices))
-        utilities[idx] = tuple(coalition_utility(cg, profile, k) for k in free)
-    return StrategicForm(labels, utilities)
+    g = cg.base
+    frozen = as_profile(g, [fixed.get(i, g.resources[0]) for i in range(g.n)])
+    index = g.resource_index()
+    env = [0] * len(g.resources)
+    for i in sorted(frozen_agents):
+        if frozen.choices[i] not in g.strategy_sets[i]:
+            raise InvalidProfileError(f"sub-agent {i} cannot play {frozen.choices[i]}")
+        for r in frozen.choices[i]:
+            env[index[r]] += 1
+    return CompiledGame(cg, free).form(env)

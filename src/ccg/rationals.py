@@ -1,12 +1,16 @@
 """Helpers for exact rational values at package boundaries.
 
-All arithmetic in this package is done with `fractions.Fraction`; floats are
-rejected on input so that every comparison stays exact.
+Values enter the package as ints, Fractions or "p/q" strings; floats are
+rejected on input so that every comparison stays exact. Inner loops work on
+integers scaled by a common denominator (see `game.CompiledGame`), and
+values are divided back into rationals only when they leave a kernel.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import GameFileError
 
@@ -30,6 +34,22 @@ def as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise GameFileError(f"bad rational literal {value!r}") from exc
     raise TypeError(f"expected int, Fraction, or 'p/q' string, got {type(value).__name__}")
+
+
+def scaled_integers(values: Iterable) -> tuple[list[int], int]:
+    """Exact values as integers over their least common denominator.
+
+    Returns `(numerators, scale)` with `numerators[i] / scale == values[i]`.
+    """
+    fractions = [as_fraction(v) for v in values]
+    scale = math.lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (scale // f.denominator) for f in fractions], scale
+
+
+def unscale(numerator: int, scale: int):
+    """The exact value `numerator / scale`: a plain int when `scale` is 1,
+    otherwise a Fraction."""
+    return numerator if scale == 1 else Fraction(numerator, scale)
 
 
 def format_rational(value: Fraction):

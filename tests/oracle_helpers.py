@@ -3,20 +3,30 @@
 These deliberately avoid the library's enumeration machinery: they work on
 raw (non-canonical) profiles and compute utilities through the public
 per-block utility function, so they can independently confirm solver and
-enumerator outputs on small instances.
+enumerator outputs on small instances. The potential oracle checks the
+defining equation edge by edge on the rational utility mapping, independent
+of the fiber test the library uses.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from ccg import (
     CoalitionalGame,
     CongestionGame,
+    PotentialTable,
     PureProfile,
+    StrategicForm,
+    assemble_profile,
+    canonical_block_strategies,
     coalition_utility,
+    materialize,
     player_cost,
 )
+from ccg.game import validate_profile
+from ccg.potential import PotentialViolation
 
 
 def raw_block_tuples(cg: CoalitionalGame, k: int):
@@ -67,3 +77,36 @@ def brute_simple_ne_congestions(g: CongestionGame) -> set[tuple[int, ...]]:
 
             out.add(congestion(g, s).counts)
     return out
+
+
+def assert_kernel_matches_definition(cg: CoalitionalGame) -> None:
+    """Every flat payoff of the materialized form, divided by its scale,
+    equals the public per-block utility of the assembled profile, and that
+    profile is playable."""
+    sf = materialize(cg)
+    strats = [canonical_block_strategies(cg, k) for k in range(len(cg.blocks))]
+    for f, idx in enumerate(sf.profiles()):
+        s = assemble_profile(cg, [strats[k][si] for k, si in enumerate(idx)])
+        validate_profile(cg.base, s)
+        for k in range(len(cg.blocks)):
+            assert Fraction(sf.payoffs[k][f], sf.scale) == coalition_utility(cg, s, k)
+
+
+def pairwise_potential_check(
+    game: StrategicForm, table: PotentialTable
+) -> tuple[bool, PotentialViolation | None]:
+    """The potential equation on every unilateral deviation edge, one edge
+    at a time: (True, None), or (False, first violation) in lexicographic
+    order of (profile, player, alternative) with the alternative above the
+    profile's own strategy."""
+    values = table.values
+    utilities = game.utilities
+    for profile in game.profiles():
+        for i in range(game.players):
+            for t in range(profile[i] + 1, len(game.strategies[i])):
+                other = profile[:i] + (t,) + profile[i + 1 :]
+                pot_delta = values[profile] - values[other]
+                util_delta = utilities[profile][i] - utilities[other][i]
+                if pot_delta != util_delta:
+                    return False, PotentialViolation(profile, i, t, pot_delta, util_delta)
+    return True, None

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
-from ccg import Partition
+import ccg.cli
+import ccg.potential
+from ccg import CoalitionalGame, Partition, PureProfile, find_deviation
 from ccg.cli import main, render_text
-from ccg.gamefile import write_game_file
+from ccg.game import validate_profile
+from ccg.gamefile import load_game_file, write_game_file
 from ccg.instances import (
     no_ne_overlap_fixture,
     no_ne_triple_fixture,
@@ -53,6 +56,31 @@ def run_json(capsys, *argv) -> tuple[dict, int]:
 
 
 class TestSolve:
+    def test_crossed_strategy_sets_report_a_playable_profile(self, capsys, tmp_path):
+        # Agent 1 can only use B and agent 2 only A; sorting the block's
+        # choices would hand agent 1 resource A.
+        path = tmp_path / "crossed.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "resources": ["A", "B"],
+                    "players": 2,
+                    "costs": {"A": [0, 1], "B": [0, 1]},
+                    "strategies": {"1": [["B"]], "2": [["A"]]},
+                    "partition": [[1, 2]],
+                }
+            )
+        )
+        report, code = run_json(capsys, "solve", str(path))
+        assert code == 0
+        game, partition = load_game_file(str(path))
+        cg = CoalitionalGame(game, partition)
+        [equilibrium] = report["traces"]["enumeration"]["equilibria"]
+        assert equilibrium["profile"] == [[["B"], ["A"]]]
+        s = PureProfile(tuple(tuple(c) for block in equilibrium["profile"] for c in block))
+        validate_profile(game, s)
+        assert find_deviation(cg, s) is None
+
     def test_brute_empty_set_exits_3(self, capsys, triple_file):
         report, code = run_json(capsys, "solve", triple_file)
         assert code == 3
@@ -256,6 +284,36 @@ class TestExperiment:
 
     def test_bad_trials_exit_2(self, capsys):
         assert main(["experiment", "theorem1", "--trials", "0", "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "kind, bound, value",
+        [
+            ("theorem1", "--max-players", "0"),
+            ("theorem2", "--max-players", "2"),
+            ("pairs-vs-triples", "--max-resources", "1"),
+        ],
+    )
+    def test_bound_below_smallest_instance_exits_2(self, capsys, kind, bound, value):
+        argv = ["experiment", kind, "--trials", "3", "--seed", "1", bound, value]
+        assert main(argv) == 2
+        assert "must be at least" in capsys.readouterr().err
+
+
+class TestWorkDone:
+    def test_potential_materializes_once(self, capsys, monkeypatch, linear_file, nonlinear_file):
+        calls = []
+        original = ccg.potential.materialize
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ccg.cli, "materialize", counting)
+        monkeypatch.setattr(ccg.potential, "materialize", counting)
+        for path, code in ((linear_file, 0), (nonlinear_file, 3)):
+            calls.clear()
+            assert main(["potential", path]) == code
+            assert len(calls) == 1
 
 
 class TestReportContract:

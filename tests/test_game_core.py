@@ -29,6 +29,8 @@ from ccg.errors import (
     UnequalTotalsError,
 )
 
+from oracle_helpers import assert_kernel_matches_definition
+
 
 class TestValidation:
     def test_reference_game_is_valid(self, triple_game):
@@ -234,6 +236,22 @@ class TestMaterialize:
     def test_size_limit(self, triple_ccg):
         with pytest.raises(SizeLimitExceededError):
             materialize(triple_ccg, limit=3)
+
+    def test_mixed_denominators_share_one_scale(self):
+        g = CongestionGame(
+            ("A", "B"),
+            {"A": ("1/7", "2/7", "3/7"), "B": ("5/12", "5/6", "5/4")},
+            ((("A",), ("B",)), (("A", "B"),), (("B",), ("A", "B"))),
+        )
+        cg = CoalitionalGame(g, Partition.from_one_based([[1, 3], [2]]))
+        sf = materialize(cg)
+        assert sf.scale == 84
+        assert_kernel_matches_definition(cg)
+
+    def test_integer_costs_keep_scale_one(self, triple_ccg, overlap_ccg):
+        for cg in (triple_ccg, overlap_ccg):
+            assert materialize(cg).scale == 1
+            assert_kernel_matches_definition(cg)
 
 
 class TestCostTable:

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccg import (
     CoalitionalGame,
@@ -28,6 +29,35 @@ from ccg.errors import (
     PreconditionViolatedError,
 )
 from ccg.potential import PotentialTable
+from oracle_helpers import pairwise_potential_check
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def hand_built_forms(draw):
+    """Small normal-form games with rational utilities. With `potential`
+    True each utility is a random potential plus a term that ignores the
+    player's own strategy, so an exact potential exists."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    profiles = list(itertools.product(*(range(m) for m in sizes)))
+    potential = draw(st.booleans())
+    if potential:
+        base = {p: draw(RATIONALS) for p in profiles}
+        others = [{} for _ in sizes]
+        utilities = {}
+        for p in profiles:
+            row = []
+            for i, terms in enumerate(others):
+                rest = p[:i] + p[i + 1 :]
+                if rest not in terms:
+                    terms[rest] = draw(RATIONALS)
+                row.append(base[p] + terms[rest])
+            utilities[p] = tuple(row)
+    else:
+        utilities = {p: tuple(draw(RATIONALS) for _ in sizes) for p in profiles}
+    labels = tuple(tuple(f"s{j}" for j in range(m)) for m in sizes)
+    return StrategicForm(labels, utilities), potential
 
 
 def pair_singleton_game(a, b) -> StrategicForm:
@@ -80,6 +110,19 @@ class TestVerify:
         sf = constant_game()
         table = PotentialTable({p: Fraction(0) for p in sf.profiles()})
         assert verify_exact_potential(sf, table) == (True, None)
+
+
+class TestFiberTestAgainstPairwiseOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(hand_built_forms(), st.data())
+    def test_same_verdict_and_first_violation(self, form, data):
+        sf, potential = form
+        path_table = build_potential_by_path(sf)
+        random_table = PotentialTable({p: data.draw(RATIONALS) for p in sf.profiles()})
+        for table in (path_table, random_table):
+            assert verify_exact_potential(sf, table) == pairwise_potential_check(sf, table)
+        if potential:
+            assert verify_exact_potential(sf, path_table) == (True, None)
 
 
 class TestExactPotential:

@@ -6,12 +6,14 @@ works on compact integer seeds rather than raw game structures.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from ccg import (
     CoalitionalGame,
+    CongestionGame,
     PureProfile,
     assemble_profile,
     canonical_block_strategies,
@@ -37,7 +39,10 @@ from ccg import (
     solve_pair_ccg,
     underlying_pure_ne,
 )
+from ccg.game import validate_profile
 from ccg.instances import no_ne_overlap_fixture
+
+from oracle_helpers import assert_kernel_matches_definition, brute_ccg_equilibria
 
 COMMON = settings(max_examples=40, deadline=None)
 
@@ -52,6 +57,24 @@ def simple_ccgs(draw, max_n: int = 5, max_r: int = 3, max_block: int | None = No
     game = random_game(seed, n, r, cost_class)
     partition = random_partition(seed, n, cap)
     return CoalitionalGame(game, partition)
+
+
+@st.composite
+def non_simple_ccgs(draw, max_n: int = 4, max_r: int = 3):
+    """Games whose agents pick one- or two-resource choices from their own
+    strategy sets, so members of one block can play different things."""
+    seed = draw(st.integers(0, 10**6))
+    n = draw(st.integers(2, max_n))
+    r = draw(st.integers(2, max_r))
+    cost_class = draw(st.sampled_from(("linear", "convex", "monotone")))
+    simple = random_game(seed, n, r, cost_class)
+    menu = [(x,) for x in simple.resources] + list(itertools.combinations(simple.resources, 2))
+    sets = tuple(
+        tuple(draw(st.lists(st.sampled_from(menu), min_size=1, max_size=3, unique=True)))
+        for _ in range(n)
+    )
+    game = CongestionGame(simple.resources, simple.costs, sets)
+    return CoalitionalGame(game, random_partition(seed, n, draw(st.integers(1, min(3, n)))))
 
 
 @st.composite
@@ -105,6 +128,31 @@ class TestBookkeepingIdentities:
     def test_multiplicity_counts_at_least_one(self, pair):
         cg, s = pair
         assert canonical_multiplicity(cg, s) >= 1
+
+
+class TestCompiledKernel:
+    @COMMON
+    @given(simple_ccgs(max_n=5, max_r=3))
+    def test_simple_payoffs_match_coalition_utility(self, cg):
+        assert_kernel_matches_definition(cg)
+
+    @COMMON
+    @given(non_simple_ccgs())
+    def test_non_simple_payoffs_match_coalition_utility(self, cg):
+        assert_kernel_matches_definition(cg)
+
+
+class TestNonSimpleEquilibria:
+    @COMMON
+    @given(non_simple_ccgs(max_n=4, max_r=2))
+    def test_reported_equilibria_are_playable_and_match_brute_force(self, cg):
+        report = enumerate_pure_ne(cg)
+        for s, multiplicity in zip(report.equilibria, report.multiplicities):
+            validate_profile(cg.base, s)
+            assert multiplicity >= 1
+            assert find_deviation(cg, s) is None
+        brute = {canonicalize(cg, s).choices for s in brute_ccg_equilibria(cg)}
+        assert {s.choices for s in report.equilibria} == brute
 
 
 class TestFileFormat:
