@@ -49,7 +49,7 @@ from .game import (
     materialize,
     require_valid,
 )
-from .gamefile import dumps_game, game_to_dict, load_game_file
+from .gamefile import dumps_game, game_to_dict, loads_game, read_game_bytes
 from .instances import canned_fixtures, evaluate_fixture, random_game, random_partition
 from .pair_solver import PairSolveTrace, solve_pair_ccg
 from .potential import (
@@ -199,10 +199,9 @@ def _report(command: str, inputs: dict, digest: str, verdicts: dict, witnesses: 
 
 
 def _load(path: str) -> tuple[CongestionGame, Partition, str]:
-    data = Path(path).read_bytes() if Path(path).exists() else None
-    if data is None:
-        raise GameFileError(f"no such file: {path}")
-    game, partition = load_game_file(path)
+    """The game in a file, and the digest of exactly the bytes parsed."""
+    data = read_game_bytes(path)
+    game, partition = loads_game(data)
     require_valid(game)
     return game, partition, _digest_bytes(data)
 

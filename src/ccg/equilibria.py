@@ -7,6 +7,9 @@ occupy distinct resources, and executable checkers for the two lifting
 statements: an equilibrium congestion vector realized with per-block-distinct
 resources is an equilibrium of the coalitional game (restricted or not).
 
+Enumeration searches suffix subgames, not every joint profile: the blocks
+from position j on depend on those before j only through their occupancy.
+
 Best replies, deviation search and enumeration compare exact integers on the
 game's compiled cost tables (`game.CompiledGame`); the values they report
 (`BestReplySet.value`, `DeviationWitness`) are divided back into rationals.
@@ -14,11 +17,11 @@ game's compiled cost tables (`game.CompiledGame`); the values they report
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import add, mul, sub
 
 from .errors import (
     InvalidVectorError,
@@ -34,11 +37,11 @@ from .game import (
     CongestionVector,
     PureProfile,
     StrategicForm,
-    assemble_profile,
+    block_orbit,
     canonical_block_strategies,
-    canonical_multiplicity,
     congestion,
     private_congestion,
+    row_major_strides,
     validate_profile,
 )
 from .limits import ensure_within_limit
@@ -73,6 +76,9 @@ class NeReport:
     search was stopped early (`exhaustive` False) the list is a prefix of the
     full answer. `multiplicities` counts the raw profiles each canonical
     equilibrium represents.
+
+    `profiles_checked` is a scan position, not work done: all canonical
+    joint profiles, or after an early stop those up to the last one found.
     """
 
     equilibria: tuple[PureProfile, ...]
@@ -281,15 +287,8 @@ def coalition_best_response(
     validate_profile(cg.base, s)
     an = _Analyzer(cg, restricted=restricted)
     ensure_within_limit(len(an.strats[k]), limit, f"block {k} strategy space")
-    block = set(cg.block(k))
-    index = cg.base.resource_index()
-    env = [0] * len(index)
-    for i, choice in enumerate(s.choices):
-        if i in block:
-            continue
-        for r in choice:
-            env[index[r]] += 1
-    _, best, arg = an.best_reply(k, tuple(env))
+    own = private_congestion(cg, s, k).counts
+    _, best, arg = an.best_reply(k, tuple(map(sub, congestion(cg.base, s).counts, own)))
     return BestReplySet(k, tuple(an.strats[k][si] for si in arg), unscale(best, an.kernel.scale))
 
 
@@ -308,36 +307,70 @@ def is_ccg_ne(cg: CoalitionalGame, s: PureProfile, restricted: bool = False) -> 
     return find_deviation(cg, s, restricted=restricted) is None
 
 
+def _suffix_equilibria(an: _Analyzer, order: list[int], background: tuple[int, ...]):
+    """(strategy indices, total occupancy) of every profile of the blocks in
+    `order` at which each plays a best reply, all other occupancy fixed at
+    `background`, in lexicographic order. `listing(j, prefix)` holds those
+    of the blocks from position j on, given the occupancy `prefix` before j.
+    It depends on the blocks before j only through `prefix`, so it is stored
+    once complete; it is never computed ahead of need, so a stop is early."""
+    usage = an.kernel.usage
+    memo: dict[tuple[int, tuple[int, ...]], list] = {}
+
+    def listing(j: int, prefix: tuple[int, ...]):
+        if j == len(order):
+            return (((), prefix),)
+        found = memo.get((j, prefix))
+        return extend(j, prefix) if found is None else found
+
+    def extend(j: int, prefix: tuple[int, ...]):
+        k, found = order[j], []
+        for si, vector in enumerate(usage[k]):
+            for tail, total in listing(j + 1, tuple(map(add, prefix, vector))):
+                if si in an.best_reply(k, tuple(map(sub, total, vector)))[2]:
+                    found.append(((si, *tail), total))
+                    yield found[-1]
+        memo[(j, prefix)] = found
+
+    return listing(0, background)
+
+
 def enumerate_pure_ne(
     cg: CoalitionalGame,
     restricted: bool = False,
     limit: int | None = None,
     stop_after: int | None = None,
 ) -> NeReport:
-    """Exhaustive equilibrium search over canonical joint profiles.
-
-    Equilibria come out in lexicographic order. `stop_after` truncates the
-    scan once that many equilibria were found (the report is then flagged
-    non-exhaustive if profiles remained).
-    """
+    """All equilibria over canonical joint profiles in lexicographic order,
+    or the first `stop_after`. A block with one canonical strategy always
+    plays a best reply, so its occupancy joins the background and the
+    search nests at most log2(profiles) deep."""
     an = _Analyzer(cg, restricted=restricted)
-    total = math.prod(len(s) for s in an.strats)
+    sizes = [len(s) for s in an.strats]
+    total = math.prod(sizes)
     ensure_within_limit(total, limit, "joint canonical profile space")
+    if not total:
+        return NeReport((), (), True, 0)
+    order = [k for k, size in enumerate(sizes) if size != 1]
+    fixed = [an.kernel.usage[k][0] for k, size in enumerate(sizes) if size == 1]
+    background = tuple(map(sum, zip([0] * len(cg.base.resources), *fixed)))
+    orbit = functools.cache(lambda k, si: block_orbit(cg.base, cg.blocks[k], an.strats[k][si]))
+    idx = [0] * len(sizes)
 
     equilibria: list[PureProfile] = []
     multiplicities: list[int] = []
-    checked = 0
-    exhaustive = True
-    for idx in itertools.product(*(range(len(s)) for s in an.strats)):
-        checked += 1
-        if an.deviation(idx) is None:
-            profile = assemble_profile(cg, [an.strats[k][si] for k, si in enumerate(idx)])
-            equilibria.append(profile)
-            multiplicities.append(canonical_multiplicity(cg, profile))
-            if stop_after is not None and len(equilibria) >= stop_after:
-                exhaustive = checked == total
-                break
-    return NeReport(tuple(equilibria), tuple(multiplicities), exhaustive, checked)
+    checked = total
+    for found, _ in _suffix_equilibria(an, order, background):
+        for k, si in zip(order, found):
+            idx[k] = si
+        orbits = [(cg.blocks[k], *orbit(k, si)) for k, si in enumerate(idx)]
+        placed = {i: c for block, members, _ in orbits for i, c in zip(block, members)}
+        equilibria.append(PureProfile(tuple(placed[i] for i in range(cg.base.n))))
+        multiplicities.append(math.prod(size for _, _, size in orbits))
+        if stop_after is not None and len(equilibria) >= stop_after:
+            checked = sum(map(mul, idx, row_major_strides(sizes))) + 1
+            break
+    return NeReport(tuple(equilibria), tuple(multiplicities), checked == total, checked)
 
 
 def restricted_strategies(cg: CoalitionalGame, k: int) -> tuple[BlockStrategy, ...]:

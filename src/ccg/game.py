@@ -529,15 +529,21 @@ def congestion_distance(u: CongestionVector, v: CongestionVector) -> Fraction:
 # lexicographically least order every member can actually play.
 
 
-def _playable_order(g: CongestionGame, block: Sequence[int], choices) -> tuple[Choice, ...]:
-    """The lexicographically least assignment of the choice multiset
-    `choices` to the members of `block` in which every member plays a choice
-    from its own strategy set; the sorted order when there is none."""
+def block_orbit(
+    g: CongestionGame, block: Sequence[int], choices
+) -> tuple[tuple[Choice, ...], int]:
+    """The orbit of the choice multiset `choices` under permutations of the
+    members of `block`: its representative, the lexicographically least
+    assignment in which every member plays a choice from its own strategy
+    set (the sorted order when there is none), and its size, the number of
+    distinct such assignments."""
     ordered = sorted(choices, key=g.choice_key)
-    for perm in itertools.permutations(ordered):
-        if all(c in g.strategy_sets[i] for i, c in zip(block, perm)):
-            return perm
-    return tuple(ordered)
+    playable = [
+        perm
+        for perm in dict.fromkeys(itertools.permutations(ordered))
+        if all(c in g.strategy_sets[i] for i, c in zip(block, perm))
+    ]
+    return (playable[0] if playable else tuple(ordered)), len(playable)
 
 
 def canonicalize(cg: CoalitionalGame, s: PureProfile) -> PureProfile:
@@ -545,7 +551,7 @@ def canonicalize(cg: CoalitionalGame, s: PureProfile) -> PureProfile:
     the lexicographically least playable assignment of the same choices."""
     choices = list(s.choices)
     for block in cg.blocks:
-        for i, choice in zip(block, _playable_order(cg.base, block, [choices[i] for i in block])):
+        for i, choice in zip(block, block_orbit(cg.base, block, [choices[i] for i in block])[0]):
             choices[i] = choice
     return PureProfile(tuple(choices))
 
@@ -556,15 +562,9 @@ def canonical_multiplicity(cg: CoalitionalGame, s: PureProfile) -> int:
     Counts, per block, the distinct valid assignments of the block's choice
     multiset to its members.
     """
-    total = 1
-    for block in cg.blocks:
-        tuples = {
-            perm
-            for perm in itertools.permutations(s.choices[i] for i in block)
-            if all(c in cg.base.strategy_sets[i] for i, c in zip(block, perm))
-        }
-        total *= len(tuples)
-    return total
+    return math.prod(
+        block_orbit(cg.base, block, [s.choices[i] for i in block])[1] for block in cg.blocks
+    )
 
 
 def canonical_block_strategies(
@@ -610,7 +610,7 @@ def assemble_profile(
     for block, strat in zip(cg.blocks, block_strategies):
         if len(strat) != len(block):
             raise InvalidProfileError(f"tuple of {len(strat)} choices for block of {len(block)}")
-        for i, choice in zip(block, _playable_order(cg.base, block, strat)):
+        for i, choice in zip(block, block_orbit(cg.base, block, strat)[0]):
             choices[i] = choice
     return PureProfile(tuple(choices))
 

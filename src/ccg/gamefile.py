@@ -118,20 +118,24 @@ def dict_to_game(obj) -> GameWithPartition:
     return game, partition
 
 
-def loads_game(text: str) -> GameWithPartition:
+def loads_game(data: str | bytes) -> GameWithPartition:
+    """Parse a game file's text, or its bytes as UTF-8."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GameFileError(f"invalid JSON: {exc}") from exc
     return dict_to_game(obj)
 
 
-def load_game_file(path: str | Path) -> GameWithPartition:
+def read_game_bytes(path: str | Path) -> bytes:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise GameFileError(f"cannot read {path}: {exc}") from exc
-    return loads_game(text)
+
+
+def load_game_file(path: str | Path) -> GameWithPartition:
+    return loads_game(read_game_bytes(path))
 
 
 def write_game_file(path: str | Path, game: CongestionGame, partition: Partition) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import SizeLimitExceededError
+from .errors import InvalidParamsError, SizeLimitExceededError
 
 DEFAULT_SIZE_LIMIT = 10_000_000
 
@@ -25,9 +25,9 @@ def effective_size_limit(limit: int | None = None) -> int:
         try:
             value = int(raw)
         except ValueError as exc:
-            raise SizeLimitExceededError(f"{SIZE_LIMIT_ENV} must be an integer, got {raw!r}") from exc
+            raise InvalidParamsError(f"{SIZE_LIMIT_ENV} must be an integer, got {raw!r}") from exc
         if value <= 0:
-            raise SizeLimitExceededError(f"{SIZE_LIMIT_ENV} must be positive, got {value}")
+            raise InvalidParamsError(f"{SIZE_LIMIT_ENV} must be positive, got {value}")
         return value
     return DEFAULT_SIZE_LIMIT
 

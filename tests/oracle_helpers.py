@@ -3,28 +3,34 @@
 These deliberately avoid the library's enumeration machinery: they work on
 raw (non-canonical) profiles and compute utilities through the public
 per-block utility function, so they can independently confirm solver and
-enumerator outputs on small instances. The potential oracle checks the
-defining equation edge by edge on the rational utility mapping, independent
-of the fiber test the library uses.
+enumerator outputs on small instances. `scan_pure_ne` is the joint-profile
+scan that the suffix-subgame search replaced, kept to cross-check it report
+for report. The potential oracle checks the defining equation edge by edge
+on the rational utility mapping, independent of the fiber test the library
+uses.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from ccg import (
     CoalitionalGame,
     CongestionGame,
+    NeReport,
     PotentialTable,
     PureProfile,
     StrategicForm,
     assemble_profile,
     canonical_block_strategies,
+    canonical_multiplicity,
     coalition_utility,
     materialize,
     player_cost,
 )
+from ccg.equilibria import _Analyzer
 from ccg.game import validate_profile
 from ccg.potential import PotentialViolation
 
@@ -110,3 +116,26 @@ def pairwise_potential_check(
                 if pot_delta != util_delta:
                     return False, PotentialViolation(profile, i, t, pot_delta, util_delta)
     return True, None
+
+
+def scan_pure_ne(
+    cg: CoalitionalGame, restricted: bool = False, stop_after: int | None = None
+) -> NeReport:
+    """Equilibrium enumeration by testing every canonical joint profile in
+    row-major order for a strictly improving block deviation."""
+    an = _Analyzer(cg, restricted=restricted)
+    total = math.prod(len(s) for s in an.strats)
+    equilibria: list[PureProfile] = []
+    multiplicities: list[int] = []
+    checked = 0
+    exhaustive = True
+    for idx in itertools.product(*(range(len(s)) for s in an.strats)):
+        checked += 1
+        if an.deviation(idx) is None:
+            profile = assemble_profile(cg, [an.strats[k][si] for k, si in enumerate(idx)])
+            equilibria.append(profile)
+            multiplicities.append(canonical_multiplicity(cg, profile))
+            if stop_after is not None and len(equilibria) >= stop_after:
+                exhaustive = checked == total
+                break
+    return NeReport(tuple(equilibria), tuple(multiplicities), exhaustive, checked)

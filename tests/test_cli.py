@@ -104,6 +104,16 @@ class TestSolve:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
 
+    def test_directory_exits_2(self, capsys, tmp_path):
+        assert main(["solve", str(tmp_path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["solve", str(path)]) == 2
+        assert "'utf-8' codec can't decode" in capsys.readouterr().err
+
     def test_invalid_game_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(
@@ -356,3 +366,17 @@ class TestReportContract:
         assert main(["solve", pair_file]) == 4
         monkeypatch.delenv("CCG_SIZE_LIMIT")
         assert main(["solve", pair_file]) == 0
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_malformed_size_limit_env_exits_2(self, capsys, pair_file, monkeypatch, value):
+        monkeypatch.setenv("CCG_SIZE_LIMIT", value)
+        assert main(["solve", pair_file]) == 2
+        assert "CCG_SIZE_LIMIT must be" in capsys.readouterr().err
+
+    def test_digest_is_of_the_bytes_parsed(self, capsys, pair_file):
+        import hashlib
+        from pathlib import Path
+
+        report, _ = run_json(capsys, "solve", pair_file)
+        expected = "sha256:" + hashlib.sha256(Path(pair_file).read_bytes()).hexdigest()
+        assert report["input_digest"] == expected

@@ -9,8 +9,10 @@ from ccg import (
     CongestionGame,
     CongestionVector,
     Partition,
+    PureProfile,
     StrategicForm,
     as_profile,
+    canonical_block_strategies,
     check_ne_lift,
     check_ne_lift_restricted,
     coalition_best_response,
@@ -23,6 +25,8 @@ from ccg import (
     is_ne_congestion,
     materialize,
     pure_nash_equilibria,
+    random_game,
+    random_partition,
     restricted_strategies,
     rosenthal_potential,
     underlying_pure_ne,
@@ -33,7 +37,12 @@ from ccg.errors import (
     PreconditionViolatedError,
     SizeLimitExceededError,
 )
-from oracle_helpers import brute_ccg_equilibria, brute_is_ccg_ne, brute_simple_ne_congestions
+from oracle_helpers import (
+    brute_ccg_equilibria,
+    brute_is_ccg_ne,
+    brute_simple_ne_congestions,
+    scan_pure_ne,
+)
 
 
 class TestUnderlyingDynamics:
@@ -202,6 +211,13 @@ class TestEnumerate:
         with pytest.raises(SizeLimitExceededError):
             enumerate_pure_ne(triple_ccg, limit=4)
 
+    def test_stop_after_matches_joint_profile_scan(self, triple_game):
+        cg = CoalitionalGame(triple_game, Partition.discrete(4))
+        for stop_after in (None, 1, 2, 5, 6, 7):
+            assert enumerate_pure_ne(cg, stop_after=stop_after) == scan_pure_ne(
+                cg, stop_after=stop_after
+            )
+
     def test_matches_normal_form_brute_force(self, triple_ccg, pair_ccg):
         for cg in (triple_ccg, pair_ccg):
             sf = materialize(cg)
@@ -213,6 +229,68 @@ class TestEnumerate:
                 for idx in pure_nash_equilibria(sf)
             }
             assert translated == {p.choices for p in enumerate_pure_ne(cg).equilibria}
+
+
+class TestPinnedInstances:
+    """Seeded instances too large for the raw brute force, pinned by count."""
+
+    def test_b1(self):
+        cg = CoalitionalGame(random_game("b1", 8, 4, "monotone"), random_partition("b1", 8, 3))
+        report = enumerate_pure_ne(cg)
+        assert len(report.equilibria) == 181
+        assert sum(report.multiplicities) == 1100
+        assert report.profiles_checked == 12_800
+        assert report.exhaustive
+        assert report == scan_pure_ne(cg)
+        assert enumerate_pure_ne(cg, stop_after=50) == scan_pure_ne(cg, stop_after=50)
+
+    def test_b3(self):
+        cg = CoalitionalGame(random_game("b3", 10, 5, "monotone"), random_partition("b3", 10, 2))
+        report = enumerate_pure_ne(cg)
+        assert len(report.equilibria) == 3429
+        assert sum(report.multiplicities) == 25_776
+        assert report.profiles_checked == 2_109_375
+        assert report.exhaustive
+        strats = [canonical_block_strategies(cg, k) for k in range(len(cg.blocks))]
+        listed = [
+            [strats[k].index(tuple(sorted((p.choices[i] for i in block), key=cg.base.choice_key)))
+             for k, block in enumerate(cg.blocks)]
+            for p in report.equilibria
+        ]
+        assert listed == sorted(listed)
+        first = enumerate_pure_ne(cg, stop_after=1)
+        assert first.equilibria == report.equilibria[:1]
+        assert first.profiles_checked == 6270
+        assert not first.exhaustive
+
+    def test_b3_search_work(self, monkeypatch):
+        # A joint-profile scan looks up at least one best reply per profile
+        # (2,109,375). The search lists each suffix once per prefix
+        # occupancy, and only as far as needed: an existence query stops
+        # after a fraction of the full search's lookups.
+        import ccg.equilibria
+
+        lookups = []
+        best_reply = ccg.equilibria._Analyzer.best_reply
+        monkeypatch.setattr(
+            ccg.equilibria._Analyzer,
+            "best_reply",
+            lambda an, k, env: lookups.append(k) or best_reply(an, k, env),
+        )
+        cg = CoalitionalGame(random_game("b3", 10, 5, "monotone"), random_partition("b3", 10, 2))
+        assert len(enumerate_pure_ne(cg).equilibria) == 3429
+        assert len(lookups) < 40_000
+        lookups.clear()
+        assert len(enumerate_pure_ne(cg, stop_after=1).equilibria) == 1
+        assert len(lookups) < 2_500
+
+    def test_many_single_strategy_blocks_do_not_recurse(self):
+        g = CongestionGame.simple(("A",), {"A": tuple(range(1500))})
+        report = enumerate_pure_ne(CoalitionalGame(g, Partition.discrete(1500)))
+        assert report.equilibria == (PureProfile((("A",),) * 1500),)
+        assert report.multiplicities == (1,)
+        assert report.profiles_checked == 1
+        assert report.exhaustive
 
 
 class TestRestricted:

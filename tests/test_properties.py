@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccg import (
@@ -39,10 +40,11 @@ from ccg import (
     solve_pair_ccg,
     underlying_pure_ne,
 )
+from ccg.errors import BlockLargerThanResourceSetError
 from ccg.game import validate_profile
 from ccg.instances import no_ne_overlap_fixture
 
-from oracle_helpers import assert_kernel_matches_definition, brute_ccg_equilibria
+from oracle_helpers import assert_kernel_matches_definition, brute_ccg_equilibria, scan_pure_ne
 
 COMMON = settings(max_examples=40, deadline=None)
 
@@ -268,6 +270,38 @@ class TestEnumerationAgreement:
         improved = coalition_utility(cg, PureProfile(tuple(choices)), witness.block)
         assert improved == witness.best_value
         assert improved > coalition_utility(cg, s, witness.block)
+
+
+class TestSearchMatchesScan:
+    """The suffix-subgame search reports exactly what the joint-profile scan
+    does: equilibria, multiplicities, `exhaustive` and `profiles_checked`."""
+
+    STOPS = st.sampled_from((None, 1, 2, 3))
+
+    @staticmethod
+    def check(cg, restricted, stop_after):
+        try:
+            expected = scan_pure_ne(cg, restricted=restricted, stop_after=stop_after)
+        except BlockLargerThanResourceSetError:
+            with pytest.raises(BlockLargerThanResourceSetError):
+                enumerate_pure_ne(cg, restricted=restricted, stop_after=stop_after)
+            return
+        assert enumerate_pure_ne(cg, restricted=restricted, stop_after=stop_after) == expected
+
+    @COMMON
+    @given(simple_ccgs(max_n=6, max_r=3), STOPS)
+    def test_simple(self, cg, stop_after):
+        self.check(cg, False, stop_after)
+
+    @COMMON
+    @given(simple_ccgs(max_n=6, max_r=4), STOPS)
+    def test_restricted(self, cg, stop_after):
+        self.check(cg, True, stop_after)
+
+    @COMMON
+    @given(non_simple_ccgs(), STOPS)
+    def test_non_simple(self, cg, stop_after):
+        self.check(cg, False, stop_after)
 
 
 class TestRestrictedLift:
