@@ -35,10 +35,10 @@ from .game import (
     CompiledGame,
     CongestionGame,
     CongestionVector,
+    Partition,
     PureProfile,
     StrategicForm,
     block_orbit,
-    canonical_block_strategies,
     congestion,
     private_congestion,
     row_major_strides,
@@ -170,35 +170,29 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
     """
     if not g.is_simple:
         raise PreconditionViolatedError("best-response dynamics need a simple game")
-    tables = [g.costs[r].values for r in g.resources]
+    # Every sub-agent has the same strategies, one per resource in order,
+    # so one compiled singleton block answers every sub-agent's best reply.
+    kernel = CompiledGame(CoalitionalGame(g, Partition.discrete(g.n)), [0])
     position = [0] * g.n
     counts = [0] * len(g.resources)
     counts[0] = g.n
     start = PureProfile(tuple((g.resources[0],) for _ in range(g.n)))
 
     moves: list[DynamicsMove] = []
-    while True:
+    moved = True
+    while moved:
         moved = False
-        for i in range(g.n):
-            here = position[i]
-            stay = tables[here][counts[here] - 1]
-            best_r, best_cost = here, stay
-            for ri in range(len(g.resources)):
-                if ri == here:
-                    continue
-                price = tables[ri][counts[ri]]
-                if price < best_cost:
-                    best_r, best_cost = ri, price
-            if best_r != here:
-                counts[here] -= 1
-                counts[best_r] += 1
-                position[i] = best_r
-                moves.append(
-                    DynamicsMove(i, g.resources[here], g.resources[best_r], stay, best_cost)
-                )
+        for i, here in enumerate(position):
+            counts[here] -= 1
+            values, best, arg = kernel.best_reply(0, tuple(counts))
+            if best > values[here]:
+                moves.append(DynamicsMove(
+                    i, g.resources[here], g.resources[arg[0]],
+                    Fraction(-values[here], kernel.scale), Fraction(-best, kernel.scale),
+                ))
+                position[i] = here = arg[0]
                 moved = True
-        if not moved:
-            break
+            counts[here] += 1
 
     profile = PureProfile(tuple((g.resources[p],) for p in position))
     final = CongestionVector(g.resources, tuple(counts))
@@ -210,69 +204,8 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
 # ---------------------------------------------------------------------------
 # Coalitional equilibria
 #
-# For fixed opponents, a block's utility depends on the opponents only
-# through their congestion vector, so the values of all of a block's
-# strategies are cached per (block, opponent congestion). One _Analyzer is
-# built per call.
-
-
-class _Analyzer:
-    def __init__(self, cg: CoalitionalGame, restricted: bool = False):
-        self.cg = cg
-        self.kernel = CompiledGame(cg, restricted=restricted)
-        self.strats = self.kernel.strategies
-        self._br: dict[tuple[int, tuple[int, ...]], tuple[list[int], int, tuple[int, ...]]] = {}
-
-    def best_reply(self, k: int, env: tuple[int, ...]) -> tuple[list[int], int, tuple[int, ...]]:
-        """Scaled values of all of block k's strategies against an opponent
-        congestion vector `env`, the best of them, and every maximizer."""
-        key = (k, env)
-        cached = self._br.get(key)
-        if cached is None:
-            values = self.kernel.values_against(k, env)
-            best = max(values)
-            cached = (values, best, tuple(si for si, v in enumerate(values) if v == best))
-            self._br[key] = cached
-        return cached
-
-    def strat_index(self, k: int, strat: BlockStrategy) -> int:
-        try:
-            return self.strats[k].index(strat)
-        except ValueError as exc:
-            raise PreconditionViolatedError(
-                f"block {k} cannot play {strat} in this strategy space"
-            ) from exc
-
-    def profile_indices(self, s: PureProfile) -> tuple[int, ...]:
-        key = self.cg.base.choice_key
-        return tuple(
-            self.strat_index(k, tuple(sorted((s.choices[i] for i in block), key=key)))
-            for k, block in enumerate(self.cg.blocks)
-        )
-
-    def deviation(self, idx: tuple[int, ...]) -> tuple[int, int, int, int] | None:
-        """First block with a strictly improving deviation from the joint
-        profile `idx`: (block, first best reply, current value, best value),
-        values scaled; None at an equilibrium."""
-        usage = [vectors[si] for vectors, si in zip(self.kernel.usage, idx)]
-        counts = list(map(sum, zip(*usage)))
-        cache = self._br
-        for k, si in enumerate(idx):
-            env = tuple(map(sub, counts, usage[k]))
-            values, best, arg = cache.get((k, env)) or self.best_reply(k, env)
-            if best > values[si]:
-                return k, arg[0], values[si], best
-        return None
-
-    def find_deviation(self, idx: tuple[int, ...]) -> DeviationWitness | None:
-        found = self.deviation(idx)
-        if found is None:
-            return None
-        k, si, current, best = found
-        scale = self.kernel.scale
-        return DeviationWitness(
-            k, self.strats[k][si], unscale(current, scale), unscale(best, scale)
-        )
+# All of these compare scaled integer utilities on one `CompiledGame` per
+# call, whose best replies are cached per (block, opponent occupancy).
 
 
 def coalition_best_response(
@@ -285,11 +218,12 @@ def coalition_best_response(
     """Exhaustive best reply of block k against the rest of `s` (block k's
     own coordinates are ignored). Returns every maximizer."""
     validate_profile(cg.base, s)
-    an = _Analyzer(cg, restricted=restricted)
-    ensure_within_limit(len(an.strats[k]), limit, f"block {k} strategy space")
+    kernel = CompiledGame(cg, [k], restricted)
+    strats = kernel.strategies[0]
+    ensure_within_limit(len(strats), limit, f"block {k} strategy space")
     own = private_congestion(cg, s, k).counts
-    _, best, arg = an.best_reply(k, tuple(map(sub, congestion(cg.base, s).counts, own)))
-    return BestReplySet(k, tuple(an.strats[k][si] for si in arg), unscale(best, an.kernel.scale))
+    _, best, arg = kernel.best_reply(0, tuple(map(sub, congestion(cg.base, s).counts, own)))
+    return BestReplySet(k, tuple(strats[si] for si in arg), unscale(best, kernel.scale))
 
 
 def find_deviation(
@@ -299,22 +233,37 @@ def find_deviation(
     equilibrium. Blocks are scanned in index order; among a block's best
     replies the lexicographically first is reported."""
     validate_profile(cg.base, s)
-    an = _Analyzer(cg, restricted=restricted)
-    return an.find_deviation(an.profile_indices(s))
+    kernel = CompiledGame(cg, restricted=restricted)
+    idx = []
+    for k, block in enumerate(cg.blocks):
+        strat = tuple(sorted((s.choices[i] for i in block), key=cg.base.choice_key))
+        try:
+            idx.append(kernel.strategies[k].index(strat))
+        except ValueError as exc:
+            raise PreconditionViolatedError(
+                f"block {k} cannot play {strat} in this strategy space"
+            ) from exc
+    found = kernel.deviation(idx)
+    if found is None:
+        return None
+    k, si, current, best = found
+    return DeviationWitness(
+        k, kernel.strategies[k][si], unscale(current, kernel.scale), unscale(best, kernel.scale)
+    )
 
 
 def is_ccg_ne(cg: CoalitionalGame, s: PureProfile, restricted: bool = False) -> bool:
     return find_deviation(cg, s, restricted=restricted) is None
 
 
-def _suffix_equilibria(an: _Analyzer, order: list[int], background: tuple[int, ...]):
+def _suffix_equilibria(kernel: CompiledGame, order: list[int], background: tuple[int, ...]):
     """(strategy indices, total occupancy) of every profile of the blocks in
     `order` at which each plays a best reply, all other occupancy fixed at
     `background`, in lexicographic order. `listing(j, prefix)` holds those
     of the blocks from position j on, given the occupancy `prefix` before j.
     It depends on the blocks before j only through `prefix`, so it is stored
     once complete; it is never computed ahead of need, so a stop is early."""
-    usage = an.kernel.usage
+    usage = kernel.usage
     memo: dict[tuple[int, tuple[int, ...]], list] = {}
 
     def listing(j: int, prefix: tuple[int, ...]):
@@ -327,7 +276,7 @@ def _suffix_equilibria(an: _Analyzer, order: list[int], background: tuple[int, .
         k, found = order[j], []
         for si, vector in enumerate(usage[k]):
             for tail, total in listing(j + 1, tuple(map(add, prefix, vector))):
-                if si in an.best_reply(k, tuple(map(sub, total, vector)))[2]:
+                if si in kernel.best_reply(k, tuple(map(sub, total, vector)))[2]:
                     found.append(((si, *tail), total))
                     yield found[-1]
         memo[(j, prefix)] = found
@@ -345,22 +294,23 @@ def enumerate_pure_ne(
     or the first `stop_after`. A block with one canonical strategy always
     plays a best reply, so its occupancy joins the background and the
     search nests at most log2(profiles) deep."""
-    an = _Analyzer(cg, restricted=restricted)
-    sizes = [len(s) for s in an.strats]
+    kernel = CompiledGame(cg, restricted=restricted)
+    strats = kernel.strategies
+    sizes = [len(s) for s in strats]
     total = math.prod(sizes)
     ensure_within_limit(total, limit, "joint canonical profile space")
     if not total:
         return NeReport((), (), True, 0)
     order = [k for k, size in enumerate(sizes) if size != 1]
-    fixed = [an.kernel.usage[k][0] for k, size in enumerate(sizes) if size == 1]
+    fixed = [kernel.usage[k][0] for k, size in enumerate(sizes) if size == 1]
     background = tuple(map(sum, zip([0] * len(cg.base.resources), *fixed)))
-    orbit = functools.cache(lambda k, si: block_orbit(cg.base, cg.blocks[k], an.strats[k][si]))
+    orbit = functools.cache(lambda k, si: block_orbit(cg.base, cg.blocks[k], strats[k][si]))
     idx = [0] * len(sizes)
 
     equilibria: list[PureProfile] = []
     multiplicities: list[int] = []
     checked = total
-    for found, _ in _suffix_equilibria(an, order, background):
+    for found, _ in _suffix_equilibria(kernel, order, background):
         for k, si in zip(order, found):
             idx[k] = si
         orbits = [(cg.blocks[k], *orbit(k, si)) for k, si in enumerate(idx)]
@@ -371,18 +321,6 @@ def enumerate_pure_ne(
             checked = sum(map(mul, idx, row_major_strides(sizes))) + 1
             break
     return NeReport(tuple(equilibria), tuple(multiplicities), checked == total, checked)
-
-
-def restricted_strategies(cg: CoalitionalGame, k: int) -> tuple[BlockStrategy, ...]:
-    """Canonical tuples assigning pairwise-distinct resources to block k's
-    members (simple base games only)."""
-    return canonical_block_strategies(cg, k, restricted=True)
-
-
-def enumerate_pure_ne_restricted(
-    cg: CoalitionalGame, limit: int | None = None, stop_after: int | None = None
-) -> NeReport:
-    return enumerate_pure_ne(cg, restricted=True, limit=limit, stop_after=stop_after)
 
 
 def in_restricted_space(cg: CoalitionalGame, s: PureProfile) -> bool:

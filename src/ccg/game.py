@@ -549,11 +549,7 @@ def block_orbit(
 def canonicalize(cg: CoalitionalGame, s: PureProfile) -> PureProfile:
     """Replace each block's member choices by its orbit's representative:
     the lexicographically least playable assignment of the same choices."""
-    choices = list(s.choices)
-    for block in cg.blocks:
-        for i, choice in zip(block, block_orbit(cg.base, block, [choices[i] for i in block])[0]):
-            choices[i] = choice
-    return PureProfile(tuple(choices))
+    return assemble_profile(cg, [[s.choices[i] for i in block] for block in cg.blocks])
 
 
 def canonical_multiplicity(cg: CoalitionalGame, s: PureProfile) -> int:
@@ -643,7 +639,8 @@ class CompiledGame:
     for the one at position p, `strategies[p]` lists its canonical
     strategies, `usage[p][si]` the per-resource usage counts of strategy si
     and `contributions[p][si]` the same counts as sparse `(resource, uses)`
-    pairs.
+    pairs. A block's utility depends on everyone else only through their
+    occupancy, so `best_reply` caches per (position, occupancy).
     """
 
     def __init__(
@@ -671,15 +668,36 @@ class CompiledGame:
             [tuple((r, used) for r, used in enumerate(vector) if used) for vector in per_block]
             for per_block in self.usage
         ]
+        self._replies: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
-    def values_against(self, p: int, env: Sequence[int]) -> list[int]:
+    def best_reply(self, p: int, env: tuple[int, ...]) -> tuple[list[int], int, tuple[int, ...]]:
         """Scaled utility of every strategy of the block at position p when
-        everyone else occupies the resources as counted in `env`."""
-        costs = self.costs
-        return [
-            -sum([used * costs[r][env[r] + used - 1] for r, used in contrib])
-            for contrib in self.contributions[p]
-        ]
+        everyone else occupies the resources as counted in `env`, the best
+        of them, and every maximizer."""
+        found = self._replies.get((p, env))
+        if found is None:
+            costs = self.costs
+            values = [
+                -sum([used * costs[r][env[r] + used - 1] for r, used in contrib])
+                for contrib in self.contributions[p]
+            ]
+            best = max(values)
+            found = (values, best, tuple(si for si, v in enumerate(values) if v == best))
+            self._replies[(p, env)] = found
+        return found
+
+    def deviation(self, idx: Sequence[int]) -> tuple[int, int, int, int] | None:
+        """First compiled block with a strictly improving deviation from
+        their joint profile `idx`, nobody else present: (position, first best
+        reply, current value, best value), values scaled; None at an
+        equilibrium."""
+        usage = [vectors[si] for vectors, si in zip(self.usage, idx)]
+        counts = list(map(sum, zip(*usage)))
+        for p, si in enumerate(idx):
+            values, best, arg = self.best_reply(p, tuple(map(sub, counts, usage[p])))
+            if best > values[si]:
+                return p, arg[0], values[si], best
+        return None
 
     def payoffs(self, env: Sequence[int]) -> list[list[int]]:
         """Scaled utility table of each compiled block over their joint

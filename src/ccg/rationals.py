@@ -14,8 +14,6 @@ from typing import Iterable
 
 from .errors import GameFileError
 
-Rational = Fraction
-
 
 def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to a Fraction.

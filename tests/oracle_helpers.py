@@ -30,8 +30,7 @@ from ccg import (
     materialize,
     player_cost,
 )
-from ccg.equilibria import _Analyzer
-from ccg.game import validate_profile
+from ccg.game import CompiledGame, validate_profile
 from ccg.potential import PotentialViolation
 
 
@@ -123,16 +122,16 @@ def scan_pure_ne(
 ) -> NeReport:
     """Equilibrium enumeration by testing every canonical joint profile in
     row-major order for a strictly improving block deviation."""
-    an = _Analyzer(cg, restricted=restricted)
-    total = math.prod(len(s) for s in an.strats)
+    kernel = CompiledGame(cg, restricted=restricted)
+    total = math.prod(len(s) for s in kernel.strategies)
     equilibria: list[PureProfile] = []
     multiplicities: list[int] = []
     checked = 0
     exhaustive = True
-    for idx in itertools.product(*(range(len(s)) for s in an.strats)):
+    for idx in itertools.product(*(range(len(s)) for s in kernel.strategies)):
         checked += 1
-        if an.deviation(idx) is None:
-            profile = assemble_profile(cg, [an.strats[k][si] for k, si in enumerate(idx)])
+        if kernel.deviation(idx) is None:
+            profile = assemble_profile(cg, [kernel.strategies[k][si] for k, si in enumerate(idx)])
             equilibria.append(profile)
             multiplicities.append(canonical_multiplicity(cg, profile))
             if stop_after is not None and len(equilibria) >= stop_after:

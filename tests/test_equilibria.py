@@ -19,7 +19,6 @@ from ccg import (
     coalition_utility,
     congestion,
     enumerate_pure_ne,
-    enumerate_pure_ne_restricted,
     find_deviation,
     is_ccg_ne,
     is_ne_congestion,
@@ -27,12 +26,12 @@ from ccg import (
     pure_nash_equilibria,
     random_game,
     random_partition,
-    restricted_strategies,
     rosenthal_potential,
     underlying_pure_ne,
 )
 from ccg.errors import (
     BlockLargerThanResourceSetError,
+    InvalidBlockError,
     InvalidVectorError,
     PreconditionViolatedError,
     SizeLimitExceededError,
@@ -135,6 +134,12 @@ class TestCoalitionBestResponse:
         s = as_profile(triple_ccg.base, ["A", "A", "A", "A"])
         with pytest.raises(SizeLimitExceededError):
             coalition_best_response(triple_ccg, s, 0, limit=2)
+
+    @pytest.mark.parametrize("k", [2, 5, -1])
+    def test_block_outside_game(self, pair_ccg, k):
+        s = as_profile(pair_ccg.base, ["A", "B", "A", "B"])
+        with pytest.raises(InvalidBlockError):
+            coalition_best_response(pair_ccg, s, k)
 
 
 class TestIsCcgNe:
@@ -271,11 +276,11 @@ class TestPinnedInstances:
         import ccg.equilibria
 
         lookups = []
-        best_reply = ccg.equilibria._Analyzer.best_reply
+        best_reply = ccg.equilibria.CompiledGame.best_reply
         monkeypatch.setattr(
-            ccg.equilibria._Analyzer,
+            ccg.equilibria.CompiledGame,
             "best_reply",
-            lambda an, k, env: lookups.append(k) or best_reply(an, k, env),
+            lambda kernel, k, env: lookups.append(k) or best_reply(kernel, k, env),
         )
         cg = CoalitionalGame(random_game("b3", 10, 5, "monotone"), random_partition("b3", 10, 2))
         assert len(enumerate_pure_ne(cg).equilibria) == 3429
@@ -295,33 +300,33 @@ class TestPinnedInstances:
 
 class TestRestricted:
     def test_pair_block_two_resources(self, pair_ccg):
-        assert restricted_strategies(pair_ccg, 0) == ((("A",), ("B",)),)
+        assert canonical_block_strategies(pair_ccg, 0, restricted=True) == ((("A",), ("B",)),)
 
     def test_singleton_block(self, triple_ccg):
-        assert restricted_strategies(triple_ccg, 1) == ((("A",),), (("B",),))
+        assert canonical_block_strategies(triple_ccg, 1, restricted=True) == ((("A",),), (("B",),))
 
     def test_triple_block_three_resources(self):
         g = CongestionGame.simple(("A", "B", "C"), {r: (0, 1, 2) for r in "ABC"})
         cg = CoalitionalGame(g, Partition.from_one_based([[1, 2, 3]]))
-        assert restricted_strategies(cg, 0) == ((("A",), ("B",), ("C",)),)
+        assert canonical_block_strategies(cg, 0, restricted=True) == ((("A",), ("B",), ("C",)),)
 
     def test_block_larger_than_resource_set(self, triple_ccg):
         with pytest.raises(BlockLargerThanResourceSetError):
-            restricted_strategies(triple_ccg, 0)
+            canonical_block_strategies(triple_ccg, 0, restricted=True)
 
     def test_restricted_enumeration_finds_split(self, pair_ccg):
-        report = enumerate_pure_ne_restricted(pair_ccg)
+        report = enumerate_pure_ne(pair_ccg, restricted=True)
         assert (("A",), ("B",), ("A",), ("B",)) in {p.choices for p in report.equilibria}
 
     def test_all_singletons_restriction_is_vacuous(self, triple_game):
         cg = CoalitionalGame(triple_game, Partition.discrete(4))
         unrestricted = {p.choices for p in enumerate_pure_ne(cg).equilibria}
-        restricted = {p.choices for p in enumerate_pure_ne_restricted(cg).equilibria}
+        restricted = {p.choices for p in enumerate_pure_ne(cg, restricted=True).equilibria}
         assert restricted == unrestricted
 
     def test_restricted_enumeration_rejects_oversized_block(self, triple_ccg):
         with pytest.raises(BlockLargerThanResourceSetError):
-            enumerate_pure_ne_restricted(triple_ccg)
+            enumerate_pure_ne(triple_ccg, restricted=True)
 
 
 class TestLiftChecks:
@@ -353,6 +358,11 @@ class TestLiftChecks:
         s = as_profile(pair_ccg.base, ["A", "A", "B", "B"])
         with pytest.raises(PreconditionViolatedError):
             check_ne_lift_restricted(pair_ccg, s)
+
+    def test_restricted_deviation_search_rejects_doubled_profile(self, pair_ccg):
+        s = as_profile(pair_ccg.base, ["A", "A", "B", "B"])
+        with pytest.raises(PreconditionViolatedError, match="block 0 cannot play"):
+            find_deviation(pair_ccg, s, restricted=True)
 
     def test_singleton_blocks_on_distinct_resources(self):
         g = CongestionGame.simple(("A", "B", "C"), {r: (0, 1, 2) for r in "ABC"})

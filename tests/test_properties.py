@@ -24,7 +24,6 @@ from ccg import (
     coalition_utility,
     congestion,
     enumerate_pure_ne,
-    enumerate_pure_ne_restricted,
     find_deviation,
     is_ccg_ne,
     is_ne_congestion,
@@ -191,6 +190,25 @@ class TestDynamics:
 
     @COMMON
     @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 4))
+    def test_each_move_is_the_movers_first_cheapest_strict_improvement(self, seed, n, r):
+        g = random_game(seed, n, r, "monotone")
+        result = underlying_pure_ne(g)
+        choices = list(result.start.choices)
+        for move in result.moves:
+            assert choices[move.agent] == (move.source,)
+            prices = []
+            for resource in g.resources:
+                choices[move.agent] = (resource,)
+                prices.append(player_cost(g, PureProfile(tuple(choices)), move.agent))
+            cheapest = min(prices)
+            assert move.cost_before == prices[g.resources.index(move.source)] > cheapest
+            assert move.target == g.resources[prices.index(cheapest)]
+            assert move.cost_after == cheapest
+            assert type(move.cost_before) is type(move.cost_after) is Fraction
+            choices[move.agent] = (move.target,)
+
+    @COMMON
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 4))
     def test_dynamics_output_is_equilibrium_vector(self, seed, n, r):
         g = random_game(seed, n, r, "monotone")
         result = underlying_pure_ne(g)
@@ -313,7 +331,7 @@ class TestRestrictedLift:
         g = random_game(seed, n, r, "monotone")
         partition = random_partition(seed, n, min(2, r))
         cg = CoalitionalGame(g, partition)
-        report = enumerate_pure_ne_restricted(cg)
+        report = enumerate_pure_ne(cg, restricted=True)
         found = {p.choices for p in report.equilibria}
         strats = [canonical_block_strategies(cg, k, restricted=True) for k in range(len(cg.blocks))]
         for combo in itertools.product(*strats):
