@@ -26,7 +26,6 @@ import hashlib
 import json
 import sys
 import time
-from pathlib import Path
 
 from .equilibria import NeReport, enumerate_pure_ne
 from .errors import (
@@ -49,7 +48,7 @@ from .game import (
     materialize,
     require_valid,
 )
-from .gamefile import dumps_game, game_to_dict, loads_game, read_game_bytes
+from .gamefile import game_to_dict, loads_game, read_game_bytes, write_game_file
 from .instances import canned_fixtures, evaluate_fixture, random_game, random_partition
 from .pair_solver import PairSolveTrace, solve_pair_ccg
 from .potential import (
@@ -236,17 +235,16 @@ def _cmd_solve(args) -> tuple[dict, int]:
 def _cmd_potential(args) -> tuple[dict, int]:
     started = time.perf_counter()
     game, partition, digest = _load(args.file)
-    cg = CoalitionalGame(game, partition)
-    report = linearity_report(game)
-    linearity = _linearity_json(report)
-    all_linear = all(entry.linear for entry in report.values())
     if game.is_simple:
         equivalence = check_linearity_equivalence(game, partition)
         sf, verdict = equivalence.form, equivalence.potential
+        linearity, all_linear = equivalence.linearity, equivalence.all_linear
         equivalence_json = _equivalence_json(equivalence)
     else:
-        sf = materialize(cg)
+        sf = materialize(CoalitionalGame(game, partition))
         verdict = exact_potential(sf)
+        linearity = linearity_report(game)
+        all_linear = all(entry.linear for entry in linearity.values())
         equivalence_json = None
     verdicts = {
         "has_potential": verdict.has_potential,
@@ -255,7 +253,7 @@ def _cmd_potential(args) -> tuple[dict, int]:
     }
     witnesses = [] if verdict.witness is None else [_witness_json(sf, verdict.witness)]
     traces = {
-        "linearity": linearity,
+        "linearity": _linearity_json(linearity),
         "potential_table": None if verdict.table is None else _table_json(sf, verdict.table),
     }
     code = EXIT_OK if verdict.has_potential else EXIT_NONE_EXISTS
@@ -319,9 +317,8 @@ def _cmd_generate(args) -> tuple[dict, int]:
     partition = random_partition(
         args.seed, args.players, min(args.max_block, args.players), args.theorem2_shape
     )
-    text = dumps_game(game, partition)
     if args.out:
-        Path(args.out).write_text(text)
+        write_game_file(args.out, game, partition)
     inputs = {
         "players": args.players,
         "resources": args.resources,

@@ -11,7 +11,7 @@ import random
 
 from .equilibria import enumerate_pure_ne, is_ccg_ne
 from .errors import InvalidParamsError
-from .game import CoalitionalGame, materialize
+from .game import CoalitionalGame
 from .gamefile import game_to_dict
 from .instances import no_ne_triple_fixture, random_game, random_partition
 from .pair_solver import solve_pair_ccg
@@ -95,9 +95,8 @@ def linearity_sweep(
         confusion[key] += 1
         witness = verdict.potential.witness
         if witness is not None:
-            sf = materialize(CoalitionalGame(game, partition))
             again = four_cycle_residual(
-                sf, witness.player_i, witness.player_j, witness.profile, witness.alt_i, witness.alt_j
+                verdict.form, witness.player_i, witness.player_j, witness.profile, witness.alt_i, witness.alt_j
             )
             if again != witness.residual or again == 0:
                 witness_failures += 1

@@ -105,7 +105,9 @@ def dict_to_game(obj) -> GameWithPartition:
         raise GameFileError("'strategies' must be \"simple\" or a map of sub-agent ids")
 
     partition_obj = obj["partition"]
-    if not isinstance(partition_obj, list) or not all(isinstance(b, list) for b in partition_obj):
+    if not isinstance(partition_obj, list) or not all(
+        isinstance(b, list) and all(type(i) is int for i in b) for b in partition_obj
+    ):
         raise GameFileError("'partition' must be an array of arrays of 1-based sub-agent ids")
     try:
         partition = Partition.from_one_based(partition_obj)
@@ -139,4 +141,7 @@ def load_game_file(path: str | Path) -> GameWithPartition:
 
 
 def write_game_file(path: str | Path, game: CongestionGame, partition: Partition) -> None:
-    Path(path).write_text(dumps_game(game, partition))
+    try:
+        Path(path).write_text(dumps_game(game, partition))
+    except OSError as exc:
+        raise GameFileError(f"cannot write {path}: {exc}") from exc
