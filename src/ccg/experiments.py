@@ -96,7 +96,8 @@ def linearity_sweep(
         witness = verdict.potential.witness
         if witness is not None:
             again = four_cycle_residual(
-                verdict.form, witness.player_i, witness.player_j, witness.profile, witness.alt_i, witness.alt_j
+                verdict.form, witness.player_i, witness.player_j,
+                witness.profile, witness.alt_i, witness.alt_j,
             )
             if again != witness.residual or again == 0:
                 witness_failures += 1

@@ -649,7 +649,7 @@ class CompiledGame:
         g = cg.base
         tables = [g.costs[r].values for r in g.resources]
         self.scale = math.lcm(*(v.denominator for table in tables for v in table))
-        self.costs = [[int(v * self.scale) for v in table] for table in tables]
+        self.costs = [[v.numerator * (self.scale // v.denominator) for v in table] for table in tables]
         if blocks is None:
             blocks = range(len(cg.blocks))
         self.strategies = [canonical_block_strategies(cg, k, restricted) for k in blocks]

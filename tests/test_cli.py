@@ -270,15 +270,6 @@ class TestGenerate:
         assert main([*argv, "--out", str(tmp_path / target)]) == 2
         assert "cannot write" in capsys.readouterr().err
 
-    def test_float_and_boolean_partition_ids_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "ids.json"
-        path.write_text(json.dumps({
-            "resources": ["A", "B"], "players": 2, "costs": {"A": [0, 1], "B": [0, 1]},
-            "strategies": "simple", "partition": [[2.7], [True]],
-        }))
-        assert main(["solve", str(path)]) == 2
-        assert "'partition'" in capsys.readouterr().err
-
 
 class TestExperiment:
     def test_pair_solver_sweep(self, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from ccg import CoalitionalGame, Partition, coalition_utility, as_profile
 from ccg.errors import GameFileError
-from ccg.gamefile import dumps_game, game_to_dict, load_game_file, loads_game, write_game_file
+from ccg.gamefile import dumps_game, game_to_dict, load_game_file, loads_game
 from ccg.instances import no_ne_overlap_fixture, no_ne_triple_fixture
 
 
@@ -109,11 +109,6 @@ def test_partition_ids_must_be_integers(partition):
     }
     with pytest.raises(GameFileError, match="'partition'"):
         loads_game(json.dumps(obj))
-
-
-def test_write_to_directory_is_a_game_file_error(tmp_path, triple_game):
-    with pytest.raises(GameFileError, match="cannot write"):
-        write_game_file(tmp_path, triple_game, Partition.discrete(4))
 
 
 def test_invalid_json():
