@@ -3,7 +3,9 @@
 Commands operate on game files (see `gamefile`) and emit a report either as
 human-readable text or as JSON (`--format json`). The JSON form is the
 machine contract: it round-trips through `json.loads`/`json.dumps`, and the
-text form is rendered purely from it.
+text form is rendered purely from it. Its bytes are those of
+`json.dumps(report, indent=2)`, written by the one writer
+`gamefile.dumps_json`, which also writes game files.
 
 Exit codes encode verdicts so pipelines can branch on them:
 
@@ -22,7 +24,9 @@ and output is identical for every value.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -48,7 +52,7 @@ from .game import (
     materialize,
     require_valid,
 )
-from .gamefile import game_to_dict, loads_game, read_game_bytes, write_game_file
+from .gamefile import dumps_json, game_to_dict, loads_game, read_game_bytes, write_game_file
 from .instances import canned_fixtures, evaluate_fixture, random_game, random_partition
 from .pair_solver import PairSolveTrace, solve_pair_ccg
 from .potential import (
@@ -59,7 +63,7 @@ from .potential import (
     exact_potential,
     linearity_report,
 )
-from .rationals import format_rational
+from .rationals import format_rational, format_scaled
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -138,26 +142,18 @@ def _witness_json(sf: StrategicForm, w: FourCycleWitness) -> dict:
 
 def _table_json(sf: StrategicForm, table: PotentialTable) -> list[dict]:
     return [
-        {
-            "profile": [sf.strategies[k][si] for k, si in enumerate(profile)],
-            "value": format_rational(value),
-        }
-        for profile, value in table.values.items()
+        {"profile": list(labels), "value": format_scaled(v, table.scale)}
+        for labels, v in zip(itertools.product(*sf.strategies), table.flat)
     ]
 
 
 def _matrix_json(sf: StrategicForm) -> dict:
-    utilities = sf.utilities
+    rows, cols = sf.strategies
+    cells = [[format_scaled(u, sf.scale) for u in pair] for pair in zip(*sf.payoffs)]
     return {
-        "rows": list(sf.strategies[0]),
-        "cols": list(sf.strategies[1]),
-        "cells": [
-            [
-                [format_rational(u) for u in utilities[(ri, ci)]]
-                for ci in range(len(sf.strategies[1]))
-            ]
-            for ri in range(len(sf.strategies[0]))
-        ],
+        "rows": list(rows),
+        "cols": list(cols),
+        "cells": [cells[ri * len(cols) : (ri + 1) * len(cols)] for ri in range(len(rows))],
     }
 
 
@@ -460,7 +456,7 @@ def render_text(report: dict) -> str:
             )
     elif command == "generate":
         # Bare game JSON so `ccg generate ... > game.json` yields a loadable file.
-        return json.dumps(report["traces"]["game"], indent=2)
+        return dumps_json(report["traces"]["game"])
     elif command == "experiment":
         for key, value in v.items():
             lines.append(f"{key}: {value}")
@@ -479,7 +475,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=argparse.SUPPRESS)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process, on first use; the commands read the
+    environment themselves, so nothing in it changes between calls."""
     parser = argparse.ArgumentParser(
         prog="ccg", description="coalitional congestion game analysis"
     )
@@ -560,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(dumps_json(report))
     else:
         print(render_text(report))
     return code

@@ -35,16 +35,15 @@ from .game import (
     CompiledGame,
     CongestionGame,
     CongestionVector,
-    Partition,
     PureProfile,
     StrategicForm,
     block_orbit,
+    compile_within_limit,
     congestion,
     private_congestion,
     row_major_strides,
     validate_profile,
 )
-from .limits import ensure_within_limit
 from .rationals import unscale
 
 
@@ -172,7 +171,7 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
         raise PreconditionViolatedError("best-response dynamics need a simple game")
     # Every sub-agent has the same strategies, one per resource in order,
     # so one compiled singleton block answers every sub-agent's best reply.
-    kernel = CompiledGame(CoalitionalGame(g, Partition.discrete(g.n)), [0])
+    kernel = CompiledGame.agent(g)
     position = [0] * g.n
     counts = [0] * len(g.resources)
     counts[0] = g.n
@@ -218,9 +217,8 @@ def coalition_best_response(
     """Exhaustive best reply of block k against the rest of `s` (block k's
     own coordinates are ignored). Returns every maximizer."""
     validate_profile(cg.base, s)
-    kernel = CompiledGame(cg, [k], restricted)
+    kernel = compile_within_limit(cg, [k], restricted, limit, f"block {k} strategy space")
     strats = kernel.strategies[0]
-    ensure_within_limit(len(strats), limit, f"block {k} strategy space")
     own = private_congestion(cg, s, k).counts
     _, best, arg = kernel.best_reply(0, tuple(map(sub, congestion(cg.base, s).counts, own)))
     return BestReplySet(k, tuple(strats[si] for si in arg), unscale(best, kernel.scale))
@@ -294,11 +292,11 @@ def enumerate_pure_ne(
     or the first `stop_after`. A block with one canonical strategy always
     plays a best reply, so its occupancy joins the background and the
     search nests at most log2(profiles) deep."""
-    kernel = CompiledGame(cg, restricted=restricted)
+    blocks = range(len(cg.blocks))
+    kernel = compile_within_limit(cg, blocks, restricted, limit, "joint canonical profile space")
     strats = kernel.strategies
     sizes = [len(s) for s in strats]
     total = math.prod(sizes)
-    ensure_within_limit(total, limit, "joint canonical profile space")
     if not total:
         return NeReport((), (), True, 0)
     order = [k for k, size in enumerate(sizes) if size != 1]

@@ -25,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -104,6 +105,8 @@ class CongestionGame:
 
     The resource order is significant: it is the tie-break order for
     best-response dynamics and the canonical sort order for choices.
+    `is_simple` and the resource positions behind `choice_key` are computed
+    once per game; equality and hashing see the fields only.
     """
 
     resources: tuple[str, ...]
@@ -150,16 +153,20 @@ class CongestionGame:
         """Number of sub-agents."""
         return len(self.strategy_sets)
 
-    @property
+    @cached_property
     def is_simple(self) -> bool:
         singles = tuple((r,) for r in self.resources)
         return all(s == singles for s in self.strategy_sets)
 
     def resource_index(self) -> dict[str, int]:
+        return dict(self._positions)
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
         return {r: i for i, r in enumerate(self.resources)}
 
     def choice_key(self, choice: Choice) -> tuple[int, ...]:
-        index = self.resource_index()
+        index = self._positions
         width = len(self.resources)
         return tuple(index.get(r, width) for r in choice)
 
@@ -646,13 +653,22 @@ class CompiledGame:
     def __init__(
         self, cg: CoalitionalGame, blocks: Iterable[int] | None = None, restricted: bool = False
     ):
-        g = cg.base
+        if blocks is None:
+            blocks = range(len(cg.blocks))
+        self._compile(cg.base, [canonical_block_strategies(cg, k, restricted) for k in blocks])
+
+    @classmethod
+    def agent(cls, g: CongestionGame) -> "CompiledGame":
+        """One sub-agent of the simple game `g` as a block of its own."""
+        kernel = cls.__new__(cls)
+        kernel._compile(g, [tuple(((r,),) for r in g.resources)])
+        return kernel
+
+    def _compile(self, g: CongestionGame, strategies: list[tuple[BlockStrategy, ...]]) -> None:
         tables = [g.costs[r].values for r in g.resources]
         self.scale = math.lcm(*(v.denominator for table in tables for v in table))
         self.costs = [[v.numerator * (self.scale // v.denominator) for v in table] for table in tables]
-        if blocks is None:
-            blocks = range(len(cg.blocks))
-        self.strategies = [canonical_block_strategies(cg, k, restricted) for k in blocks]
+        self.strategies = strategies
         index = g.resource_index()
         self.usage = []
         for per_block in self.strategies:
@@ -737,6 +753,28 @@ class CompiledGame:
         return StrategicForm.from_payoffs(labels, self.payoffs(env), self.scale)
 
 
+def compile_within_limit(
+    cg: CoalitionalGame,
+    blocks: Sequence[int],
+    restricted: bool,
+    limit: int | None,
+    what: str,
+    per_profile: int = 1,
+) -> CompiledGame:
+    """`CompiledGame(cg, blocks, restricted)`, refused when the blocks' joint
+    canonical profiles times `per_profile` exceed the size limit. In a simple
+    game a block of m members on r resources has C(r + m - 1, m) canonical
+    strategies, C(r, m) when restricted, so the limit is checked before any
+    strategy is listed."""
+    if cg.base.is_simple:
+        r, sizes = len(cg.base.resources), [len(cg.block(k)) for k in blocks]
+        counts = [math.comb(r, m) if restricted else math.comb(r + m - 1, m) for m in sizes]
+        ensure_within_limit(math.prod(counts) * per_profile, limit, what)
+    kernel = CompiledGame(cg, blocks, restricted)
+    ensure_within_limit(math.prod(map(len, kernel.strategies)) * per_profile, limit, what)
+    return kernel
+
+
 def materialize(cg: CoalitionalGame, limit: int | None = None) -> StrategicForm:
     """Flatten a coalitional game into a normal-form game.
 
@@ -745,4 +783,7 @@ def materialize(cg: CoalitionalGame, limit: int | None = None) -> StrategicForm:
     utilities, as scaled integers (see `StrategicForm`). Refuses games whose
     utility table would exceed the size limit.
     """
-    return CompiledGame(cg).form([0] * len(cg.base.resources), limit)
+    blocks = range(len(cg.blocks))
+    what = "materialized utility table"
+    kernel = compile_within_limit(cg, blocks, False, limit, what, len(blocks))
+    return kernel.form([0] * len(cg.base.resources), limit)

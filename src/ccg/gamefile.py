@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import GameFileError
@@ -60,8 +61,58 @@ def game_to_dict(game: CongestionGame, partition: Partition) -> dict:
     }
 
 
+def dumps_json(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, in one pass (the stdlib's
+    C encoder ignores `indent`). Dicts with string keys, lists, tuples,
+    strings, ints, bools and None are written here, sharing separators and
+    encoded keys; anything else, such as a float, goes to `json.dumps`."""
+    parts: list[str] = []
+    out = parts.append
+    levels: dict[str, tuple[str, str, str, str]] = {}
+    keys: dict[str, str] = {}
+
+    def write(value, newline: str) -> None:
+        kind = type(value)
+        if kind is str:
+            out(encode_basestring_ascii(value))
+        elif kind is int:
+            out(int.__repr__(value))
+        elif value is None or value is True or value is False:
+            out("null" if value is None else "true" if value else "false")
+        elif value and (kind is list or kind is tuple or (
+            kind is dict and all(type(key) is str for key in value)
+        )):
+            if newline not in levels:
+                inner = newline + "  "
+                levels[newline] = (inner, "," + inner, newline + "]", newline + "}")
+            inner, comma, close_list, close_dict = levels[newline]
+            sep = inner
+            if kind is dict:
+                out("{")
+                for key, item in value.items():
+                    if key not in keys:
+                        keys[key] = encode_basestring_ascii(key) + ": "
+                    out(sep)
+                    out(keys[key])
+                    write(item, inner)
+                    sep = comma
+                out(close_dict)
+            else:
+                out("[")
+                for item in value:
+                    out(sep)
+                    write(item, inner)
+                    sep = comma
+                out(close_list)
+        else:  # an encoded string holds no raw newline, so this just indents
+            out(json.dumps(value, indent=2).replace("\n", newline))
+
+    write(obj, "\n")
+    return "".join(parts)
+
+
 def dumps_game(game: CongestionGame, partition: Partition) -> str:
-    return json.dumps(game_to_dict(game, partition), indent=2) + "\n"
+    return dumps_json(game_to_dict(game, partition)) + "\n"
 
 
 def dict_to_game(obj) -> GameWithPartition:

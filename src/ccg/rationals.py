@@ -52,6 +52,13 @@ def unscale(numerator: int, scale: int):
 
 def format_rational(value: Fraction):
     """Render a Fraction as a JSON-friendly value: int when integral, else "p/q"."""
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    return format_scaled(value.numerator, value.denominator)
+
+
+def format_scaled(numerator: int, scale: int):
+    """`format_rational(Fraction(numerator, scale))` for `scale >= 1`,
+    without building the Fraction."""
+    if numerator % scale == 0:
+        return numerator // scale
+    g = math.gcd(numerator, scale)
+    return f"{numerator // g}/{scale // g}"

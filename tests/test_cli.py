@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -387,3 +388,53 @@ class TestReportContract:
         report, _ = run_json(capsys, "solve", pair_file)
         expected = "sha256:" + hashlib.sha256(Path(pair_file).read_bytes()).hexdigest()
         assert report["input_digest"] == expected
+
+
+class TestRepeatedCalls:
+    """`main` builds its parser once per process; later calls must behave
+    exactly like a call in a fresh process."""
+
+    @staticmethod
+    def _calls(pair_file, bad_file):
+        return [
+            (["--format", "json", "solve", pair_file], {}),
+            (["potential", pair_file], {}),
+            (["solve", bad_file], {}),
+            (["--threads", "0", "examples"], {}),
+            (["solve", pair_file], {"CCG_SIZE_LIMIT": "2"}),
+            (["--format", "json", "matrix", pair_file, "--threads", "3"], {}),
+            (["generate", "--players", "3", "--resources", "2", "--seed", "1"], {}),
+            (["experiment", "theorem1", "--trials", "0", "--seed", "1"], {}),
+            (["--format", "json", "solve", pair_file], {}),
+            (["--format", "xml", "solve", pair_file], {}),
+            (["potential", pair_file, "--format", "json"], {}),
+        ]
+
+    @staticmethod
+    def _run(capsys, monkeypatch, argv, env):
+        with monkeypatch.context() as m:
+            for key, value in env.items():
+                m.setenv(key, value)
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        # the wall-clock timing is the only part that may differ
+        out = re.sub(r'"seconds": [0-9.e-]+|\[[0-9.e-]+s\]', "<timing>", out)
+        return code, out, err
+
+    def test_sequence_matches_fresh_calls(self, capsys, monkeypatch, pair_file, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        calls = self._calls(pair_file, str(bad))
+        alone = []
+        for argv, env in calls:
+            ccg.cli._build_parser.cache_clear()
+            alone.append(self._run(capsys, monkeypatch, argv, env))
+        ccg.cli._build_parser.cache_clear()
+        together = [self._run(capsys, monkeypatch, argv, env) for argv, env in calls]
+        assert ccg.cli._build_parser.cache_info().misses == 1
+        assert together == alone
+        assert [code for code, _, _ in together] == [0, 0, 2, 2, 4, 0, 0, 2, 0, 2, 0]
+        assert "--threads must be at least 1" in together[3][2]

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import pytest
 
+import ccg.game
 from ccg import (
     CoalitionalGame,
     CongestionGame,
@@ -397,3 +399,52 @@ class TestNormalFormBruteForce:
             },
         )
         assert pure_nash_equilibria(sf) == [(0, 0), (1, 1)]
+
+
+class TestSizeLimitBeforeCompiling:
+    """A simple game's canonical strategy counts are binomial coefficients,
+    so an oversized game is refused before any strategy is listed."""
+
+    @pytest.fixture
+    def listed(self, monkeypatch):
+        calls = []
+        original = ccg.game.canonical_block_strategies
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ccg.game, "canonical_block_strategies", counting)
+        return calls
+
+    def test_refused_without_listing_strategies(self, listed):
+        resources = tuple("ABCDEFGHIJKL")
+        game = CongestionGame.simple(resources, {r: range(1, 17) for r in resources})
+        cg = CoalitionalGame(game, Partition.from_one_based([range(1, 9), range(9, 17)]))
+        profile = PureProfile(tuple(("A",) for _ in range(16)))
+        # C(12 + 8 - 1, 8) = 75,582 canonical strategies per block
+        refused = functools.partial(pytest.raises, SizeLimitExceededError)
+        with refused(match="joint canonical profile space needs 5712638724 entries, limit is 10000000"):
+            enumerate_pure_ne(cg)
+        with refused(match="materialized utility table needs 11425277448 entries"):
+            materialize(cg)
+        with refused(match="block 1 strategy space needs 75582 entries, limit is 75581"):
+            coalition_best_response(cg, profile, 1, limit=75581)
+        # C(12, 8) = 495 per block
+        with refused(match="joint canonical profile space needs 245025 entries"):
+            enumerate_pure_ne(cg, restricted=True, limit=245024)
+        assert listed == []
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_counts_equal_listed_strategies(self, listed, restricted):
+        for r in range(1, 5):
+            for m in range(1, r + 1 if restricted else 5):
+                costs = {x: range(m + 1) for x in "ABCD"[:r]}
+                game = CongestionGame.simple(tuple("ABCD"[:r]), costs)
+                cg = CoalitionalGame(game, Partition.from_one_based([range(1, m + 1), [m + 1]]))
+                total = len(canonical_block_strategies(cg, 0, restricted)) * r
+                listed.clear()
+                with pytest.raises(SizeLimitExceededError, match=f"needs {total} entries"):
+                    enumerate_pure_ne(cg, restricted=restricted, limit=total - 1)
+                assert listed == []
+                assert enumerate_pure_ne(cg, restricted=restricted, limit=total).exhaustive

@@ -4,10 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccg import CoalitionalGame, Partition, coalition_utility, as_profile
 from ccg.errors import GameFileError
-from ccg.gamefile import dumps_game, game_to_dict, load_game_file, loads_game
+from ccg.gamefile import dumps_game, dumps_json, game_to_dict, load_game_file, loads_game
+from ccg.rationals import format_rational, format_scaled
 from ccg.instances import no_ne_overlap_fixture, no_ne_triple_fixture
 
 
@@ -139,3 +141,64 @@ def test_file_round_trip(tmp_path, triple_game):
     path.write_text(dumps_game(triple_game, partition))
     game2, partition2 = load_game_file(path)
     assert (game2, partition2) == (triple_game, partition)
+
+
+# ---------------------------------------------------------------------------
+# The one JSON writer
+
+_escapes = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "😀"])
+_strings = st.lists(st.text(max_size=6) | _escapes, max_size=3).map("".join)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | _strings
+)
+_keys = _strings | st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False)
+_json_values = st.recursive(
+    _scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_strings, children, max_size=4)
+    | st.dictionaries(_keys, children, max_size=3),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_values)
+def test_dumps_json_equals_stdlib_indent_2(value):
+    assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [{}, [], (), "", 0, -1, 10**100, True, None, 1.5, {"a": {}, "b": [[], {}]}]
+)
+def test_dumps_json_edge_values(value):
+    assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_game_is_written_by_dumps_json(triple_game):
+    partition = Partition.from_one_based([[1, 2, 3], [4]])
+    obj = game_to_dict(triple_game, partition)
+    assert dumps_game(triple_game, partition) == json.dumps(obj, indent=2) + "\n"
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**12))
+def test_format_scaled_equals_format_rational(numerator, scale):
+    value = Fraction(numerator, scale)
+    got = format_scaled(numerator, scale)
+    assert got == format_rational(value)
+    if value.denominator == 1:
+        assert type(got) is int and got == value.numerator
+    else:
+        assert got == f"{value.numerator}/{value.denominator}"
+
+
+@pytest.mark.parametrize(
+    "numerator, scale, expected",
+    [(0, 1, 0), (0, 7, 0), (-6, 3, -2), (-3, 6, "-1/2"), (4, 6, "2/3"), (84, 84, 1), (5, 1, 5)],
+)
+def test_format_scaled_cases(numerator, scale, expected):
+    assert format_scaled(numerator, scale) == expected
