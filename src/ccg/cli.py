@@ -181,7 +181,8 @@ def _linearity_json(report) -> list[dict]:
     return out
 
 
-def _report(command: str, inputs: dict, digest: str, verdicts: dict, witnesses: list, traces: dict, started: float) -> dict:
+def _report(command: str, inputs: dict, digest: str, verdicts: dict, witnesses: list, traces: dict) -> dict:
+    """A report without its `timing`, which `main` appends as the last key."""
     return {
         "command": command,
         "inputs": inputs,
@@ -189,7 +190,6 @@ def _report(command: str, inputs: dict, digest: str, verdicts: dict, witnesses: 
         "verdicts": verdicts,
         "witnesses": witnesses,
         "traces": traces,
-        "timing": {"seconds": round(time.perf_counter() - started, 6)},
     }
 
 
@@ -206,7 +206,6 @@ def _load(path: str) -> tuple[CongestionGame, Partition, str]:
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     game, partition, digest = _load(args.file)
     cg = CoalitionalGame(game, partition)
     inputs = {"file": args.file, "method": args.method}
@@ -215,7 +214,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
         verdicts = {"method": "brute", "ne_found": not report.is_empty, "count": len(report.equilibria)}
         traces = {"enumeration": _ne_report_json(cg, report)}
         code = EXIT_OK if not report.is_empty else EXIT_NONE_EXISTS
-        return _report("solve", inputs, digest, verdicts, [], traces, started), code
+        return _report("solve", inputs, digest, verdicts, [], traces), code
     trace = solve_pair_ccg(game, partition)
     verdicts = {
         "method": "theorem1",
@@ -225,11 +224,10 @@ def _cmd_solve(args) -> tuple[dict, int]:
         "moves": len(trace.moves),
     }
     traces = {"solve": _solve_trace_json(cg, trace)}
-    return _report("solve", inputs, digest, verdicts, [], traces, started), EXIT_OK
+    return _report("solve", inputs, digest, verdicts, [], traces), EXIT_OK
 
 
 def _cmd_potential(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     game, partition, digest = _load(args.file)
     if game.is_simple:
         equivalence = check_linearity_equivalence(game, partition)
@@ -253,11 +251,10 @@ def _cmd_potential(args) -> tuple[dict, int]:
         "potential_table": None if verdict.table is None else _table_json(sf, verdict.table),
     }
     code = EXIT_OK if verdict.has_potential else EXIT_NONE_EXISTS
-    return _report("potential", {"file": args.file}, digest, verdicts, witnesses, traces, started), code
+    return _report("potential", {"file": args.file}, digest, verdicts, witnesses, traces), code
 
 
 def _cmd_matrix(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     game, partition, digest = _load(args.file)
     if partition.n_blocks != 2:
         raise NotTwoBlocksError(f"matrix rendering needs 2 blocks, got {partition.n_blocks}")
@@ -265,11 +262,10 @@ def _cmd_matrix(args) -> tuple[dict, int]:
     sf = materialize(cg)
     verdicts = {"rows": len(sf.strategies[0]), "cols": len(sf.strategies[1])}
     traces = {"matrix": _matrix_json(sf)}
-    return _report("matrix", {"file": args.file}, digest, verdicts, [], traces, started), EXIT_OK
+    return _report("matrix", {"file": args.file}, digest, verdicts, [], traces), EXIT_OK
 
 
 def _cmd_examples(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     registry = canned_fixtures()
     keys = sorted(registry) if args.which == "all" else [args.which]
     fixtures = {}
@@ -302,13 +298,12 @@ def _cmd_examples(args) -> tuple[dict, int]:
     inputs = {"which": args.which}
     verdicts = {"passed": all_passed}
     report = _report(
-        "examples", inputs, _digest_params(inputs), verdicts, witnesses, {"fixtures": fixtures}, started
+        "examples", inputs, _digest_params(inputs), verdicts, witnesses, {"fixtures": fixtures}
     )
     return report, EXIT_OK if all_passed else EXIT_FIXTURE
 
 
 def _cmd_generate(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     game = random_game(args.seed, args.players, args.resources, args.cost_class)
     partition = random_partition(
         args.seed, args.players, min(args.max_block, args.players), args.theorem2_shape
@@ -326,11 +321,10 @@ def _cmd_generate(args) -> tuple[dict, int]:
     }
     verdicts = {"written": bool(args.out)}
     traces = {"game": game_to_dict(game, partition)}
-    return _report("generate", inputs, _digest_params(inputs), verdicts, [], traces, started), EXIT_OK
+    return _report("generate", inputs, _digest_params(inputs), verdicts, [], traces), EXIT_OK
 
 
 def _cmd_experiment(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     if args.trials < 1:
         raise InvalidParamsError(f"trials must be positive, got {args.trials}")
     runner = EXPERIMENTS[args.kind]
@@ -355,7 +349,7 @@ def _cmd_experiment(args) -> tuple[dict, int]:
         ok = result["injected_empty"]
     verdicts = {"ok": ok, **{k: v for k, v in result.items() if k != "counterexamples"}}
     traces = {"counterexamples": result.get("counterexamples", [])}
-    report = _report("experiment", inputs, _digest_params(inputs), verdicts, [], traces, started)
+    report = _report("experiment", inputs, _digest_params(inputs), verdicts, [], traces)
     return report, EXIT_OK if ok else EXIT_INTERNAL
 
 
@@ -541,6 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be at least 1")
+    started = time.perf_counter()
     try:
         report, code = args.func(args)
     except (GameFileError, InvalidGameError, InvalidParamsError) as exc:
@@ -558,6 +553,7 @@ def main(argv: list[str] | None = None) -> int:
         # invariant breaches and anything else library-level: a bug, never a verdict
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
     if args.format == "json":
         print(dumps_json(report))
     else:

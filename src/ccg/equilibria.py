@@ -10,9 +10,11 @@ resources is an equilibrium of the coalitional game (restricted or not).
 Enumeration searches suffix subgames, not every joint profile: the blocks
 from position j on depend on those before j only through their occupancy.
 
-Best replies, deviation search and enumeration compare exact integers on the
-game's compiled cost tables (`game.CompiledGame`); the values they report
-(`BestReplySet.value`, `DeviationWitness`) are divided back into rationals.
+Best replies, deviation search, enumeration, the dynamics and the
+equilibrium congestion test compare exact integers on the game's compiled
+cost tables (`game.CompiledGame`); the values they report
+(`BestReplySet.value`, `DeviationWitness`, `DynamicsMove`) are divided back
+into rationals.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .game import (
     CongestionGame,
     CongestionVector,
     PureProfile,
-    StrategicForm,
     block_orbit,
     compile_within_limit,
     congestion,
@@ -135,9 +136,9 @@ def rosenthal_potential(g: CongestionGame, s: PureProfile) -> Fraction:
 
 def is_ne_congestion(g: CongestionGame, c: CongestionVector) -> bool:
     """Decide whether a congestion vector belongs to an equilibrium of a
-    simple game: on every occupied resource, staying is weakly cheaper than
-    any single move away. Sufficient and necessary because simple-game costs
-    depend on choices only through occupancies."""
+    simple game: every occupied resource is a best reply of one of its users
+    against everyone else's occupancy. Sufficient and necessary because
+    simple-game costs depend on choices only through occupancies."""
     if not g.is_simple:
         raise PreconditionViolatedError("equilibrium congestion test needs a simple game")
     if tuple(c.resources) != g.resources:
@@ -146,15 +147,11 @@ def is_ne_congestion(g: CongestionGame, c: CongestionVector) -> bool:
         raise InvalidVectorError(f"vector totals {c.total}, game has {g.n} sub-agents")
     if any(x < 0 for x in c.counts):
         raise InvalidVectorError("negative occupancy")
-    for ri, r in enumerate(g.resources):
-        if c.counts[ri] < 1:
-            continue
-        stay = g.costs[r].cost(c.counts[ri])
-        for xi, x in enumerate(g.resources):
-            if xi == ri:
-                continue
-            if stay > g.costs[x].cost(c.counts[xi] + 1):
-                return False
+    kernel = CompiledGame.agent(g)
+    for ri, x in enumerate(c.counts):
+        others = (*c.counts[:ri], x - 1, *c.counts[ri + 1 :])
+        if x and ri not in kernel.best_reply(0, others)[2]:
+            return False
     return True
 
 
@@ -373,28 +370,3 @@ def check_ne_lift_restricted(cg: CoalitionalGame, s: PureProfile) -> LiftVerdict
             f"to {witness.best_value} via {witness.strategy}"
         )
     return LiftVerdict(True, True)
-
-
-# ---------------------------------------------------------------------------
-# Generic normal-form brute force (independent oracle for materialized games)
-
-
-def pure_nash_equilibria(game: StrategicForm) -> list[tuple[int, ...]]:
-    """All pure equilibria of a finite normal-form game, lexicographic."""
-    found = []
-    for profile in game.profiles():
-        ok = True
-        for i in range(game.players):
-            current = game.utility(profile, i)
-            for t in range(len(game.strategies[i])):
-                if t == profile[i]:
-                    continue
-                alt = profile[:i] + (t,) + profile[i + 1 :]
-                if game.utility(alt, i) > current:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(profile)
-    return found

@@ -30,11 +30,7 @@ class InvalidParamsError(CcgError):
 
 
 class MismatchedResourcesError(CcgError):
-    """Two congestion vectors range over different resource sets."""
-
-
-class UnequalTotalsError(CcgError):
-    """Two congestion vectors have different totals."""
+    """A congestion vector and its resource set do not fit together."""
 
 
 class SizeLimitExceededError(CcgError):

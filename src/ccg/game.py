@@ -36,10 +36,9 @@ from .errors import (
     InvalidProfileError,
     MismatchedResourcesError,
     PreconditionViolatedError,
-    UnequalTotalsError,
 )
 from .limits import ensure_within_limit
-from .rationals import as_fraction, scaled_integers, unscale
+from .rationals import as_fraction, unscale
 
 # A choice is a nonempty tuple of resource ids, kept sorted in the owning
 # game's resource order.
@@ -105,8 +104,9 @@ class CongestionGame:
 
     The resource order is significant: it is the tie-break order for
     best-response dynamics and the canonical sort order for choices.
-    `is_simple` and the resource positions behind `choice_key` are computed
-    once per game; equality and hashing see the fields only.
+    `is_simple`, the resource positions behind `choice_key` and the compiled
+    sub-agent behind `CompiledGame.agent` are computed once per game;
+    equality and hashing see the fields only.
     """
 
     resources: tuple[str, ...]
@@ -169,6 +169,13 @@ class CongestionGame:
         index = self._positions
         width = len(self.resources)
         return tuple(index.get(r, width) for r in choice)
+
+    @cached_property
+    def _agent(self) -> "CompiledGame":
+        """`CompiledGame.agent(self)`, compiled on first use."""
+        kernel = CompiledGame.__new__(CompiledGame)
+        kernel._compile(self, [tuple(((r,),) for r in self.resources)])
+        return kernel
 
 
 @dataclass(frozen=True)
@@ -313,69 +320,32 @@ def profile_at(flat: int, sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class StrategicForm:
     """A finite normal-form game with a total, exact utility table.
 
     `strategies[i]` lists player i's strategy labels. Joint profiles are
     numbered row-major (see `row_major_strides`), and `payoffs[i][f]` is
     player i's utility at flat profile f multiplied by the positive integer
-    `scale`: the utility itself is `Fraction(payoffs[i][f], scale)`.
-    `utility` and `utilities` give values back as rationals; `utilities`
-    builds a new mapping on every access.
-
-    `StrategicForm(strategies, utilities)` converts a mapping from every
-    joint strategy index tuple to one utility per player, once;
-    `from_payoffs` takes scaled tables as they are.
+    `scale`: the utility itself is `Fraction(payoffs[i][f], scale)`, which
+    `utility` returns.
     """
 
     strategies: tuple[tuple[str, ...], ...]
     payoffs: tuple[tuple[int, ...], ...]
     scale: int
-    strides: tuple[int, ...]
-
-    def __init__(self, strategies, utilities: Mapping[tuple[int, ...], Sequence]):
-        strategies = tuple(tuple(s) for s in strategies)
-        expected = math.prod(len(s) for s in strategies)
-        if len(utilities) != expected:
-            raise InvalidGameError(
-                f"utility table has {len(utilities)} entries, expected {expected}"
-            )
-        for profile, values in utilities.items():
-            if len(values) != len(strategies):
-                raise InvalidGameError(f"profile {profile} has {len(values)} utilities")
-        grid = itertools.product(*(range(len(s)) for s in strategies))
-        try:
-            rows = [utilities[p] for p in grid]
-        except KeyError as exc:
-            raise InvalidGameError(f"utility table misses profile {exc.args[0]}") from exc
-        flat, scale = scaled_integers(v for row in rows for v in row)
-        n = len(strategies)
-        self._set(strategies, tuple(tuple(flat[i::n]) for i in range(n)), scale)
-
-    @classmethod
-    def from_payoffs(
-        cls, strategies, payoffs: Sequence[Sequence[int]], scale: int
-    ) -> "StrategicForm":
-        """A form over scaled integer tables, one per player, each indexed
-        by row-major flat profile index."""
-        form = cls.__new__(cls)
-        form._set(tuple(tuple(s) for s in strategies), tuple(map(tuple, payoffs)), scale)
-        return form
-
-    def _set(self, strategies, payoffs, scale: int) -> None:
-        object.__setattr__(self, "strategies", strategies)
-        object.__setattr__(self, "payoffs", payoffs)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "strides", row_major_strides([len(s) for s in strategies]))
 
     @property
     def players(self) -> int:
         return len(self.strategies)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.strategies)
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        return row_major_strides(self.sizes)
 
     def profiles(self) -> Iterator[tuple[int, ...]]:
         """All joint strategy index tuples, lexicographic (= flat index order)."""
@@ -387,13 +357,6 @@ class StrategicForm:
 
     def utility(self, profile: tuple[int, ...], player: int) -> Fraction:
         return unscale(self.payoffs[player][self.index(profile)], self.scale)
-
-    @property
-    def utilities(self) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
-        """Every joint profile's utilities as rationals, in flat order."""
-        columns = [[unscale(v, self.scale) for v in column] for column in self.payoffs]
-        rows = zip(*columns) if columns else [()]
-        return dict(zip(self.profiles(), rows))
 
     def num_profiles(self) -> int:
         return math.prod(len(s) for s in self.strategies)
@@ -516,15 +479,6 @@ def coalition_utility(cg: CoalitionalGame, s: PureProfile, k: int) -> Fraction:
         for r in s.choices[i]:
             total += cg.base.costs[r].cost(c[r])
     return -total
-
-
-def congestion_distance(u: CongestionVector, v: CongestionVector) -> Fraction:
-    """Half the L1 distance between two congestion vectors with equal totals."""
-    if u.resources != v.resources:
-        raise MismatchedResourcesError(f"{u.resources} vs {v.resources}")
-    if u.total != v.total:
-        raise UnequalTotalsError(f"totals {u.total} != {v.total}")
-    return Fraction(sum(abs(a - b) for a, b in zip(u.counts, v.counts)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -657,12 +611,11 @@ class CompiledGame:
             blocks = range(len(cg.blocks))
         self._compile(cg.base, [canonical_block_strategies(cg, k, restricted) for k in blocks])
 
-    @classmethod
-    def agent(cls, g: CongestionGame) -> "CompiledGame":
-        """One sub-agent of the simple game `g` as a block of its own."""
-        kernel = cls.__new__(cls)
-        kernel._compile(g, [tuple(((r,),) for r in g.resources)])
-        return kernel
+    @staticmethod
+    def agent(g: CongestionGame) -> "CompiledGame":
+        """One sub-agent of the simple game `g` as a block of its own. It is
+        compiled once per game, so every caller shares its best replies."""
+        return g._agent
 
     def _compile(self, g: CongestionGame, strategies: list[tuple[BlockStrategy, ...]]) -> None:
         tables = [g.costs[r].values for r in g.resources]
@@ -744,13 +697,11 @@ class CompiledGame:
             tables.append(utility)
         return tables
 
-    def form(self, env: Sequence[int], limit: int | None = None) -> StrategicForm:
+    def form(self, env: Sequence[int]) -> StrategicForm:
         """The compiled blocks' strategic form against the fixed occupancy
-        `env`; refuses tables larger than the size limit."""
-        n_profiles = math.prod(len(s) for s in self.strategies)
-        ensure_within_limit(n_profiles * len(self.strategies), limit, "materialized utility table")
-        labels = [[block_strategy_label(t) for t in per_block] for per_block in self.strategies]
-        return StrategicForm.from_payoffs(labels, self.payoffs(env), self.scale)
+        `env`. Compile through `compile_within_limit` to bound its size."""
+        labels = tuple(tuple(map(block_strategy_label, per_block)) for per_block in self.strategies)
+        return StrategicForm(labels, tuple(map(tuple, self.payoffs(env))), self.scale)
 
 
 def compile_within_limit(
@@ -786,4 +737,4 @@ def materialize(cg: CoalitionalGame, limit: int | None = None) -> StrategicForm:
     blocks = range(len(cg.blocks))
     what = "materialized utility table"
     kernel = compile_within_limit(cg, blocks, False, limit, what, len(blocks))
-    return kernel.form([0] * len(cg.base.resources), limit)
+    return kernel.form([0] * len(cg.base.resources))

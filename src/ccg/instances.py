@@ -101,13 +101,13 @@ def evaluate_fixture(fx: Fixture, limit: int | None = None) -> FixtureReport:
     results: list[ClaimResult] = []
     discrepancies: list[Discrepancy] = []
     expected = set(fx.expected_discrepancies)
-    utilities = sf.utilities
     for claim in fx.matrix_claims:
         cell = f"cell ({claim.row} | {claim.col})"
         if claim.row not in rows or claim.col not in cols:
             results.append(ClaimResult(cell, False, "label not found in materialized matrix"))
             continue
-        actual = utilities[(rows[claim.row], cols[claim.col])]
+        cell_profile = (rows[claim.row], cols[claim.col])
+        actual = (sf.utility(cell_profile, 0), sf.utility(cell_profile, 1))
         should_differ = (claim.row, claim.col) in expected
         if actual == claim.published:
             detail = f"= {tuple(map(format_rational, actual))}"

@@ -17,8 +17,9 @@ built directly instead of searched for:
    strictly pays. The loop is bounded by the initial number of doubled pairs
    and ends in an equilibrium.
 
-The final profile is re-verified by exhaustive deviation search unless the
-caller opts out.
+The final profile is always re-verified by exhaustive deviation search.
+Steps 1 to 3 share the game's one compiled sub-agent
+(`game.CompiledGame.agent`) and compare its scaled integer costs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
 from .equilibria import find_deviation, is_ne_congestion, underlying_pure_ne
 from .game import (
     CoalitionalGame,
+    CompiledGame,
     CongestionGame,
     CongestionVector,
     Partition,
@@ -163,7 +165,7 @@ def arrange_hub(
 
 
 def hub_improvement_loop(
-    g: CongestionGame, partition: Partition, s: PureProfile, hub: str, verify: bool = True
+    g: CongestionGame, partition: Partition, s: PureProfile, hub: str
 ) -> tuple[PureProfile, tuple[LoopMove, ...]]:
     """Peel doubled pairs off the hub while a single-member move strictly
     lowers the pair's cost.
@@ -171,13 +173,12 @@ def hub_improvement_loop(
     In each round the lowest-index block with both members on the hub and a
     strictly profitable move sends one member to the cheapest alternative
     (ties to the lowest resource index). No move creates a new doubled pair,
-    so the loop runs at most once per initially doubled pair. Unless `verify`
-    is disabled, the exit profile is checked against every block deviation
-    and an off-equilibrium exit raises.
+    so the loop runs at most once per initially doubled pair.
     """
     index = g.resource_index()
     hub_idx = index[hub]
-    tables = [g.costs[r].values for r in g.resources]
+    kernel = CompiledGame.agent(g)
+    tables = kernel.costs
     choices = [c[0] for c in s.choices]
     counts = [0] * len(g.resources)
     for r in choices:
@@ -212,33 +213,20 @@ def hub_improvement_loop(
                 choices[mover] = g.resources[target]
                 counts[hub_idx] -= 1
                 counts[target] += 1
-                moves.append(
-                    LoopMove(k, mover, hub, g.resources[target], after - stay_cost)
-                )
+                delta = Fraction(after - stay_cost, kernel.scale)
+                moves.append(LoopMove(k, mover, hub, g.resources[target], delta))
                 move_done = True
                 break
         if not move_done:
             break
 
-    result = PureProfile(tuple((r,) for r in choices))
-    if verify:
-        witness = find_deviation(CoalitionalGame(g, partition), result)
-        if witness is not None:
-            raise NotNashAtExitError(
-                f"block {witness.block} still improves to {witness.best_value}"
-            )
-    return result, tuple(moves)
+    return PureProfile(tuple((r,) for r in choices)), tuple(moves)
 
 
-def solve_pair_ccg(
-    g: CongestionGame, partition: Partition, verify: bool = True
-) -> PairSolveTrace:
+def solve_pair_ccg(g: CongestionGame, partition: Partition) -> PairSolveTrace:
     """Construct a pure equilibrium of the coalitional game induced by a
-    simple game and a partition with blocks of size at most two.
-
-    `verify` runs a final exhaustive deviation search on the result; it can
-    be disabled for larger inputs, the construction itself is unconditional.
-    """
+    simple game and a partition with blocks of size at most two, and verify
+    it by a final exhaustive deviation search."""
     require_valid(g)
     if not g.is_simple:
         raise PreconditionViolatedError("constructive solver needs a simple game")
@@ -257,17 +245,14 @@ def solve_pair_ccg(
         hub = None
         arrangement = arrange_distinct(g, partition, c)
         result, moves = arrangement, ()
-        if verify:
-            witness = find_deviation(cg, result)
-            if witness is not None:
-                raise NotNashAtExitError(
-                    f"block {witness.block} still improves to {witness.best_value}"
-                )
     else:
         case = CASE_HUB
         hub = g.resources[peak]
         arrangement = arrange_hub(g, partition, c, hub)
-        result, moves = hub_improvement_loop(g, partition, arrangement, hub, verify=verify)
+        result, moves = hub_improvement_loop(g, partition, arrangement, hub)
+    witness = find_deviation(cg, result)
+    if witness is not None:
+        raise NotNashAtExitError(f"block {witness.block} still improves to {witness.best_value}")
 
     return PairSolveTrace(
         dynamics.profile,

@@ -24,7 +24,6 @@ potential exactly when every resource cost table is affine.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,58 +40,30 @@ from .errors import (
 )
 from .game import (
     CoalitionalGame,
-    CompiledGame,
     CongestionGame,
     CostTable,
     Partition,
     StrategicForm,
     as_profile,
+    compile_within_limit,
     materialize,
     profile_at,
 )
 from .limits import ensure_within_limit
-from .rationals import scaled_integers, unscale
+from .rationals import unscale
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class PotentialTable:
     """Candidate potential values, one per joint strategy index tuple.
 
     Stored flat like a `StrategicForm`: `flat[f] / scale` is the value at
-    the profile with row-major flat index f on a grid of `sizes`. `values`
-    builds the mapping from profiles to rationals on every access.
-    `PotentialTable(values)` converts such a mapping, which must cover a
-    full grid of profiles.
+    the profile with row-major flat index f on a grid of `sizes`.
     """
 
     sizes: tuple[int, ...]
     flat: tuple[int, ...]
     scale: int
-
-    def __init__(self, values: Mapping[tuple[int, ...], Fraction]):
-        profiles = sorted(values)
-        width = len(profiles[0]) if profiles else 0
-        sizes = tuple(max(p[k] for p in profiles) + 1 for k in range(width))
-        if not profiles or len(profiles) != math.prod(sizes):
-            raise InvalidGameError("a potential table must cover a full grid of profiles")
-        flat, scale = scaled_integers(values[p] for p in profiles)
-        self._set(sizes, flat, scale)
-
-    @classmethod
-    def from_flat(cls, sizes, flat, scale: int) -> "PotentialTable":
-        table = cls.__new__(cls)
-        table._set(sizes, flat, scale)
-        return table
-
-    def _set(self, sizes, flat, scale: int) -> None:
-        object.__setattr__(self, "sizes", tuple(sizes))
-        object.__setattr__(self, "flat", tuple(flat))
-        object.__setattr__(self, "scale", scale)
-
-    @property
-    def values(self) -> dict[tuple[int, ...], Fraction]:
-        grid = itertools.product(*(range(m) for m in self.sizes))
-        return {p: unscale(v, self.scale) for p, v in zip(grid, self.flat)}
 
 
 @dataclass(frozen=True)
@@ -190,7 +161,7 @@ def build_potential_by_path(game: StrategicForm, limit: int | None = None) -> Po
             values[base + stride : base + span : stride] = [
                 offset + x for x in u[base + stride : base + span : stride]
             ]
-    return PotentialTable.from_flat(game.sizes, values, game.scale)
+    return PotentialTable(game.sizes, tuple(values), game.scale)
 
 
 def _rescaled(values: tuple[int, ...], factor: int) -> tuple[int, ...] | list[int]:
@@ -395,7 +366,8 @@ def fix_strategies_subgame(
     `fixed` maps each sub-agent outside the free blocks to its frozen choice;
     it must cover exactly those sub-agents, and each must be able to play it.
     This is materialization of the free blocks with the frozen sub-agents'
-    occupancy added; with all blocks free it is just `materialize`.
+    occupancy added; with all blocks free it is just `materialize`, and like
+    it refuses tables larger than the size limit before listing a strategy.
     """
     free = sorted(set(free_blocks))
     for k in free:
@@ -416,4 +388,5 @@ def fix_strategies_subgame(
             raise InvalidProfileError(f"sub-agent {i} cannot play {frozen.choices[i]}")
         for r in frozen.choices[i]:
             env[index[r]] += 1
-    return CompiledGame(cg, free).form(env)
+    what = "materialized utility table"
+    return compile_within_limit(cg, free, False, None, what, len(free)).form(env)

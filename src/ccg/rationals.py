@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import GameFileError
 
@@ -32,16 +31,6 @@ def as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise GameFileError(f"bad rational literal {value!r}") from exc
     raise TypeError(f"expected int, Fraction, or 'p/q' string, got {type(value).__name__}")
-
-
-def scaled_integers(values: Iterable) -> tuple[list[int], int]:
-    """Exact values as integers over their least common denominator.
-
-    Returns `(numerators, scale)` with `numerators[i] / scale == values[i]`.
-    """
-    fractions = [as_fraction(v) for v in values]
-    scale = math.lcm(*(f.denominator for f in fractions))
-    return [f.numerator * (scale // f.denominator) for f in fractions], scale
 
 
 def unscale(numerator: int, scale: int):

@@ -7,7 +7,8 @@ enumerator outputs on small instances. `scan_pure_ne` is the joint-profile
 scan that the suffix-subgame search replaced, kept to cross-check it report
 for report. The potential oracle checks the defining equation edge by edge
 on the rational utility mapping, independent of the fiber test the library
-uses.
+uses. The form and table helpers convert between rational mappings and
+the library's flat scaled-integer tables.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from ccg import (
     CoalitionalGame,
     CongestionGame,
+    CongestionVector,
     NeReport,
     PotentialTable,
     PureProfile,
@@ -27,11 +29,72 @@ from ccg import (
     canonical_block_strategies,
     canonical_multiplicity,
     coalition_utility,
+    congestion,
     materialize,
     player_cost,
 )
 from ccg.game import CompiledGame, validate_profile
 from ccg.potential import PotentialViolation
+
+
+def _scaled(values) -> tuple[list[int], int]:
+    """Rationals as integers over their least common denominator."""
+    fractions = [Fraction(v) for v in values]
+    scale = math.lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (scale // f.denominator) for f in fractions], scale
+
+
+def form_from_utilities(strategies, utilities) -> StrategicForm:
+    """The form whose player utilities at each joint strategy index tuple
+    are `utilities[profile]`, which must cover the full grid."""
+    strategies = tuple(map(tuple, strategies))
+    grid = itertools.product(*(range(len(s)) for s in strategies))
+    flat, scale = _scaled(v for p in grid for v in utilities[p])
+    n = len(strategies)
+    return StrategicForm(strategies, tuple(tuple(flat[i::n]) for i in range(n)), scale)
+
+
+def form_utilities(game: StrategicForm) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
+    """Every joint profile's utilities as rationals."""
+    return {
+        p: tuple(Fraction(game.utility(p, i)) for i in range(game.players))
+        for p in game.profiles()
+    }
+
+
+def table_from_values(values) -> PotentialTable:
+    """The potential table holding `values[profile]` on a full grid."""
+    profiles = sorted(values)
+    sizes = tuple(max(p[k] for p in profiles) + 1 for k in range(len(profiles[0])))
+    assert len(profiles) == math.prod(sizes)
+    flat, scale = _scaled(values[p] for p in profiles)
+    return PotentialTable(sizes, tuple(flat), scale)
+
+
+def table_values(table: PotentialTable) -> dict[tuple[int, ...], Fraction]:
+    grid = itertools.product(*(range(m) for m in table.sizes))
+    return {p: Fraction(v, table.scale) for p, v in zip(grid, table.flat)}
+
+
+def pure_nash_equilibria(game: StrategicForm) -> list[tuple[int, ...]]:
+    """All pure equilibria of a finite normal-form game, lexicographic."""
+    found = []
+    for profile in game.profiles():
+        ok = True
+        for i in range(game.players):
+            current = game.utility(profile, i)
+            for t in range(len(game.strategies[i])):
+                if t == profile[i]:
+                    continue
+                alt = profile[:i] + (t,) + profile[i + 1 :]
+                if game.utility(alt, i) > current:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            found.append(profile)
+    return found
 
 
 def raw_block_tuples(cg: CoalitionalGame, k: int):
@@ -78,10 +141,22 @@ def brute_simple_ne_congestions(g: CongestionGame) -> set[tuple[int, ...]]:
             if not ok:
                 break
         if ok:
-            from ccg import congestion
-
             out.add(congestion(g, s).counts)
     return out
+
+
+def brute_is_ne_congestion(g: CongestionGame, c: CongestionVector) -> bool:
+    """Realize the vector as a profile of the simple game `g` and test every
+    single-agent move against the definition."""
+    s = PureProfile(tuple((r,) for r, x in zip(c.resources, c.counts) for _ in range(x)))
+    for i in range(g.n):
+        current = player_cost(g, s, i)
+        for alt in g.strategy_sets[i]:
+            choices = list(s.choices)
+            choices[i] = alt
+            if player_cost(g, PureProfile(tuple(choices)), i) < current:
+                return False
+    return True
 
 
 def assert_kernel_matches_definition(cg: CoalitionalGame) -> None:
@@ -104,8 +179,8 @@ def pairwise_potential_check(
     at a time: (True, None), or (False, first violation) in lexicographic
     order of (profile, player, alternative) with the alternative above the
     profile's own strategy."""
-    values = table.values
-    utilities = game.utilities
+    values = table_values(table)
+    utilities = form_utilities(game)
     for profile in game.profiles():
         for i in range(game.players):
             for t in range(profile[i] + 1, len(game.strategies[i])):

@@ -348,6 +348,20 @@ class TestReportContract:
             "timing",
         }
 
+    def test_timing_is_the_last_key_of_every_report(self, capsys, pair_file):
+        for argv in (
+            ["solve", pair_file],
+            ["solve", pair_file, "--method", "theorem1"],
+            ["potential", pair_file],
+            ["matrix", pair_file],
+            ["examples", "--which", "2"],
+            ["generate", "--players", "3", "--resources", "2", "--seed", "1"],
+            ["experiment", "theorem1", "--trials", "1", "--seed", "1"],
+        ):
+            report, _ = run_json(capsys, *argv)
+            assert list(report)[-1] == "timing"
+            assert set(report["timing"]) == {"seconds"}
+
     def test_digest_pins_input_file(self, capsys, pair_file, triple_file):
         r1, _ = run_json(capsys, "solve", pair_file)
         r2, _ = run_json(capsys, "solve", triple_file)

@@ -12,7 +12,6 @@ from ccg import (
     CongestionVector,
     Partition,
     PureProfile,
-    StrategicForm,
     as_profile,
     canonical_block_strategies,
     check_ne_lift,
@@ -22,10 +21,10 @@ from ccg import (
     congestion,
     enumerate_pure_ne,
     find_deviation,
+    fix_strategies_subgame,
     is_ccg_ne,
     is_ne_congestion,
     materialize,
-    pure_nash_equilibria,
     random_game,
     random_partition,
     rosenthal_potential,
@@ -42,6 +41,8 @@ from oracle_helpers import (
     brute_ccg_equilibria,
     brute_is_ccg_ne,
     brute_simple_ne_congestions,
+    form_from_utilities,
+    pure_nash_equilibria,
     scan_pure_ne,
 )
 
@@ -377,7 +378,7 @@ class TestLiftChecks:
 
 class TestNormalFormBruteForce:
     def test_matching_pennies_has_no_pure_equilibrium(self):
-        sf = StrategicForm(
+        sf = form_from_utilities(
             (("H", "T"), ("H", "T")),
             {
                 (0, 0): (Fraction(1), Fraction(-1)),
@@ -389,7 +390,7 @@ class TestNormalFormBruteForce:
         assert pure_nash_equilibria(sf) == []
 
     def test_coordination_game(self):
-        sf = StrategicForm(
+        sf = form_from_utilities(
             (("L", "R"), ("L", "R")),
             {
                 (0, 0): (Fraction(2), Fraction(2)),
@@ -433,6 +434,18 @@ class TestSizeLimitBeforeCompiling:
         # C(12, 8) = 495 per block
         with refused(match="joint canonical profile space needs 245025 entries"):
             enumerate_pure_ne(cg, restricted=True, limit=245024)
+        assert listed == []
+
+    def test_oversized_subgame_refused_without_listing_strategies(self, listed, monkeypatch):
+        resources = tuple("ABCDEFGHIJKL")
+        game = CongestionGame.simple(resources, {r: range(1, 17) for r in resources})
+        cg = CoalitionalGame(game, Partition.from_one_based([range(1, 9), range(9, 17)]))
+        refused = functools.partial(pytest.raises, SizeLimitExceededError)
+        with refused(match="materialized utility table needs 11425277448 entries, limit is 10000000"):
+            fix_strategies_subgame(cg, {}, [0, 1])
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "75581")
+        with refused(match="materialized utility table needs 75582 entries, limit is 75581"):
+            fix_strategies_subgame(cg, {i: "A" for i in range(8, 16)}, [0])
         assert listed == []
 
     @pytest.mark.parametrize("restricted", [False, True])

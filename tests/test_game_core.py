@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import ccg
 from ccg import (
     CoalitionalGame,
     CongestionGame,
-    CongestionVector,
     CostTable,
     Partition,
     as_profile,
@@ -15,7 +15,6 @@ from ccg import (
     canonicalize,
     coalition_utility,
     congestion,
-    congestion_distance,
     materialize,
     player_cost,
     private_congestion,
@@ -24,12 +23,10 @@ from ccg import (
 from ccg.errors import (
     InvalidGameError,
     InvalidProfileError,
-    MismatchedResourcesError,
     SizeLimitExceededError,
-    UnequalTotalsError,
 )
 
-from oracle_helpers import assert_kernel_matches_definition
+from oracle_helpers import assert_kernel_matches_definition, form_utilities
 
 
 class TestValidation:
@@ -149,34 +146,6 @@ class TestCoalitionBookkeeping:
         assert total == -costs
 
 
-class TestCongestionDistance:
-    def test_zero_on_equal(self):
-        u = CongestionVector(("A", "B"), (2, 2))
-        assert congestion_distance(u, u) == 0
-
-    def test_single_swap(self):
-        u = CongestionVector(("A", "B"), (1, 0))
-        v = CongestionVector(("A", "B"), (0, 1))
-        assert congestion_distance(u, v) == 1
-
-    def test_double_swap(self):
-        u = CongestionVector(("A", "B"), (3, 1))
-        v = CongestionVector(("A", "B"), (1, 3))
-        assert congestion_distance(u, v) == 2
-
-    def test_mismatched_resources(self):
-        u = CongestionVector(("A", "B"), (1, 0))
-        v = CongestionVector(("A", "C"), (1, 0))
-        with pytest.raises(MismatchedResourcesError):
-            congestion_distance(u, v)
-
-    def test_unequal_totals(self):
-        u = CongestionVector(("A", "B"), (1, 0))
-        v = CongestionVector(("A", "B"), (1, 1))
-        with pytest.raises(UnequalTotalsError):
-            congestion_distance(u, v)
-
-
 class TestCanonicalize:
     def test_sorts_within_block(self, pair_ccg):
         s = as_profile(pair_ccg.base, ["B", "A", "B", "A"])
@@ -211,15 +180,15 @@ class TestMaterialize:
     def test_spot_cells(self, triple_ccg):
         sf = materialize(triple_ccg)
         rows = {label: i for i, label in enumerate(sf.strategies[0])}
-        assert sf.utilities[(rows["A,A,A"], 0)] == (Fraction(-54), Fraction(-18))
-        assert sf.utilities[(rows["A,B,B"], 0)] == (Fraction(-36), Fraction(-12))
+        assert form_utilities(sf)[(rows["A,A,A"], 0)] == (Fraction(-54), Fraction(-18))
+        assert form_utilities(sf)[(rows["A,B,B"], 0)] == (Fraction(-36), Fraction(-12))
 
     def test_matches_per_block_utility(self, overlap_ccg):
         sf = materialize(overlap_ccg)
         from ccg import assemble_profile, canonical_block_strategies
 
         strats = [canonical_block_strategies(overlap_ccg, k) for k in range(2)]
-        for idx, values in sf.utilities.items():
+        for idx, values in form_utilities(sf).items():
             profile = assemble_profile(overlap_ccg, [strats[k][i] for k, i in enumerate(idx)])
             for k in range(2):
                 assert values[k] == coalition_utility(overlap_ccg, profile, k)
@@ -228,7 +197,7 @@ class TestMaterialize:
         cg = CoalitionalGame(triple_game, Partition.discrete(4))
         sf = materialize(cg)
         assert all(s == ("A", "B") for s in sf.strategies)
-        for idx, values in sf.utilities.items():
+        for idx, values in form_utilities(sf).items():
             profile = as_profile(triple_game, [sf.strategies[i][si] for i, si in enumerate(idx)])
             for i in range(4):
                 assert values[i] == -player_cost(triple_game, profile, i)
@@ -267,3 +236,8 @@ class TestCostTable:
     def test_profile_normalization(self, overlap_game):
         s = as_profile(overlap_game, [("B", "A"), ("C", "A"), ("C", "B")])
         assert s.choices == (("A", "B"), ("A", "C"), ("B", "C"))
+
+
+def test_public_names_are_sorted_unique_and_resolve():
+    assert ccg.__all__ == sorted(set(ccg.__all__))
+    assert [name for name in ccg.__all__ if not hasattr(ccg, name)] == []

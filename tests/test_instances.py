@@ -19,6 +19,7 @@ from ccg import (
     validate_game,
 )
 from ccg.errors import InvalidParamsError
+from oracle_helpers import form_utilities
 
 
 class TestCannedClaims:
@@ -47,7 +48,7 @@ class TestCannedClaims:
         rows = {label: i for i, label in enumerate(sf.strategies[0])}
         cols = {label: i for i, label in enumerate(sf.strategies[1])}
         # cell (A,B | A) carries costs (a2+b1, a2) = (4, 2)
-        assert sf.utilities[(rows["A,B"], cols["A"])] == (Fraction(-4), Fraction(-2))
+        assert form_utilities(sf)[(rows["A,B"], cols["A"])] == (Fraction(-4), Fraction(-2))
         assert evaluate_fixture(fx).passed
 
     def test_parametric_potential_claims(self):

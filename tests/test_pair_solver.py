@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import ccg.pair_solver
 from ccg import (
     CoalitionalGame,
     CongestionGame,
     CongestionVector,
+    DeviationWitness,
     Partition,
     as_profile,
     arrange_distinct,
@@ -16,14 +18,20 @@ from ccg import (
     congestion,
     enumerate_pure_ne,
     hub_improvement_loop,
+    is_ne_congestion,
     solve_pair_ccg,
 )
-from ccg.errors import PreconditionViolatedError
+from ccg.errors import NotNashAtExitError, PreconditionViolatedError
 from oracle_helpers import brute_is_ccg_ne
 
 
 def two_resource_game(a, b) -> CongestionGame:
     return CongestionGame.simple(("A", "B"), {"A": a, "B": b})
+
+
+def doubled_pairs_game() -> CongestionGame:
+    """Three pairs whose hub arrangement doubles two of them on A."""
+    return CongestionGame.simple(("A", "B"), {"A": (0, 0, 1, 4, 6, 7), "B": (5, 6, 6, 9, 9, 9)})
 
 
 class TestSolve:
@@ -75,6 +83,21 @@ class TestSolve:
         verdict = check_ne_lift(CoalitionalGame(triple_game, partition), trace.result)
         assert verdict.applicable and verdict.holds
 
+    @pytest.mark.parametrize("case", ["distinct", "hub"])
+    def test_off_equilibrium_result_raises(self, monkeypatch, triple_game, case):
+        if case == "distinct":
+            g, blocks = triple_game, [[1, 2], [3, 4]]
+        else:
+            g, blocks = doubled_pairs_game(), [[1, 2], [3, 4], [5, 6]]
+        witness = DeviationWitness(0, (("A",), ("B",)), Fraction(-2), Fraction(-1))
+        checked = []
+        monkeypatch.setattr(
+            ccg.pair_solver, "find_deviation", lambda cg, s: checked.append(s) or witness
+        )
+        with pytest.raises(NotNashAtExitError, match="block 0 still improves to -1"):
+            solve_pair_ccg(g, Partition.from_one_based(blocks))
+        assert len(checked) == 1
+
     def test_single_agent(self):
         g = CongestionGame.simple(("A", "B"), {"A": (3,), "B": (1,)})
         trace = solve_pair_ccg(g, Partition.from_one_based([[1]]))
@@ -122,7 +145,7 @@ class TestArrangeHub:
         g = CongestionGame.simple(("A", "B"), {"A": (0, 0, 1, 5), "B": (1, 6, 7, 8)})
         partition = Partition.from_one_based([[1, 2], [3, 4]])
         c = CongestionVector(("A", "B"), (3, 1))
-        assert is_ne_congestion_helper(g, c)
+        assert is_ne_congestion(g, c)
         s = arrange_hub(g, partition, c, "A")
         assert s.choices == (("A",), ("A",), ("A",), ("B",))
 
@@ -132,7 +155,7 @@ class TestArrangeHub:
         )
         partition = Partition.from_one_based([[1, 2], [3, 4], [5]])
         c = CongestionVector(("A", "B"), (4, 1))
-        assert is_ne_congestion_helper(g, c)
+        assert is_ne_congestion(g, c)
         s = arrange_hub(g, partition, c, "A")
         assert s.choices == (("A",), ("A",), ("A",), ("B",), ("A",))
 
@@ -146,12 +169,6 @@ class TestArrangeHub:
             )
 
 
-def is_ne_congestion_helper(g, c):
-    from ccg import is_ne_congestion
-
-    return is_ne_congestion(g, c)
-
-
 class TestImprovementLoop:
     def test_single_move(self):
         g = two_resource_game((0, 1, 5), (5, 6, 7))
@@ -160,6 +177,7 @@ class TestImprovementLoop:
         result, moves = hub_improvement_loop(g, partition, s, "A")
         assert len(moves) == 1
         assert result.choices == (("A",), ("B",), ("A",))
+        assert brute_is_ccg_ne(CoalitionalGame(g, partition), result)
 
     def test_no_move_when_hub_stays_cheap(self):
         g = two_resource_game((0, 1, 2), (10, 11, 12))
@@ -168,6 +186,7 @@ class TestImprovementLoop:
         result, moves = hub_improvement_loop(g, partition, s, "A")
         assert moves == ()
         assert result == s
+        assert brute_is_ccg_ne(CoalitionalGame(g, partition), result)
 
     def test_no_doubled_blocks_means_no_moves(self):
         g = two_resource_game((0, 1, 5), (5, 6, 7))
@@ -176,14 +195,13 @@ class TestImprovementLoop:
         result, moves = hub_improvement_loop(g, partition, s, "A")
         assert moves == ()
         assert result == s
+        assert brute_is_ccg_ne(CoalitionalGame(g, partition), result)
 
     def test_two_doubled_pairs_both_peel_off(self):
         # underlying equilibrium puts 5 of 6 agents on A (P_A(5)=6 <= P_B(2)=6);
         # the hub arrangement doubles pairs one and two, and both moves pay:
         # 4+6 < 2*6, then 1+6 < 2*4
-        g = CongestionGame.simple(
-            ("A", "B"), {"A": (0, 0, 1, 4, 6, 7), "B": (5, 6, 6, 9, 9, 9)}
-        )
+        g = doubled_pairs_game()
         partition = Partition.from_one_based([[1, 2], [3, 4], [5, 6]])
         trace = solve_pair_ccg(g, partition)
         assert trace.case_taken == "hub"

@@ -11,7 +11,6 @@ from ccg import (
     CongestionGame,
     CostTable,
     Partition,
-    StrategicForm,
     build_potential_by_path,
     check_linearity_equivalence,
     exact_potential,
@@ -28,8 +27,13 @@ from ccg.errors import (
     InvalidIndicesError,
     PreconditionViolatedError,
 )
-from ccg.potential import PotentialTable
-from oracle_helpers import pairwise_potential_check
+from oracle_helpers import (
+    form_from_utilities,
+    form_utilities,
+    pairwise_potential_check,
+    table_from_values,
+    table_values,
+)
 
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -57,7 +61,7 @@ def hand_built_forms(draw):
     else:
         utilities = {p: tuple(draw(RATIONALS) for _ in sizes) for p in profiles}
     labels = tuple(tuple(f"s{j}" for j in range(m)) for m in sizes)
-    return StrategicForm(labels, utilities), potential
+    return form_from_utilities(labels, utilities), potential
 
 
 def pair_singleton_game(a, b) -> StrategicForm:
@@ -66,7 +70,7 @@ def pair_singleton_game(a, b) -> StrategicForm:
 
 
 def constant_game() -> StrategicForm:
-    return StrategicForm(
+    return form_from_utilities(
         (("x", "y"), ("x", "y")),
         {p: (Fraction(3), Fraction(3)) for p in itertools.product(range(2), range(2))},
     )
@@ -74,16 +78,16 @@ def constant_game() -> StrategicForm:
 
 class TestPathConstruction:
     def test_one_player_game(self):
-        sf = StrategicForm(
+        sf = form_from_utilities(
             (("a", "b", "c"),),
             {(0,): (Fraction(5),), (1,): (Fraction(7),), (2,): (Fraction(2),)},
         )
         table = build_potential_by_path(sf)
-        assert table.values == {(0,): 0, (1,): 2, (2,): -3}
+        assert table_values(table) == {(0,): 0, (1,): 2, (2,): -3}
 
     def test_constant_game_gives_zero_table(self):
         table = build_potential_by_path(constant_game())
-        assert set(table.values.values()) == {0}
+        assert set(table_values(table).values()) == {0}
 
     def test_linear_instance_builds_verifying_table(self):
         sf = pair_singleton_game((1, 2, 3), (2, 4, 6))
@@ -94,7 +98,7 @@ class TestPathConstruction:
     def test_anchored_at_zero(self):
         sf = pair_singleton_game((1, 2, 3), (2, 4, 6))
         table = build_potential_by_path(sf)
-        assert table.values[(0, 0)] == 0
+        assert table_values(table)[(0, 0)] == 0
 
 
 class TestVerify:
@@ -108,7 +112,7 @@ class TestVerify:
 
     def test_zero_table_on_constant_game(self):
         sf = constant_game()
-        table = PotentialTable({p: Fraction(0) for p in sf.profiles()})
+        table = table_from_values({p: Fraction(0) for p in sf.profiles()})
         assert verify_exact_potential(sf, table) == (True, None)
 
 
@@ -118,7 +122,7 @@ class TestFiberTestAgainstPairwiseOracle:
     def test_same_verdict_and_first_violation(self, form, data):
         sf, potential = form
         path_table = build_potential_by_path(sf)
-        random_table = PotentialTable({p: data.draw(RATIONALS) for p in sf.profiles()})
+        random_table = table_from_values({p: data.draw(RATIONALS) for p in sf.profiles()})
         for table in (path_table, random_table):
             assert verify_exact_potential(sf, table) == pairwise_potential_check(sf, table)
         if potential:
@@ -151,26 +155,27 @@ class TestExactPotential:
 
     def test_decision_stable_under_utility_shift(self):
         sf = pair_singleton_game((1, 2, 3), (2, 4, 6))
-        shifted = StrategicForm(
+        shifted = form_from_utilities(
             sf.strategies,
-            {p: (u[0] + 100, u[1]) for p, u in sf.utilities.items()},
+            {p: (u[0] + 100, u[1]) for p, u in form_utilities(sf).items()},
         )
         assert exact_potential(shifted).has_potential
         sf2 = pair_singleton_game((0, 12, 16), (0, 12, 16))
-        shifted2 = StrategicForm(
+        shifted2 = form_from_utilities(
             sf2.strategies,
-            {p: (u[0], u[1] - 7) for p, u in sf2.utilities.items()},
+            {p: (u[0], u[1] - 7) for p, u in form_utilities(sf2).items()},
         )
         assert not exact_potential(shifted2).has_potential
 
     def test_decision_stable_under_strategy_permutation(self):
         for a, b, expected in (((1, 2, 3), (2, 4, 6), True), ((0, 12, 16), (0, 12, 16), False)):
             sf = pair_singleton_game(a, b)
+            utilities = form_utilities(sf)
             perm = (2, 0, 1)  # relabel the pair block's three strategies
-            permuted = StrategicForm(
+            permuted = form_from_utilities(
                 (tuple(sf.strategies[0][perm[i]] for i in range(3)), sf.strategies[1]),
                 {
-                    (i, j): sf.utilities[(perm[i], j)]
+                    (i, j): utilities[(perm[i], j)]
                     for i in range(3)
                     for j in range(2)
                 },
@@ -180,19 +185,20 @@ class TestExactPotential:
     def test_decision_stable_under_player_swap(self):
         for a, b, expected in (((1, 2, 3), (2, 4, 6), True), ((0, 12, 16), (0, 12, 16), False)):
             sf = pair_singleton_game(a, b)
-            swapped = StrategicForm(
+            swapped = form_from_utilities(
                 (sf.strategies[1], sf.strategies[0]),
-                {(j, i): (u[1], u[0]) for (i, j), u in sf.utilities.items()},
+                {(j, i): (u[1], u[0]) for (i, j), u in form_utilities(sf).items()},
             )
             assert exact_potential(swapped).has_potential is expected
 
     def test_tables_unique_up_to_constant(self):
         sf = pair_singleton_game((1, 2, 3), (2, 4, 6))
         table = exact_potential(sf).table
-        rebased = PotentialTable({p: v + Fraction(9, 2) for p, v in table.values.items()})
+        rebased = table_from_values({p: v + Fraction(9, 2) for p, v in table_values(table).items()})
         ok, _ = verify_exact_potential(sf, rebased)
         assert ok
-        diffs = {rebased.values[p] - table.values[p] for p in sf.profiles()}
+        old, new = table_values(table), table_values(rebased)
+        diffs = {new[p] - old[p] for p in sf.profiles()}
         assert len(diffs) == 1
 
 
@@ -277,7 +283,7 @@ class TestSubgame:
         sub = fix_strategies_subgame(triple_ccg, {}, [0, 1])
         full = materialize(triple_ccg)
         assert sub.strategies == full.strategies
-        assert sub.utilities == full.utilities
+        assert form_utilities(sub) == form_utilities(full)
 
     def test_frozen_singleton_shifts_cost_tables(self):
         g = CongestionGame.simple(("A", "B"), {"A": (0, 12, 16, 18), "B": (0, 12, 16, 18)})
@@ -292,7 +298,7 @@ class TestSubgame:
             CoalitionalGame(shifted, Partition.from_one_based([[1, 2], [3]]))
         )
         assert sub.strategies == expected.strategies
-        assert sub.utilities == expected.utilities
+        assert form_utilities(sub) == form_utilities(expected)
 
     def test_potential_restricts_to_subgame(self):
         fx = parametric_two_resource_fixture((1, 2, 3), (2, 4, 6))

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from ccg import (
     CoalitionalGame,
     CongestionGame,
+    CongestionVector,
     PureProfile,
     assemble_profile,
     canonical_block_strategies,
@@ -32,7 +33,6 @@ from ccg import (
     materialize,
     player_cost,
     private_congestion,
-    pure_nash_equilibria,
     random_game,
     random_partition,
     rosenthal_potential,
@@ -43,7 +43,13 @@ from ccg.errors import BlockLargerThanResourceSetError
 from ccg.game import validate_profile
 from ccg.instances import no_ne_overlap_fixture
 
-from oracle_helpers import assert_kernel_matches_definition, brute_ccg_equilibria, scan_pure_ne
+from oracle_helpers import (
+    assert_kernel_matches_definition,
+    brute_ccg_equilibria,
+    brute_is_ne_congestion,
+    pure_nash_equilibria,
+    scan_pure_ne,
+)
 
 COMMON = settings(max_examples=40, deadline=None)
 
@@ -91,6 +97,20 @@ def ccgs_with_profile(draw):
         for i in range(cg.base.n)
     )
     return cg, PureProfile(choices)
+
+
+@st.composite
+def simple_games_with_vector(draw):
+    """A simple game with small cost steps, so that ties are common, and an
+    occupancy vector over it that may leave resources empty."""
+    n = draw(st.integers(1, 5))
+    resources = tuple("ABCD"[: draw(st.integers(1, 4))])
+    steps = st.lists(st.sampled_from((0, 0, Fraction(1, 2), 1, 2)), min_size=n, max_size=n)
+    game = CongestionGame.simple(
+        resources, {r: tuple(itertools.accumulate(draw(steps))) for r in resources}
+    )
+    users = draw(st.lists(st.integers(0, len(resources) - 1), min_size=n, max_size=n))
+    return game, CongestionVector(resources, tuple(map(users.count, range(len(resources)))))
 
 
 class TestBookkeepingIdentities:
@@ -215,6 +235,14 @@ class TestDynamics:
         assert is_ne_congestion(g, congestion(g, result.profile))
 
 
+class TestEquilibriumCongestionTest:
+    @settings(max_examples=150, deadline=None)
+    @given(simple_games_with_vector())
+    def test_kernel_test_matches_single_agent_moves(self, pair):
+        g, c = pair
+        assert is_ne_congestion(g, c) == brute_is_ne_congestion(g, c)
+
+
 class TestBestReplyStructure:
     @COMMON
     @given(simple_ccgs(), st.data())
@@ -244,7 +272,7 @@ class TestSolverProperty:
     @COMMON
     @given(simple_ccgs(max_n=6, max_r=4, max_block=2))
     def test_pair_solver_output_is_equilibrium(self, cg):
-        trace = solve_pair_ccg(cg.base, cg.partition, verify=False)
+        trace = solve_pair_ccg(cg.base, cg.partition)
         assert is_ccg_ne(cg, trace.result)
 
     @COMMON
