@@ -200,8 +200,9 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
 # ---------------------------------------------------------------------------
 # Coalitional equilibria
 #
-# All of these compare scaled integer utilities on one `CompiledGame` per
-# call, whose best replies are cached per (block, opponent occupancy).
+# All of these compare scaled integer utilities on the game's `CompiledGame`
+# for the blocks they search, whose best replies are cached per (block,
+# opponent occupancy) and shared by every later call on the same game.
 
 
 def coalition_best_response(
@@ -214,7 +215,7 @@ def coalition_best_response(
     """Exhaustive best reply of block k against the rest of `s` (block k's
     own coordinates are ignored). Returns every maximizer."""
     validate_profile(cg.base, s)
-    kernel = compile_within_limit(cg, [k], restricted, limit, f"block {k} strategy space")
+    kernel = compile_within_limit(cg, [k], restricted, limit)
     strats = kernel.strategies[0]
     own = private_congestion(cg, s, k).counts
     _, best, arg = kernel.best_reply(0, tuple(map(sub, congestion(cg.base, s).counts, own)))
@@ -226,9 +227,10 @@ def find_deviation(
 ) -> DeviationWitness | None:
     """First strictly improving block deviation, or None if `s` is an
     equilibrium. Blocks are scanned in index order; among a block's best
-    replies the lexicographically first is reported."""
+    replies the lexicographically first is reported. Each block's strategy
+    count must be within the size limit, as for its best reply."""
     validate_profile(cg.base, s)
-    kernel = CompiledGame(cg, restricted=restricted)
+    kernel = compile_within_limit(cg, range(len(cg.blocks)), restricted, None)
     idx = []
     for k, block in enumerate(cg.blocks):
         strat = tuple(sorted((s.choices[i] for i in block), key=cg.base.choice_key))

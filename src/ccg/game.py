@@ -13,21 +13,25 @@ arithmetic is exact, so equilibrium and potential verdicts are too. Costs are
 stored as `fractions.Fraction`. For analysis a coalitional game is compiled
 once (`CompiledGame`): every cost table is multiplied by the LCM of all cost
 denominators in the game, so inner loops run on Python integers, and values
-become Fractions again only when they leave the kernel. `materialize` emits a
-flat `StrategicForm` of such scaled integers. Sub-agents and blocks are
-0-indexed throughout the library; the file format and CLI translate to
-1-based ids.
+become Fractions again only when they leave the kernel. A game keeps its
+scaled tables and its kernels, with their best-reply caches, for as long as
+it lives, so the solver, its checks, enumeration and `materialize` share one
+compile. A simple game's blocks read their strategies and usage counts from
+a `BlockLayout` built once per process. `materialize` emits a flat
+`StrategicForm` of such scaled integers. Sub-agents and blocks are 0-indexed
+throughout the library; the file format and CLI translate to 1-based ids.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BlockLargerThanResourceSetError,
@@ -37,7 +41,7 @@ from .errors import (
     MismatchedResourcesError,
     PreconditionViolatedError,
 )
-from .limits import ensure_within_limit
+from .limits import effective_size_limit, ensure_within_limit
 from .rationals import as_fraction, unscale
 
 # A choice is a nonempty tuple of resource ids, kept sorted in the owning
@@ -104,8 +108,9 @@ class CongestionGame:
 
     The resource order is significant: it is the tie-break order for
     best-response dynamics and the canonical sort order for choices.
-    `is_simple`, the resource positions behind `choice_key` and the compiled
-    sub-agent behind `CompiledGame.agent` are computed once per game;
+    `is_simple`, the resource positions behind `choice_key`, the scaled cost
+    tables, the compiled sub-agent behind `CompiledGame.agent` and the
+    coalitional kernels of `compile_within_limit` are computed once per game;
     equality and hashing see the fields only.
     """
 
@@ -171,11 +176,20 @@ class CongestionGame:
         return tuple(index.get(r, width) for r in choice)
 
     @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        tables = [self.costs[r].values for r in self.resources]
+        scale = math.lcm(*(v.denominator for table in tables for v in table))
+        return scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in t) for t in tables)
+
+    @cached_property
     def _agent(self) -> "CompiledGame":
         """`CompiledGame.agent(self)`, compiled on first use."""
-        kernel = CompiledGame.__new__(CompiledGame)
-        kernel._compile(self, [tuple(((r,),) for r in self.resources)])
-        return kernel
+        return CompiledGame(self, [_simple_layout(self.resources, 1, False)])
+
+    @cached_property
+    def _kernels(self) -> dict[tuple, "CompiledGame"]:
+        """Kernels by (partition, blocks, restricted); see `compile_within_limit`."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -524,10 +538,39 @@ def canonical_multiplicity(cg: CoalitionalGame, s: PureProfile) -> int:
     )
 
 
-def canonical_block_strategies(
-    cg: CoalitionalGame, k: int, restricted: bool = False
-) -> tuple[BlockStrategy, ...]:
-    """All canonical strategy tuples of block k, sorted.
+class BlockLayout(NamedTuple):
+    """A block's canonical strategies, sorted; `usage[si]` counts strategy
+    si's uses of each resource, in resource order, and `contributions[si]`
+    holds the same counts as sparse `(resource, uses)` pairs."""
+
+    strategies: tuple[BlockStrategy, ...]
+    usage: tuple[tuple[int, ...], ...]
+    contributions: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _layout(resources: Sequence[str], strategies: tuple[BlockStrategy, ...]) -> BlockLayout:
+    index = {r: i for i, r in enumerate(resources)}
+    usage = []
+    for strat in strategies:
+        counts = [0] * len(index)
+        for r in itertools.chain.from_iterable(strat):
+            counts[index[r]] += 1
+        usage.append(tuple(counts))
+    contributions = tuple(tuple((r, used) for r, used in enumerate(v) if used) for v in usage)
+    return BlockLayout(strategies, tuple(usage), contributions)
+
+
+@functools.lru_cache(maxsize=64)
+def _simple_layout(resources: tuple[str, ...], members: int, restricted: bool) -> BlockLayout:
+    """A block of `members` in a simple game over `resources`, on pairwise
+    distinct resources when `restricted`. Built once per process and only
+    read, since every game with these resources shares it."""
+    combos = itertools.combinations if restricted else itertools.combinations_with_replacement
+    return _layout(resources, tuple(tuple((r,) for r in c) for c in combos(resources, members)))
+
+
+def block_layout(cg: CoalitionalGame, k: int, restricted: bool = False) -> BlockLayout:
+    """Block k's canonical strategies and their resource usage.
 
     With `restricted=True` (simple games only) the members must occupy
     pairwise-distinct resources.
@@ -542,17 +585,18 @@ def canonical_block_strategies(
             raise BlockLargerThanResourceSetError(
                 f"block of {len(block)} cannot spread over {len(g.resources)} resources"
             )
-        return tuple(
-            tuple((r,) for r in combo) for combo in itertools.combinations(g.resources, len(block))
-        )
     if g.is_simple:
-        return tuple(
-            tuple((r,) for r in combo)
-            for combo in itertools.combinations_with_replacement(g.resources, len(block))
-        )
+        return _simple_layout(g.resources, len(block), restricted)
     member_sets = [g.strategy_sets[i] for i in block]
     canon = {tuple(sorted(raw, key=key)) for raw in itertools.product(*member_sets)}
-    return tuple(sorted(canon, key=lambda t: tuple(key(c) for c in t)))
+    return _layout(g.resources, tuple(sorted(canon, key=lambda t: tuple(key(c) for c in t))))
+
+
+def canonical_block_strategies(
+    cg: CoalitionalGame, k: int, restricted: bool = False
+) -> tuple[BlockStrategy, ...]:
+    """All canonical strategy tuples of block k, sorted (see `block_layout`)."""
+    return block_layout(cg, k, restricted).strategies
 
 
 def assemble_profile(
@@ -594,50 +638,29 @@ class CompiledGame:
     be common to all resources because a block's utility sums costs across
     resources; positive scaling leaves every comparison, argmax and zero test
     unchanged, so values are divided back by `scale` only when they leave
-    the kernel.
+    the kernel. The game computes both once and all its kernels share them.
 
-    The compiled blocks are `blocks` (all blocks by default), in that order;
-    for the one at position p, `strategies[p]` lists its canonical
-    strategies, `usage[p][si]` the per-resource usage counts of strategy si
-    and `contributions[p][si]` the same counts as sparse `(resource, uses)`
-    pairs. A block's utility depends on everyone else only through their
-    occupancy, so `best_reply` caches per (position, occupancy).
+    A kernel compiles some blocks, in order; for the one at position p,
+    `strategies[p]`, `usage[p]` and `contributions[p]` are its `BlockLayout`
+    (one read-only layout per block shape in simple games). A block's utility
+    depends on everyone else only through their occupancy, so `best_reply`
+    caches per (position, occupancy). The game keeps its kernels, so callers
+    on one game share these caches (see `compile_within_limit`).
     """
 
-    def __init__(
-        self, cg: CoalitionalGame, blocks: Iterable[int] | None = None, restricted: bool = False
-    ):
-        if blocks is None:
-            blocks = range(len(cg.blocks))
-        self._compile(cg.base, [canonical_block_strategies(cg, k, restricted) for k in blocks])
+    def __init__(self, g: CongestionGame, layouts: Sequence[BlockLayout]):
+        self.scale, self.costs = g._scaled
+        self.strategies = [layout.strategies for layout in layouts]
+        self.usage = [layout.usage for layout in layouts]
+        self.contributions = [layout.contributions for layout in layouts]
+        self._replies: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     @staticmethod
     def agent(g: CongestionGame) -> "CompiledGame":
-        """One sub-agent of the simple game `g` as a block of its own. It is
-        compiled once per game, so every caller shares its best replies."""
+        """One sub-agent of the simple game `g` as a block of its own: the
+        `(resources, 1, False)` layout, compiled once per game, so every
+        caller shares its best replies."""
         return g._agent
-
-    def _compile(self, g: CongestionGame, strategies: list[tuple[BlockStrategy, ...]]) -> None:
-        tables = [g.costs[r].values for r in g.resources]
-        self.scale = math.lcm(*(v.denominator for table in tables for v in table))
-        self.costs = [[v.numerator * (self.scale // v.denominator) for v in table] for table in tables]
-        self.strategies = strategies
-        index = g.resource_index()
-        self.usage = []
-        for per_block in self.strategies:
-            vectors = []
-            for strat in per_block:
-                counts = [0] * len(index)
-                for choice in strat:
-                    for r in choice:
-                        counts[index[r]] += 1
-                vectors.append(tuple(counts))
-            self.usage.append(vectors)
-        self.contributions = [
-            [tuple((r, used) for r, used in enumerate(vector) if used) for vector in per_block]
-            for per_block in self.usage
-        ]
-        self._replies: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     def best_reply(self, p: int, env: tuple[int, ...]) -> tuple[list[int], int, tuple[int, ...]]:
         """Scaled utility of every strategy of the block at position p when
@@ -685,7 +708,7 @@ class CompiledGame:
             occupancy = [env[r]]
             for vectors in self.usage:
                 occupancy = [c + vector[r] for c in occupancy for vector in vectors]
-            unit_costs.append(list(map(([0] + table).__getitem__, occupancy)))
+            unit_costs.append(list(map((0, *table).__getitem__, occupancy)))
         tables = []
         for vectors, m, stride in zip(self.usage, sizes, row_major_strides(sizes)):
             utility = [0] * n_profiles
@@ -706,24 +729,38 @@ class CompiledGame:
 
 def compile_within_limit(
     cg: CoalitionalGame,
-    blocks: Sequence[int],
+    blocks: Iterable[int],
     restricted: bool,
     limit: int | None,
-    what: str,
+    what: str | None = None,
     per_profile: int = 1,
 ) -> CompiledGame:
-    """`CompiledGame(cg, blocks, restricted)`, refused when the blocks' joint
-    canonical profiles times `per_profile` exceed the size limit. In a simple
-    game a block of m members on r resources has C(r + m - 1, m) canonical
-    strategies, C(r, m) when restricted, so the limit is checked before any
-    strategy is listed."""
-    if cg.base.is_simple:
-        r, sizes = len(cg.base.resources), [len(cg.block(k)) for k in blocks]
-        counts = [math.comb(r, m) if restricted else math.comb(r + m - 1, m) for m in sizes]
-        ensure_within_limit(math.prod(counts) * per_profile, limit, what)
-    kernel = CompiledGame(cg, blocks, restricted)
-    ensure_within_limit(math.prod(map(len, kernel.strategies)) * per_profile, limit, what)
-    return kernel
+    """The kernel of `blocks`, compiled on the game's first call and kept on
+    `cg.base`, refused on every call when it exceeds the size limit: `what`
+    names a space of the blocks' joint canonical profiles times
+    `per_profile`; without it each block's strategy count is charged alone.
+    In a simple game a block of m members on r resources has C(r + m - 1, m)
+    canonical strategies, C(r, m) when restricted, so the limit is checked
+    before any strategy is listed."""
+    blocks = tuple(blocks)
+
+    def charge(counts: list[int]) -> None:
+        bound = effective_size_limit(limit)
+        if what is None:
+            for k, count in zip(blocks, counts):
+                ensure_within_limit(count, bound, f"block {k} strategy space")
+        else:
+            ensure_within_limit(math.prod(counts) * per_profile, bound, what)
+
+    key = (cg.partition, blocks, restricted)
+    kernel = cg.base._kernels.get(key)
+    if kernel is None:
+        if cg.base.is_simple:
+            r, sizes = len(cg.base.resources), [len(cg.block(k)) for k in blocks]
+            charge([math.comb(r, m) if restricted else math.comb(r + m - 1, m) for m in sizes])
+        kernel = CompiledGame(cg.base, [block_layout(cg, k, restricted) for k in blocks])
+    charge([len(strats) for strats in kernel.strategies])
+    return cg.base._kernels.setdefault(key, kernel)
 
 
 def materialize(cg: CoalitionalGame, limit: int | None = None) -> StrategicForm:

@@ -5,10 +5,11 @@ raw (non-canonical) profiles and compute utilities through the public
 per-block utility function, so they can independently confirm solver and
 enumerator outputs on small instances. `scan_pure_ne` is the joint-profile
 scan that the suffix-subgame search replaced, kept to cross-check it report
-for report. The potential oracle checks the defining equation edge by edge
-on the rational utility mapping, independent of the fiber test the library
-uses. The form and table helpers convert between rational mappings and
-the library's flat scaled-integer tables.
+for report, and `listed_block_layout` the per-call strategy listing that the
+cached simple-game layouts replaced. The potential oracle checks the
+defining equation edge by edge on the rational utility mapping, independent
+of the fiber test the library uses. The form and table helpers convert
+between rational mappings and the library's flat scaled-integer tables.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from ccg import (
     materialize,
     player_cost,
 )
-from ccg.game import CompiledGame, validate_profile
+from ccg.game import CompiledGame, block_layout, validate_profile
 from ccg.potential import PotentialViolation
 
 
@@ -197,7 +198,7 @@ def scan_pure_ne(
 ) -> NeReport:
     """Equilibrium enumeration by testing every canonical joint profile in
     row-major order for a strictly improving block deviation."""
-    kernel = CompiledGame(cg, restricted=restricted)
+    kernel = CompiledGame(cg.base, [block_layout(cg, k, restricted) for k in range(len(cg.blocks))])
     total = math.prod(len(s) for s in kernel.strategies)
     equilibria: list[PureProfile] = []
     multiplicities: list[int] = []
@@ -213,3 +214,21 @@ def scan_pure_ne(
                 exhaustive = checked == total
                 break
     return NeReport(tuple(equilibria), tuple(multiplicities), exhaustive, checked)
+
+
+def listed_block_layout(cg: CoalitionalGame, k: int, restricted: bool = False):
+    """Block k's (strategies, usage, contributions) of a simple game, listed
+    from the resource combinations and counted choice by choice."""
+    g = cg.base
+    combos = itertools.combinations if restricted else itertools.combinations_with_replacement
+    strategies = tuple(tuple((r,) for r in combo) for combo in combos(g.resources, len(cg.blocks[k])))
+    index = g.resource_index()
+    usage = []
+    for strat in strategies:
+        counts = [0] * len(index)
+        for choice in strat:
+            for r in choice:
+                counts[index[r]] += 1
+        usage.append(tuple(counts))
+    contributions = [tuple((r, used) for r, used in enumerate(v) if used) for v in usage]
+    return strategies, usage, contributions

@@ -389,6 +389,14 @@ class TestReportContract:
         monkeypatch.delenv("CCG_SIZE_LIMIT")
         assert main(["solve", pair_file]) == 0
 
+    def test_size_limit_env_bounds_constructive_check(self, capsys, pair_file, monkeypatch):
+        # a pair on two resources has C(3, 2) = 3 canonical strategies
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "2")
+        assert main(["solve", pair_file, "--method", "theorem1"]) == 4
+        assert "block 0 strategy space needs 3 entries, limit is 2" in capsys.readouterr().err
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "3")
+        assert main(["solve", pair_file, "--method", "theorem1"]) == 0
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_malformed_size_limit_env_exits_2(self, capsys, pair_file, monkeypatch, value):
         monkeypatch.setenv("CCG_SIZE_LIMIT", value)

@@ -409,13 +409,14 @@ class TestSizeLimitBeforeCompiling:
     @pytest.fixture
     def listed(self, monkeypatch):
         calls = []
-        original = ccg.game.canonical_block_strategies
+        for name in ("block_layout", "canonical_block_strategies"):
+            original = getattr(ccg.game, name)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counting(*args, original=original, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(ccg.game, "canonical_block_strategies", counting)
+            monkeypatch.setattr(ccg.game, name, counting)
         return calls
 
     def test_refused_without_listing_strategies(self, listed):
@@ -434,6 +435,19 @@ class TestSizeLimitBeforeCompiling:
         # C(12, 8) = 495 per block
         with refused(match="joint canonical profile space needs 245025 entries"):
             enumerate_pure_ne(cg, restricted=True, limit=245024)
+        assert listed == []
+
+    def test_deviation_search_charges_each_block(self, listed, monkeypatch):
+        resources = tuple("ABCDEFGHIJKL")
+        game = CongestionGame.simple(resources, {r: range(1, 17) for r in resources})
+        cg = CoalitionalGame(game, Partition.from_one_based([range(1, 9), range(9, 17)]))
+        profile = PureProfile(tuple(("A",) for _ in range(16)))
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "75581")
+        with pytest.raises(SizeLimitExceededError, match="block 0 strategy space needs 75582"):
+            find_deviation(cg, profile)
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "494")
+        with pytest.raises(SizeLimitExceededError, match="block 0 strategy space needs 495"):
+            is_ccg_ne(cg, as_profile(game, list(resources[:8]) * 2), restricted=True)
         assert listed == []
 
     def test_oversized_subgame_refused_without_listing_strategies(self, listed, monkeypatch):

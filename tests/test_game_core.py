@@ -11,6 +11,7 @@ from ccg import (
     CostTable,
     Partition,
     as_profile,
+    canonical_block_strategies,
     canonical_multiplicity,
     canonicalize,
     coalition_utility,
@@ -25,8 +26,9 @@ from ccg.errors import (
     InvalidProfileError,
     SizeLimitExceededError,
 )
+from ccg.game import CompiledGame, block_layout
 
-from oracle_helpers import assert_kernel_matches_definition, form_utilities
+from oracle_helpers import assert_kernel_matches_definition, form_utilities, listed_block_layout
 
 
 class TestValidation:
@@ -221,6 +223,30 @@ class TestMaterialize:
         for cg in (triple_ccg, overlap_ccg):
             assert materialize(cg).scale == 1
             assert_kernel_matches_definition(cg)
+
+
+class TestBlockLayouts:
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_layouts_match_listing(self, restricted):
+        for r in range(1, 6):
+            resources = tuple("ABCDE"[:r])
+            for m in range(1, (min(r, 4) if restricted else 4) + 1):
+                cg, again = (
+                    CoalitionalGame(
+                        CongestionGame.simple(resources, {x: range(1, m + 1) for x in resources}),
+                        Partition((tuple(range(m)),)),
+                    )
+                    for _ in range(2)
+                )
+                layout = block_layout(cg, 0, restricted)
+                strategies, usage, contributions = listed_block_layout(cg, 0, restricted)
+                assert layout.strategies == canonical_block_strategies(cg, 0, restricted) == strategies
+                assert list(layout.usage) == usage
+                assert list(layout.contributions) == contributions
+                assert block_layout(again, 0, restricted) is layout
+                if m == 1 and not restricted:
+                    agent = CompiledGame.agent(cg.base)
+                    assert (agent.strategies, agent.usage) == ([layout.strategies], [layout.usage])
 
 
 class TestCostTable:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import ccg.game
 import ccg.pair_solver
 from ccg import (
     CoalitionalGame,
@@ -18,10 +19,14 @@ from ccg import (
     congestion,
     enumerate_pure_ne,
     hub_improvement_loop,
+    is_ccg_ne,
     is_ne_congestion,
+    random_game,
+    random_partition,
     solve_pair_ccg,
 )
 from ccg.errors import NotNashAtExitError, PreconditionViolatedError
+from ccg.experiments import pair_solver_sweep
 from oracle_helpers import brute_is_ccg_ne
 
 
@@ -245,10 +250,54 @@ class TestImprovementLoop:
 
 class TestRandomizedProperty:
     def test_constructive_solver_matches_brute_force(self):
-        from ccg import random_game, random_partition
-
         for trial in range(40):
             game = random_game(f"solver-prop:{trial}", 1 + trial % 6, 1 + trial % 4, "monotone")
             partition = random_partition(f"solver-prop:{trial}", game.n, min(2, game.n))
             trace = solve_pair_ccg(game, partition)
             assert brute_is_ccg_ne(CoalitionalGame(game, partition), trace.result)
+
+
+class TestOneCompilePerGame:
+    """The solver's final check, a re-check of its result and an existence
+    search on the same game share one kernel and its best-reply cache."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Every kernel built, with its game."""
+        kernels = []
+        init = ccg.game.CompiledGame.__init__
+        monkeypatch.setattr(
+            ccg.game.CompiledGame, "__init__",
+            lambda kernel, g, layouts: kernels.append((g, kernel)) or init(kernel, g, layouts),
+        )
+        return kernels
+
+    def test_recheck_builds_nothing(self, compiled):
+        for trial in range(30):
+            game = random_game(f"recheck:{trial}", 1 + trial % 6, 1 + trial % 4, "monotone")
+            partition = random_partition(f"recheck:{trial}", game.n, min(2, game.n))
+            trace = solve_pair_ccg(game, partition)
+            built = len(compiled)
+            replies = {key: len(kernel._replies) for key, kernel in game._kernels.items()}
+            assert is_ccg_ne(CoalitionalGame(game, partition), trace.result)
+            assert len(compiled) == built
+            assert {key: len(kernel._replies) for key, kernel in game._kernels.items()} == replies
+
+    def test_sweep_compiles_each_trial_once(self, compiled):
+        assert pair_solver_sweep(20, 1)["ne_nonempty"] == 20
+        by_game = {}
+        for g, kernel in compiled:
+            by_game.setdefault(id(g), (g, []))[1].append(kernel)
+        assert len(by_game) == 20
+        for g, kernels in by_game.values():
+            # its sub-agent and one coalitional kernel, on one scaled table
+            assert kernels == [g._agent, *g._kernels.values()]
+            assert {id(kernel.costs) for kernel in kernels} == {id(g._scaled[1])}
+
+    def test_large_pair_game_solves_under_default_limit(self, monkeypatch):
+        # 100 pairs of C(21, 2) = 210 strategies each: only blocks are charged
+        monkeypatch.delenv("CCG_SIZE_LIMIT", raising=False)
+        game = random_game("large-pairs", 200, 20, "convex")
+        partition = Partition.from_one_based([[i, i + 1] for i in range(1, 201, 2)])
+        trace = solve_pair_ccg(game, partition)
+        assert is_ccg_ne(CoalitionalGame(game, partition), trace.result)

@@ -16,12 +16,14 @@ from ccg import (
     CoalitionalGame,
     CongestionGame,
     CongestionVector,
+    Partition,
     PureProfile,
     assemble_profile,
     canonical_block_strategies,
     canonical_multiplicity,
     canonicalize,
     check_ne_lift_restricted,
+    coalition_best_response,
     coalition_utility,
     congestion,
     enumerate_pure_ne,
@@ -39,7 +41,7 @@ from ccg import (
     solve_pair_ccg,
     underlying_pure_ne,
 )
-from ccg.errors import BlockLargerThanResourceSetError
+from ccg.errors import BlockLargerThanResourceSetError, CcgError
 from ccg.game import validate_profile
 from ccg.instances import no_ne_overlap_fixture
 
@@ -161,6 +163,45 @@ class TestCompiledKernel:
     @given(non_simple_ccgs())
     def test_non_simple_payoffs_match_coalition_utility(self, cg):
         assert_kernel_matches_definition(cg)
+
+
+def _answer(cg, s, restricted, call):
+    """One query's result, or its error, in comparable form."""
+    name, arg = call
+    try:
+        if name == "deviation":
+            return find_deviation(cg, s, restricted)
+        if name == "best reply":
+            return coalition_best_response(cg, s, arg, restricted)
+        if name == "enumerate":
+            return enumerate_pure_ne(cg, restricted, stop_after=arg)
+        sf = materialize(cg)
+        return sf.strategies, sf.payoffs, sf.scale
+    except CcgError as exc:
+        return type(exc), str(exc)
+
+
+class TestKernelCache:
+    """A game keeps its kernels and their best replies; no sequence of
+    calls on one game object changes an answer."""
+
+    @COMMON
+    @given(st.data())
+    def test_calls_in_any_order_match_a_fresh_game(self, data):
+        kind = data.draw(st.sampled_from(("simple", "restricted", "non-simple")))
+        cg = data.draw(non_simple_ccgs() if kind == "non-simple" else simple_ccgs())
+        g, restricted = cg.base, kind == "restricted"
+        s = PureProfile(tuple(data.draw(st.sampled_from(options)) for options in g.strategy_sets))
+        call = st.one_of(
+            st.tuples(st.sampled_from(("deviation", "materialize")), st.none()),
+            st.tuples(st.just("best reply"), st.integers(0, len(cg.blocks) - 1)),
+            st.tuples(st.just("enumerate"), st.sampled_from((None, 1))),
+        )
+        for step in data.draw(st.lists(call, min_size=1, max_size=8)):
+            fresh = CoalitionalGame(
+                CongestionGame(g.resources, g.costs, g.strategy_sets), Partition(cg.blocks)
+            )
+            assert _answer(cg, s, restricted, step) == _answer(fresh, s, restricted, step)
 
 
 class TestNonSimpleEquilibria:
