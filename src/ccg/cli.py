@@ -336,21 +336,10 @@ def _cmd_experiment(args) -> tuple[dict, int]:
         "max_players": args.max_players,
         "max_resources": args.max_resources,
     }
-    ok = True
-    if args.kind == "theorem1":
-        ok = result["verified"] == args.trials and result["ne_nonempty"] == args.trials
-    elif args.kind == "theorem2":
-        ok = (
-            result["confusion"]["linear+none"] == 0
-            and result["confusion"]["nonlinear+potential"] == 0
-            and result["witness_recheck_failures"] == 0
-        )
-    else:
-        ok = result["injected_empty"]
-    verdicts = {"ok": ok, **{k: v for k, v in result.items() if k != "counterexamples"}}
+    verdicts = {k: v for k, v in result.items() if k != "counterexamples"}
     traces = {"counterexamples": result.get("counterexamples", [])}
     report = _report("experiment", inputs, _digest_params(inputs), verdicts, [], traces)
-    return report, EXIT_OK if ok else EXIT_INTERNAL
+    return report, EXIT_OK if result["ok"] else EXIT_INTERNAL
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .game import (
     row_major_strides,
     validate_profile,
 )
-from .rationals import unscale
 
 
 @dataclass(frozen=True)
@@ -210,16 +209,15 @@ def coalition_best_response(
     s: PureProfile,
     k: int,
     restricted: bool = False,
-    limit: int | None = None,
 ) -> BestReplySet:
     """Exhaustive best reply of block k against the rest of `s` (block k's
     own coordinates are ignored). Returns every maximizer."""
     validate_profile(cg.base, s)
-    kernel = compile_within_limit(cg, [k], restricted, limit)
+    kernel = compile_within_limit(cg, [k], restricted)
     strats = kernel.strategies[0]
     own = private_congestion(cg, s, k).counts
     _, best, arg = kernel.best_reply(0, tuple(map(sub, congestion(cg.base, s).counts, own)))
-    return BestReplySet(k, tuple(strats[si] for si in arg), unscale(best, kernel.scale))
+    return BestReplySet(k, tuple(strats[si] for si in arg), Fraction(best, kernel.scale))
 
 
 def find_deviation(
@@ -230,7 +228,7 @@ def find_deviation(
     replies the lexicographically first is reported. Each block's strategy
     count must be within the size limit, as for its best reply."""
     validate_profile(cg.base, s)
-    kernel = compile_within_limit(cg, range(len(cg.blocks)), restricted, None)
+    kernel = compile_within_limit(cg, range(len(cg.blocks)), restricted)
     idx = []
     for k, block in enumerate(cg.blocks):
         strat = tuple(sorted((s.choices[i] for i in block), key=cg.base.choice_key))
@@ -245,7 +243,7 @@ def find_deviation(
         return None
     k, si, current, best = found
     return DeviationWitness(
-        k, kernel.strategies[k][si], unscale(current, kernel.scale), unscale(best, kernel.scale)
+        k, kernel.strategies[k][si], Fraction(current, kernel.scale), Fraction(best, kernel.scale)
     )
 
 
@@ -284,7 +282,6 @@ def _suffix_equilibria(kernel: CompiledGame, order: list[int], background: tuple
 def enumerate_pure_ne(
     cg: CoalitionalGame,
     restricted: bool = False,
-    limit: int | None = None,
     stop_after: int | None = None,
 ) -> NeReport:
     """All equilibria over canonical joint profiles in lexicographic order,
@@ -292,7 +289,7 @@ def enumerate_pure_ne(
     plays a best reply, so its occupancy joins the background and the
     search nests at most log2(profiles) deep."""
     blocks = range(len(cg.blocks))
-    kernel = compile_within_limit(cg, blocks, restricted, limit, "joint canonical profile space")
+    kernel = compile_within_limit(cg, blocks, restricted, "joint canonical profile space")
     strats = kernel.strategies
     sizes = [len(s) for s in strats]
     total = math.prod(sizes)

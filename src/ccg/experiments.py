@@ -1,8 +1,8 @@
 """Batch experiments over seeded random instances.
 
-Each experiment returns a JSON-ready dict. All randomness comes from the
-given seed, so a (kind, seed, trials, size) tuple pins the exact instance
-stream and therefore the exact report.
+Each experiment returns a JSON-ready dict whose first key, "ok", is its pass
+rule. All randomness comes from the given seed, so a (kind, seed, trials,
+size) tuple pins the exact instance stream and therefore the exact report.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ def pair_solver_sweep(
         if not enumerate_pure_ne(cg, stop_after=1).is_empty:
             nonempty += 1
     return {
+        "ok": verified == trials and nonempty == trials,
         "kind": "theorem1",
         "trials": trials,
         "verified": verified,
@@ -102,6 +103,7 @@ def linearity_sweep(
             if again != witness.residual or again == 0:
                 witness_failures += 1
     return {
+        "ok": confusion["linear+none"] == confusion["nonlinear+potential"] == witness_failures == 0,
         "kind": "theorem2",
         "trials": trials,
         "confusion": confusion,
@@ -140,6 +142,7 @@ def block_size_sweep(
             if len(counterexamples) < MAX_REPORTED_COUNTEREXAMPLES:
                 counterexamples.append(game_to_dict(game, partition))
     return {
+        "ok": injected_empty,
         "kind": "pairs-vs-triples",
         "trials": trials,
         "empty_ne": empty,

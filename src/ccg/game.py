@@ -42,7 +42,7 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .limits import effective_size_limit, ensure_within_limit
-from .rationals import as_fraction, unscale
+from .rationals import as_fraction
 
 # A choice is a nonempty tuple of resource ids, kept sorted in the owning
 # game's resource order.
@@ -108,10 +108,11 @@ class CongestionGame:
 
     The resource order is significant: it is the tie-break order for
     best-response dynamics and the canonical sort order for choices.
-    `is_simple`, the resource positions behind `choice_key`, the scaled cost
-    tables, the compiled sub-agent behind `CompiledGame.agent` and the
-    coalitional kernels of `compile_within_limit` are computed once per game;
-    equality and hashing see the fields only.
+    `is_simple`, the resource positions behind `choice_key`, the violations
+    behind `require_valid`, the scaled cost tables, the compiled sub-agent
+    behind `CompiledGame.agent` and the coalitional kernels of
+    `compile_within_limit` are computed once per game; equality and hashing
+    see the fields only.
     """
 
     resources: tuple[str, ...]
@@ -180,6 +181,10 @@ class CongestionGame:
         tables = [self.costs[r].values for r in self.resources]
         scale = math.lcm(*(v.denominator for table in tables for v in table))
         return scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in t) for t in tables)
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        return validate_game(self)
 
     @cached_property
     def _agent(self) -> "CompiledGame":
@@ -370,7 +375,7 @@ class StrategicForm:
         return sum(p * s for p, s in zip(profile, self.strides))
 
     def utility(self, profile: tuple[int, ...], player: int) -> Fraction:
-        return unscale(self.payoffs[player][self.index(profile)], self.scale)
+        return Fraction(self.payoffs[player][self.index(profile)], self.scale)
 
     def num_profiles(self) -> int:
         return math.prod(len(s) for s in self.strategies)
@@ -433,7 +438,7 @@ def validate_game(g: CongestionGame) -> tuple[Violation, ...]:
 
 
 def require_valid(g: CongestionGame) -> None:
-    problems = validate_game(g)
+    problems = g._violations
     if problems:
         detail = "; ".join(f"{v.code} at {v.where}: {v.message}" for v in problems)
         raise InvalidGameError(detail)
@@ -731,7 +736,6 @@ def compile_within_limit(
     cg: CoalitionalGame,
     blocks: Iterable[int],
     restricted: bool,
-    limit: int | None,
     what: str | None = None,
     per_profile: int = 1,
 ) -> CompiledGame:
@@ -745,12 +749,13 @@ def compile_within_limit(
     blocks = tuple(blocks)
 
     def charge(counts: list[int]) -> None:
-        bound = effective_size_limit(limit)
-        if what is None:
-            for k, count in zip(blocks, counts):
-                ensure_within_limit(count, bound, f"block {k} strategy space")
-        else:
-            ensure_within_limit(math.prod(counts) * per_profile, bound, what)
+        if what is not None:
+            ensure_within_limit(math.prod(counts) * per_profile, what)
+            return
+        bound = effective_size_limit()  # read once per charge, not once per block
+        for k, count in zip(blocks, counts):
+            if count > bound:
+                ensure_within_limit(count, f"block {k} strategy space")
 
     key = (cg.partition, blocks, restricted)
     kernel = cg.base._kernels.get(key)
@@ -763,7 +768,7 @@ def compile_within_limit(
     return cg.base._kernels.setdefault(key, kernel)
 
 
-def materialize(cg: CoalitionalGame, limit: int | None = None) -> StrategicForm:
+def materialize(cg: CoalitionalGame) -> StrategicForm:
     """Flatten a coalitional game into a normal-form game.
 
     Players are the blocks; strategies are canonical member-choice tuples in
@@ -773,5 +778,5 @@ def materialize(cg: CoalitionalGame, limit: int | None = None) -> StrategicForm:
     """
     blocks = range(len(cg.blocks))
     what = "materialized utility table"
-    kernel = compile_within_limit(cg, blocks, False, limit, what, len(blocks))
+    kernel = compile_within_limit(cg, blocks, False, what, len(blocks))
     return kernel.form([0] * len(cg.base.resources))

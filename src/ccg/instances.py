@@ -83,7 +83,7 @@ class FixtureReport:
         return all(r.passed for r in self.results)
 
 
-def evaluate_fixture(fx: Fixture, limit: int | None = None) -> FixtureReport:
+def evaluate_fixture(fx: Fixture) -> FixtureReport:
     """Recompute every recorded claim of a fixture.
 
     Matrix cells must match recomputation exactly, except the cells listed
@@ -92,7 +92,7 @@ def evaluate_fixture(fx: Fixture, limit: int | None = None) -> FixtureReport:
     game.
     """
     cg = CoalitionalGame(fx.game, fx.partition)
-    sf = materialize(cg, limit=limit)
+    sf = materialize(cg)
     if sf.players != 2 and fx.matrix_claims:
         raise NotTwoBlocksError(f"{fx.key}: matrix claims need exactly two blocks")
     rows = {label: i for i, label in enumerate(sf.strategies[0])}
@@ -123,7 +123,7 @@ def evaluate_fixture(fx: Fixture, limit: int | None = None) -> FixtureReport:
             results.append(ClaimResult(cell, should_differ, detail))
 
     if fx.ne_is_empty is not None:
-        report = enumerate_pure_ne(cg, limit=limit)
+        report = enumerate_pure_ne(cg)
         ok = report.is_empty == fx.ne_is_empty
         results.append(
             ClaimResult(
@@ -133,7 +133,7 @@ def evaluate_fixture(fx: Fixture, limit: int | None = None) -> FixtureReport:
             )
         )
     if fx.potential_exists is not None:
-        verdict = exact_potential(sf, limit=limit)
+        verdict = exact_potential(sf)
         ok = verdict.has_potential == fx.potential_exists
         results.append(
             ClaimResult(

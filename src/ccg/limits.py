@@ -2,8 +2,8 @@
 
 Exhaustive operations (materialization, equilibrium enumeration, potential
 sweeps) refuse inputs whose search space exceeds a bound instead of silently
-thrashing. The bound defaults to ten million table cells and can be overridden
-per call or through the ``CCG_SIZE_LIMIT`` environment variable.
+thrashing. The bound defaults to ten million table cells; the only way to
+set it is the ``CCG_SIZE_LIMIT`` environment variable, read on every check.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ DEFAULT_SIZE_LIMIT = 10_000_000
 SIZE_LIMIT_ENV = "CCG_SIZE_LIMIT"
 
 
-def effective_size_limit(limit: int | None = None) -> int:
-    if limit is not None:
-        return limit
+def effective_size_limit() -> int:
     raw = os.environ.get(SIZE_LIMIT_ENV)
     if raw is not None:
         try:
@@ -32,7 +30,7 @@ def effective_size_limit(limit: int | None = None) -> int:
     return DEFAULT_SIZE_LIMIT
 
 
-def ensure_within_limit(count: int, limit: int | None, what: str) -> None:
-    bound = effective_size_limit(limit)
+def ensure_within_limit(count: int, what: str) -> None:
+    bound = effective_size_limit()
     if count > bound:
         raise SizeLimitExceededError(f"{what} needs {count} entries, limit is {bound}")

@@ -50,7 +50,6 @@ from .game import (
     profile_at,
 )
 from .limits import ensure_within_limit
-from .rationals import unscale
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +137,7 @@ class EquivalenceVerdict:
     form: StrategicForm
 
 
-def build_potential_by_path(game: StrategicForm, limit: int | None = None) -> PotentialTable:
+def build_potential_by_path(game: StrategicForm) -> PotentialTable:
     """Integrate utility differences along one-coordinate steps from the
     all-first-strategies profile (anchored at zero).
 
@@ -149,7 +148,7 @@ def build_potential_by_path(game: StrategicForm, limit: int | None = None) -> Po
     `verify_exact_potential`.
     """
     n_profiles = game.num_profiles()
-    ensure_within_limit(n_profiles, limit, "potential table")
+    ensure_within_limit(n_profiles, "potential table")
     values = [0] * n_profiles
     for j, (m, stride) in enumerate(zip(game.sizes, game.strides)):
         u = game.payoffs[j]
@@ -216,8 +215,8 @@ def verify_exact_potential(
         profile_at(start, game.sizes),
         i,
         t,
-        unscale(potential[start] - potential[other], scale),
-        unscale(u[start] - u[other], scale),
+        Fraction(potential[start] - potential[other], scale),
+        Fraction(u[start] - u[other], scale),
     )
 
 
@@ -256,7 +255,7 @@ def four_cycle_residual(
 
     step_i = (t_i - s[i]) * game.strides[i]
     step_j = (t_j - s[j]) * game.strides[j]
-    return unscale(_square_residual(game, i, j, game.index(s), step_i, step_j), game.scale)
+    return Fraction(_square_residual(game, i, j, game.index(s), step_i, step_j), game.scale)
 
 
 def _find_nonzero_cycle(game: StrategicForm) -> FourCycleWitness | None:
@@ -276,19 +275,19 @@ def _find_nonzero_cycle(game: StrategicForm) -> FourCycleWitness | None:
                         residual = _square_residual(game, i, j, f, step_i, step_j)
                         if residual:
                             return FourCycleWitness(
-                                i, j, profile_at(f, sizes), t_i, t_j, unscale(residual, game.scale)
+                                i, j, profile_at(f, sizes), t_i, t_j, Fraction(residual, game.scale)
                             )
     return None
 
 
-def exact_potential(game: StrategicForm, limit: int | None = None) -> PotentialVerdict:
+def exact_potential(game: StrategicForm) -> PotentialVerdict:
     """Decide exact-potential existence; return the table or a witness.
 
     If an exact potential exists, path integration reconstructs it (up to
     the anchoring constant), so verification failure proves non-existence
     and guarantees a nonzero four-cycle can be found.
     """
-    candidate = build_potential_by_path(game, limit=limit)
+    candidate = build_potential_by_path(game)
     ok, _ = verify_exact_potential(game, candidate)
     if ok:
         return PotentialVerdict(candidate, None)
@@ -321,9 +320,7 @@ def linearity_report(g: CongestionGame) -> dict[str, LinearityEntry]:
     return {r: is_linear(g.costs[r]) for r in g.resources}
 
 
-def check_linearity_equivalence(
-    g: CongestionGame, partition: Partition, limit: int | None = None
-) -> EquivalenceVerdict:
+def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> EquivalenceVerdict:
     """Run both sides of the linearity/potential equivalence.
 
     Applicable when the base game is simple with at least two resources and
@@ -337,8 +334,8 @@ def check_linearity_equivalence(
     partition.validate_for(g.n)
     report = linearity_report(g)
     all_linear = all(entry.linear for entry in report.values())
-    form = materialize(CoalitionalGame(g, partition), limit=limit)
-    verdict = exact_potential(form, limit=limit)
+    form = materialize(CoalitionalGame(g, partition))
+    verdict = exact_potential(form)
     applicable = (
         bool(partition.singletons()) and bool(partition.pairs()) and len(g.resources) >= 2
     )
@@ -389,4 +386,4 @@ def fix_strategies_subgame(
         for r in frozen.choices[i]:
             env[index[r]] += 1
     what = "materialized utility table"
-    return compile_within_limit(cg, free, False, None, what, len(free)).form(env)
+    return compile_within_limit(cg, free, False, what, len(free)).form(env)

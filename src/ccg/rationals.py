@@ -3,7 +3,7 @@
 Values enter the package as ints, Fractions or "p/q" strings; floats are
 rejected on input so that every comparison stays exact. Inner loops work on
 integers scaled by a common denominator (see `game.CompiledGame`), and
-values are divided back into rationals only when they leave a kernel.
+every value leaving a kernel becomes `Fraction(value, scale)`.
 """
 
 from __future__ import annotations
@@ -31,12 +31,6 @@ def as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise GameFileError(f"bad rational literal {value!r}") from exc
     raise TypeError(f"expected int, Fraction, or 'p/q' string, got {type(value).__name__}")
-
-
-def unscale(numerator: int, scale: int):
-    """The exact value `numerator / scale`: a plain int when `scale` is 1,
-    otherwise a Fraction."""
-    return numerator if scale == 1 else Fraction(numerator, scale)
 
 
 def format_rational(value: Fraction):

@@ -6,6 +6,7 @@ import re
 import pytest
 
 import ccg.cli
+import ccg.game
 import ccg.potential
 from ccg import CoalitionalGame, Partition, PureProfile, find_deviation
 from ccg.cli import main, render_text
@@ -332,6 +333,19 @@ class TestWorkDone:
             calls.clear()
             assert main(["potential", path]) == code
             assert len(calls) == 1
+
+    def test_theorem1_validates_the_game_once(self, capsys, monkeypatch, pair_file):
+        # cli._load and solve_pair_ccg both require a valid game
+        calls = []
+        original = ccg.game.validate_game
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(ccg.game, "validate_game", counting)
+        assert main(["solve", pair_file, "--method", "theorem1"]) == 0
+        assert len(calls) == 1
 
 
 class TestReportContract:

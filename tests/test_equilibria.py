@@ -33,6 +33,7 @@ from ccg import (
 from ccg.errors import (
     BlockLargerThanResourceSetError,
     InvalidBlockError,
+    InvalidParamsError,
     InvalidVectorError,
     PreconditionViolatedError,
     SizeLimitExceededError,
@@ -133,10 +134,11 @@ class TestCoalitionBestResponse:
 
             assert coalition_utility(pair_ccg, PureProfile(tuple(choices)), 0) == br.value
 
-    def test_size_limit(self, triple_ccg):
+    def test_size_limit(self, triple_ccg, monkeypatch):
         s = as_profile(triple_ccg.base, ["A", "A", "A", "A"])
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "2")
         with pytest.raises(SizeLimitExceededError):
-            coalition_best_response(triple_ccg, s, 0, limit=2)
+            coalition_best_response(triple_ccg, s, 0)
 
     @pytest.mark.parametrize("k", [2, 5, -1])
     def test_block_outside_game(self, pair_ccg, k):
@@ -215,9 +217,10 @@ class TestEnumerate:
         assert len(report.equilibria) == 1
         assert not report.exhaustive
 
-    def test_size_limit(self, triple_ccg):
+    def test_size_limit(self, triple_ccg, monkeypatch):
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "4")
         with pytest.raises(SizeLimitExceededError):
-            enumerate_pure_ne(triple_ccg, limit=4)
+            enumerate_pure_ne(triple_ccg)
 
     def test_stop_after_matches_joint_profile_scan(self, triple_game):
         cg = CoalitionalGame(triple_game, Partition.discrete(4))
@@ -419,7 +422,7 @@ class TestSizeLimitBeforeCompiling:
             monkeypatch.setattr(ccg.game, name, counting)
         return calls
 
-    def test_refused_without_listing_strategies(self, listed):
+    def test_refused_without_listing_strategies(self, listed, monkeypatch):
         resources = tuple("ABCDEFGHIJKL")
         game = CongestionGame.simple(resources, {r: range(1, 17) for r in resources})
         cg = CoalitionalGame(game, Partition.from_one_based([range(1, 9), range(9, 17)]))
@@ -430,11 +433,13 @@ class TestSizeLimitBeforeCompiling:
             enumerate_pure_ne(cg)
         with refused(match="materialized utility table needs 11425277448 entries"):
             materialize(cg)
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "75581")
         with refused(match="block 1 strategy space needs 75582 entries, limit is 75581"):
-            coalition_best_response(cg, profile, 1, limit=75581)
+            coalition_best_response(cg, profile, 1)
         # C(12, 8) = 495 per block
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "245024")
         with refused(match="joint canonical profile space needs 245025 entries"):
-            enumerate_pure_ne(cg, restricted=True, limit=245024)
+            enumerate_pure_ne(cg, restricted=True)
         assert listed == []
 
     def test_deviation_search_charges_each_block(self, listed, monkeypatch):
@@ -463,7 +468,7 @@ class TestSizeLimitBeforeCompiling:
         assert listed == []
 
     @pytest.mark.parametrize("restricted", [False, True])
-    def test_counts_equal_listed_strategies(self, listed, restricted):
+    def test_counts_equal_listed_strategies(self, listed, monkeypatch, restricted):
         for r in range(1, 5):
             for m in range(1, r + 1 if restricted else 5):
                 costs = {x: range(m + 1) for x in "ABCD"[:r]}
@@ -471,7 +476,15 @@ class TestSizeLimitBeforeCompiling:
                 cg = CoalitionalGame(game, Partition.from_one_based([range(1, m + 1), [m + 1]]))
                 total = len(canonical_block_strategies(cg, 0, restricted)) * r
                 listed.clear()
-                with pytest.raises(SizeLimitExceededError, match=f"needs {total} entries"):
-                    enumerate_pure_ne(cg, restricted=restricted, limit=total - 1)
+                monkeypatch.setenv("CCG_SIZE_LIMIT", str(total - 1))
+                # a one-profile game would need a zero bound, which is refused as a setting
+                refusal = (
+                    pytest.raises(SizeLimitExceededError, match=f"needs {total} entries")
+                    if total > 1
+                    else pytest.raises(InvalidParamsError, match="must be positive, got 0")
+                )
+                with refusal:
+                    enumerate_pure_ne(cg, restricted=restricted)
                 assert listed == []
-                assert enumerate_pure_ne(cg, restricted=restricted, limit=total).exhaustive
+                monkeypatch.setenv("CCG_SIZE_LIMIT", str(total))
+                assert enumerate_pure_ne(cg, restricted=restricted).exhaustive

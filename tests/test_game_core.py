@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,23 @@ from ccg import (
     CongestionGame,
     CostTable,
     Partition,
+    StrategicForm,
     as_profile,
+    build_potential_by_path,
     canonical_block_strategies,
     canonical_multiplicity,
     canonicalize,
+    check_linearity_equivalence,
+    coalition_best_response,
     coalition_utility,
     congestion,
+    enumerate_pure_ne,
+    evaluate_fixture,
+    exact_potential,
+    find_deviation,
+    fix_strategies_subgame,
     materialize,
+    no_ne_triple_fixture,
     player_cost,
     private_congestion,
     validate_game,
@@ -26,7 +37,8 @@ from ccg.errors import (
     InvalidProfileError,
     SizeLimitExceededError,
 )
-from ccg.game import CompiledGame, block_layout
+from ccg.game import CompiledGame, block_layout, compile_within_limit
+from ccg.limits import effective_size_limit, ensure_within_limit
 
 from oracle_helpers import assert_kernel_matches_definition, form_utilities, listed_block_layout
 
@@ -204,9 +216,10 @@ class TestMaterialize:
             for i in range(4):
                 assert values[i] == -player_cost(triple_game, profile, i)
 
-    def test_size_limit(self, triple_ccg):
+    def test_size_limit(self, triple_ccg, monkeypatch):
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "3")
         with pytest.raises(SizeLimitExceededError):
-            materialize(triple_ccg, limit=3)
+            materialize(triple_ccg)
 
     def test_mixed_denominators_share_one_scale(self):
         g = CongestionGame(
@@ -267,3 +280,44 @@ class TestCostTable:
 def test_public_names_are_sorted_unique_and_resolve():
     assert ccg.__all__ == sorted(set(ccg.__all__))
     assert [name for name in ccg.__all__ if not hasattr(ccg, name)] == []
+
+
+# A hand-built 2x2 form, not materialized from any game.
+HAND_BUILT = StrategicForm((("a", "b"), ("c", "d")), ((0, 1, 2, 3), (3, 2, 1, 0)), 1)
+
+EXHAUSTIVE_ENTRY_POINTS = {
+    "materialize": materialize,
+    "enumerate_pure_ne": enumerate_pure_ne,
+    "coalition_best_response": lambda cg: coalition_best_response(cg, as_profile(cg.base, "AAAA"), 0),
+    "find_deviation": lambda cg: find_deviation(cg, as_profile(cg.base, "AAAA")),
+    "fix_strategies_subgame": lambda cg: fix_strategies_subgame(cg, {}, [0, 1]),
+    "build_potential_by_path": lambda cg: build_potential_by_path(HAND_BUILT),
+    "exact_potential": lambda cg: exact_potential(HAND_BUILT),
+    "check_linearity_equivalence": lambda cg: check_linearity_equivalence(
+        cg.base, Partition.from_one_based([[1, 2], [3], [4]])
+    ),
+    "evaluate_fixture": lambda cg: evaluate_fixture(no_ne_triple_fixture()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXHAUSTIVE_ENTRY_POINTS))
+def test_size_limit_setting_bounds_every_exhaustive_entry_point(name, triple_ccg, monkeypatch):
+    run = EXHAUSTIVE_ENTRY_POINTS[name]
+    monkeypatch.delenv("CCG_SIZE_LIMIT", raising=False)
+    run(triple_ccg)
+    monkeypatch.setenv("CCG_SIZE_LIMIT", "1")
+    with pytest.raises(SizeLimitExceededError, match="limit is 1$"):
+        run(triple_ccg)
+
+
+def test_no_public_function_takes_a_limit():
+    internal = [compile_within_limit, ensure_within_limit, effective_size_limit]
+    public = [getattr(ccg, name) for name in ccg.__all__]
+    takes_limit = [
+        obj.__name__
+        for obj in public + internal
+        if callable(obj)
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+        and "limit" in inspect.signature(obj).parameters
+    ]
+    assert takes_limit == []
