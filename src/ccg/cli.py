@@ -60,8 +60,6 @@ from .potential import (
     FourCycleWitness,
     PotentialTable,
     check_linearity_equivalence,
-    exact_potential,
-    linearity_report,
 )
 from .rationals import format_rational, format_scaled
 
@@ -229,25 +227,16 @@ def _cmd_solve(args) -> tuple[dict, int]:
 
 def _cmd_potential(args) -> tuple[dict, int]:
     game, partition, digest = _load(args.file)
-    if game.is_simple:
-        equivalence = check_linearity_equivalence(game, partition)
-        sf, verdict = equivalence.form, equivalence.potential
-        linearity, all_linear = equivalence.linearity, equivalence.all_linear
-        equivalence_json = _equivalence_json(equivalence)
-    else:
-        sf = materialize(CoalitionalGame(game, partition))
-        verdict = exact_potential(sf)
-        linearity = linearity_report(game)
-        all_linear = all(entry.linear for entry in linearity.values())
-        equivalence_json = None
+    eq = check_linearity_equivalence(game, partition)
+    sf, verdict = eq.form, eq.potential
     verdicts = {
         "has_potential": verdict.has_potential,
-        "all_linear": all_linear,
-        "equivalence": equivalence_json,
+        "all_linear": eq.all_linear,
+        "equivalence": _equivalence_json(eq) if game.is_simple else None,
     }
     witnesses = [] if verdict.witness is None else [_witness_json(sf, verdict.witness)]
     traces = {
-        "linearity": _linearity_json(linearity),
+        "linearity": _linearity_json(eq.linearity),
         "potential_table": None if verdict.table is None else _table_json(sf, verdict.table),
     }
     code = EXIT_OK if verdict.has_potential else EXIT_NONE_EXISTS

@@ -3,9 +3,9 @@
 Covers the underlying simple game (best-response dynamics driven by the
 classic Rosenthal potential), coalition best replies, exhaustive coalitional
 equilibrium enumeration, the restricted variant where block members must
-occupy distinct resources, and executable checkers for the two lifting
-statements: an equilibrium congestion vector realized with per-block-distinct
-resources is an equilibrium of the coalitional game (restricted or not).
+occupy distinct resources, and one executable checker, with a restricted
+flag, for the lifting statement: an equilibrium congestion vector realized
+with per-block-distinct resources is an equilibrium of the coalitional game.
 
 Enumeration searches suffix subgames, not every joint profile: the blocks
 from position j on depend on those before j only through their occupancy.
@@ -26,10 +26,10 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .errors import (
+    InvalidParamsError,
     InvalidVectorError,
     NeLiftViolationError,
     PreconditionViolatedError,
-    RestrictedNeLiftViolationError,
 )
 from .game import (
     BlockStrategy,
@@ -288,6 +288,8 @@ def enumerate_pure_ne(
     or the first `stop_after`. A block with one canonical strategy always
     plays a best reply, so its occupancy joins the background and the
     search nests at most log2(profiles) deep."""
+    if stop_after is not None and stop_after < 1:
+        raise InvalidParamsError(f"stop_after must be at least 1, got {stop_after}")
     blocks = range(len(cg.blocks))
     kernel = compile_within_limit(cg, blocks, restricted, "joint canonical profile space")
     strats = kernel.strategies
@@ -326,46 +328,31 @@ def in_restricted_space(cg: CoalitionalGame, s: PureProfile) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Lifting checks
+# Lifting check
 #
-# Both checks are executable assertions: when applicable, a failure is an
-# implementation bug, not a legitimate outcome, so they raise.
+# An executable assertion: when applicable, a failure is an implementation
+# bug, not a legitimate outcome, so it raises.
 
 
-def check_ne_lift(cg: CoalitionalGame, s: PureProfile) -> LiftVerdict:
+def check_ne_lift(cg: CoalitionalGame, s: PureProfile, restricted: bool = False) -> LiftVerdict:
     """Applicable when block members occupy pairwise-distinct resources and
     the congestion vector is an equilibrium vector of the simple base game;
-    then `s` must be an equilibrium of the coalitional game."""
+    then `s` must be an equilibrium of the coalitional game. With
+    `restricted`, only restricted deviations count, and `s` itself must lie
+    in the restricted space."""
+    what = "restricted lift check" if restricted else "lift check"
     if not cg.base.is_simple:
-        raise PreconditionViolatedError("lift check needs a simple base game")
+        raise PreconditionViolatedError(f"{what} needs a simple base game")
     validate_profile(cg.base, s)
-    applicable = in_restricted_space(cg, s) and is_ne_congestion(cg.base, congestion(cg.base, s))
-    if not applicable:
+    distinct = in_restricted_space(cg, s)
+    if restricted and not distinct:
+        raise PreconditionViolatedError("profile assigns one block two sub-agents on one resource")
+    if not (distinct and is_ne_congestion(cg.base, congestion(cg.base, s))):
         return LiftVerdict(False, None)
-    witness = find_deviation(cg, s)
+    witness = find_deviation(cg, s, restricted=restricted)
     if witness is not None:
         raise NeLiftViolationError(
-            f"block {witness.block} improves from {witness.current_value} "
-            f"to {witness.best_value} via {witness.strategy}"
-        )
-    return LiftVerdict(True, True)
-
-
-def check_ne_lift_restricted(cg: CoalitionalGame, s: PureProfile) -> LiftVerdict:
-    """Same statement against restricted deviations only. `s` itself must lie
-    in the restricted space."""
-    if not cg.base.is_simple:
-        raise PreconditionViolatedError("restricted lift check needs a simple base game")
-    validate_profile(cg.base, s)
-    if not in_restricted_space(cg, s):
-        raise PreconditionViolatedError("profile assigns one block two sub-agents on one resource")
-    applicable = is_ne_congestion(cg.base, congestion(cg.base, s))
-    if not applicable:
-        return LiftVerdict(False, None)
-    witness = find_deviation(cg, s, restricted=True)
-    if witness is not None:
-        raise RestrictedNeLiftViolationError(
-            f"block {witness.block} improves from {witness.current_value} "
+            f"{what}: block {witness.block} improves from {witness.current_value} "
             f"to {witness.best_value} via {witness.strategy}"
         )
     return LiftVerdict(True, True)

@@ -74,10 +74,6 @@ class NeLiftViolationError(InvariantViolationError):
     coalition equilibrium check."""
 
 
-class RestrictedNeLiftViolationError(InvariantViolationError):
-    """Same as NeLiftViolationError, against restricted deviations."""
-
-
 class LinearityEquivalenceViolationError(InvariantViolationError):
     """Cost linearity and exact-potential existence disagreed on a game
     where they must coincide."""

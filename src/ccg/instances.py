@@ -28,7 +28,6 @@ from .game import (
     Partition,
     materialize,
 )
-from .gamefile import game_to_dict
 from .potential import exact_potential
 from .rationals import as_fraction, format_rational
 
@@ -143,23 +142,6 @@ def evaluate_fixture(fx: Fixture) -> FixtureReport:
             )
         )
     return FixtureReport(fx.key, tuple(results), tuple(discrepancies))
-
-
-def fixture_manifest(fx: Fixture) -> dict:
-    """JSON-ready export of a fixture: its game file object plus every
-    recorded claim, so external harnesses can re-check them."""
-    return {
-        "key": fx.key,
-        "title": fx.title,
-        "game": game_to_dict(fx.game, fx.partition),
-        "matrix_claims": [
-            {"cell": [c.row, c.col], "value": [format_rational(v) for v in c.published]}
-            for c in fx.matrix_claims
-        ],
-        "expected_discrepancies": [list(cell) for cell in fx.expected_discrepancies],
-        "ne_is_empty": fx.ne_is_empty,
-        "potential_exists": fx.potential_exists,
-    }
 
 
 # ---------------------------------------------------------------------------

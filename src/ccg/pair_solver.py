@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .errors import (
     LoopBoundExceededError,
+    MismatchedResourcesError,
     NotNashAtExitError,
     PreconditionViolatedError,
     RearrangementInfeasibleError,
@@ -44,6 +45,7 @@ from .game import (
     canonicalize,
     congestion,
     require_valid,
+    validate_profile,
 )
 
 CASE_DISTINCT = "distinct"
@@ -92,6 +94,7 @@ def arrange_distinct(g: CongestionGame, partition: Partition, c: CongestionVecto
     fill the leftover slots in resource order. Feasibility follows from the
     capacity bound, so the failure path signals a bug.
     """
+    partition.validate_for(g.n)
     if not is_ne_congestion(g, c):
         raise PreconditionViolatedError("arrangement needs an equilibrium congestion vector")
     if max(c.counts) > partition.n_blocks:
@@ -134,6 +137,9 @@ def arrange_hub(
     block order; the remaining second members fill the off-hub slots in
     resource order.
     """
+    partition.validate_for(g.n)
+    if hub not in g.resources:
+        raise MismatchedResourcesError(f"unknown hub resource {hub!r}")
     if not is_ne_congestion(g, c):
         raise PreconditionViolatedError("arrangement needs an equilibrium congestion vector")
     hub_idx = g.resources.index(hub)
@@ -175,6 +181,10 @@ def hub_improvement_loop(
     (ties to the lowest resource index). No move creates a new doubled pair,
     so the loop runs at most once per initially doubled pair.
     """
+    partition.validate_for(g.n)
+    validate_profile(g, s)
+    if hub not in g.resources:
+        raise MismatchedResourcesError(f"unknown hub resource {hub!r}")
     index = g.resource_index()
     hub_idx = index[hub]
     kernel = CompiledGame.agent(g)

@@ -20,6 +20,8 @@ The module also ties potential existence back to congestion structure: for a
 simple game with a partition containing at least one singleton and one pair
 (and at least two resources), an induced coalitional game has an exact
 potential exactly when every resource cost table is affine.
+`check_linearity_equivalence` decides both sides for any game and marks a
+game outside that shape, a non-simple one included, as not applicable.
 """
 
 from __future__ import annotations
@@ -321,23 +323,20 @@ def linearity_report(g: CongestionGame) -> dict[str, LinearityEntry]:
 
 
 def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> EquivalenceVerdict:
-    """Run both sides of the linearity/potential equivalence.
+    """Run both sides of the linearity/potential equivalence on any game.
 
     Applicable when the base game is simple with at least two resources and
     the partition holds at least one singleton and one pair (with a single
     resource the strategy space is trivial, so a potential exists no matter
     the cost shape). When applicable the two verdicts must agree; raises
-    otherwise. Both are computed regardless so the caller always sees them.
+    otherwise. Both are computed for every game so the caller sees them.
     """
-    if not g.is_simple:
-        raise PreconditionViolatedError("equivalence check needs a simple game")
-    partition.validate_for(g.n)
-    report = linearity_report(g)
-    all_linear = all(entry.linear for entry in report.values())
     form = materialize(CoalitionalGame(g, partition))
     verdict = exact_potential(form)
+    report = linearity_report(g)
+    all_linear = all(entry.linear for entry in report.values())
     applicable = (
-        bool(partition.singletons()) and bool(partition.pairs()) and len(g.resources) >= 2
+        g.is_simple and bool(partition.singletons()) and bool(partition.pairs()) and len(g.resources) >= 2
     )
     consistent: bool | None = None
     if applicable:

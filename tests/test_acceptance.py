@@ -17,7 +17,6 @@ from ccg import (
     assemble_profile,
     canonical_block_strategies,
     check_ne_lift,
-    check_ne_lift_restricted,
     congestion,
     enumerate_pure_ne,
     evaluate_fixture,
@@ -139,7 +138,7 @@ def test_a6_lift_checks_hold_on_200_random_instances():
             s = assemble_profile(cg, list(combo))
             if not is_ne_congestion(game, congestion(game, s)):
                 continue
-            for verdict in (check_ne_lift(cg, s), check_ne_lift_restricted(cg, s)):
+            for verdict in (check_ne_lift(cg, s), check_ne_lift(cg, s, restricted=True)):
                 assert verdict.applicable and verdict.holds
             checked += 1
             per_game += 1

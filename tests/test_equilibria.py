@@ -5,17 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+import ccg.equilibria
 import ccg.game
 from ccg import (
     CoalitionalGame,
     CongestionGame,
     CongestionVector,
+    DeviationWitness,
     Partition,
     PureProfile,
     as_profile,
     canonical_block_strategies,
     check_ne_lift,
-    check_ne_lift_restricted,
     coalition_best_response,
     coalition_utility,
     congestion,
@@ -35,6 +36,7 @@ from ccg.errors import (
     InvalidBlockError,
     InvalidParamsError,
     InvalidVectorError,
+    NeLiftViolationError,
     PreconditionViolatedError,
     SizeLimitExceededError,
 )
@@ -222,6 +224,13 @@ class TestEnumerate:
         with pytest.raises(SizeLimitExceededError):
             enumerate_pure_ne(triple_ccg)
 
+    @pytest.mark.parametrize("stop_after", [0, -1])
+    def test_stop_after_below_one_refused_before_compiling(self, triple_game, stop_after):
+        cg = CoalitionalGame(triple_game, Partition.discrete(4))
+        with pytest.raises(InvalidParamsError, match=f"stop_after must be at least 1, got {stop_after}"):
+            enumerate_pure_ne(cg, stop_after=stop_after)
+        assert not cg.base._kernels
+
     def test_stop_after_matches_joint_profile_scan(self, triple_game):
         cg = CoalitionalGame(triple_game, Partition.discrete(4))
         for stop_after in (None, 1, 2, 5, 6, 7):
@@ -357,13 +366,28 @@ class TestLiftChecks:
 
     def test_restricted_variant_holds(self, pair_ccg):
         s = as_profile(pair_ccg.base, ["A", "B", "A", "B"])
-        verdict = check_ne_lift_restricted(pair_ccg, s)
+        verdict = check_ne_lift(pair_ccg, s, restricted=True)
         assert verdict.applicable and verdict.holds
 
     def test_restricted_variant_rejects_doubled_profile(self, pair_ccg):
         s = as_profile(pair_ccg.base, ["A", "A", "B", "B"])
         with pytest.raises(PreconditionViolatedError):
-            check_ne_lift_restricted(pair_ccg, s)
+            check_ne_lift(pair_ccg, s, restricted=True)
+
+    def test_restricted_flag_reaches_deviation_search(self, pair_ccg, monkeypatch):
+        s = as_profile(pair_ccg.base, ["A", "B", "A", "B"])
+        flags = []
+
+        def improving(cg, profile, restricted=False):
+            flags.append(restricted)
+            return DeviationWitness(0, (("A",), ("B",)), Fraction(-3), Fraction(-2))
+
+        monkeypatch.setattr(ccg.equilibria, "find_deviation", improving)
+        with pytest.raises(NeLiftViolationError, match="^restricted lift check: block 0 improves"):
+            check_ne_lift(pair_ccg, s, restricted=True)
+        with pytest.raises(NeLiftViolationError, match="^lift check: block 0 improves"):
+            check_ne_lift(pair_ccg, s)
+        assert flags == [True, False]
 
     def test_restricted_deviation_search_rejects_doubled_profile(self, pair_ccg):
         s = as_profile(pair_ccg.base, ["A", "A", "B", "B"])
@@ -375,7 +399,7 @@ class TestLiftChecks:
         cg = CoalitionalGame(g, Partition.discrete(3))
         s = as_profile(g, ["A", "B", "C"])
         assert is_ne_congestion(g, congestion(g, s))
-        verdict = check_ne_lift_restricted(cg, s)
+        verdict = check_ne_lift(cg, s, restricted=True)
         assert verdict.applicable and verdict.holds
 
 

@@ -71,20 +71,6 @@ class TestCannedClaims:
         fx = parametric_two_resource_fixture((0, 12, 16), (0, 12, 16))
         assert not enumerate_pure_ne(CoalitionalGame(fx.game, fx.partition)).is_empty
 
-    def test_manifest_round_trips_and_reloads(self):
-        import json
-
-        from ccg.gamefile import dict_to_game
-        from ccg.instances import fixture_manifest
-
-        fx = no_ne_overlap_fixture()
-        manifest = fixture_manifest(fx)
-        assert json.loads(json.dumps(manifest)) == manifest
-        game, partition = dict_to_game(manifest["game"])
-        assert (game, partition) == (fx.game, fx.partition)
-        assert len(manifest["matrix_claims"]) == 18
-        assert manifest["ne_is_empty"] is True
-
 
 class TestRandomGame:
     def test_deterministic(self):

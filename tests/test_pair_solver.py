@@ -12,6 +12,7 @@ from ccg import (
     CongestionVector,
     DeviationWitness,
     Partition,
+    PureProfile,
     as_profile,
     arrange_distinct,
     arrange_hub,
@@ -25,7 +26,13 @@ from ccg import (
     random_partition,
     solve_pair_ccg,
 )
-from ccg.errors import NotNashAtExitError, PreconditionViolatedError
+from ccg.errors import (
+    InvalidGameError,
+    InvalidProfileError,
+    MismatchedResourcesError,
+    NotNashAtExitError,
+    PreconditionViolatedError,
+)
 from ccg.experiments import pair_solver_sweep
 from oracle_helpers import brute_is_ccg_ne
 
@@ -138,6 +145,12 @@ class TestArrangeDistinct:
                 CongestionVector(("A", "B"), (3, 1)),
             )
 
+    def test_rejects_partition_naming_an_absent_agent(self, triple_game):
+        with pytest.raises(InvalidGameError, match="partition covers"):
+            arrange_distinct(
+                triple_game, Partition(((0, 1), (2, 5))), CongestionVector(("A", "B"), (2, 2))
+            )
+
 
 class TestArrangeHub:
     def test_forced_single_resource(self):
@@ -173,6 +186,12 @@ class TestArrangeHub:
                 "A",
             )
 
+    def test_rejects_unknown_hub(self):
+        g = CongestionGame.simple(("A", "B"), {"A": (0, 0, 1, 5), "B": (1, 6, 7, 8)})
+        partition = Partition.from_one_based([[1, 2], [3, 4]])
+        with pytest.raises(MismatchedResourcesError, match="unknown hub resource 'Z'"):
+            arrange_hub(g, partition, CongestionVector(("A", "B"), (3, 1)), "Z")
+
 
 class TestImprovementLoop:
     def test_single_move(self):
@@ -201,6 +220,24 @@ class TestImprovementLoop:
         assert moves == ()
         assert result == s
         assert brute_is_ccg_ne(CoalitionalGame(g, partition), result)
+
+    def test_rejects_unknown_hub(self):
+        g = two_resource_game((0, 1, 5), (5, 6, 7))
+        partition = Partition.from_one_based([[1, 2], [3]])
+        with pytest.raises(MismatchedResourcesError, match="unknown hub resource 'Z'"):
+            hub_improvement_loop(g, partition, as_profile(g, ["A", "A", "A"]), "Z")
+
+    def test_rejects_short_profile(self):
+        g = two_resource_game((0, 1, 5), (5, 6, 7))
+        partition = Partition.from_one_based([[1], [2, 3]])
+        with pytest.raises(InvalidProfileError, match="profile has 2 choices, game has 3"):
+            hub_improvement_loop(g, partition, PureProfile((("A",), ("A",))), "A")
+
+    def test_rejects_partition_naming_an_absent_agent(self):
+        g = two_resource_game((0, 1, 5), (5, 6, 7))
+        partition = Partition(((0, 1), (7,)))
+        with pytest.raises(InvalidGameError, match="partition covers"):
+            hub_improvement_loop(g, partition, as_profile(g, ["A", "A", "A"]), "A")
 
     def test_two_doubled_pairs_both_peel_off(self):
         # underlying equilibrium puts 5 of 6 agents on A (P_A(5)=6 <= P_B(2)=6);

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ccg import (
     CoalitionalGame,
@@ -25,7 +25,6 @@ from ccg import (
 from ccg.errors import (
     CoverageMismatchError,
     InvalidIndicesError,
-    PreconditionViolatedError,
 )
 from oracle_helpers import (
     form_from_utilities,
@@ -34,6 +33,7 @@ from oracle_helpers import (
     table_from_values,
     table_values,
 )
+from test_properties import non_simple_ccgs
 
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -273,9 +273,20 @@ class TestEquivalence:
         assert not verdict.applicable
         assert verdict.has_potential and not verdict.all_linear
 
-    def test_needs_simple_game(self, overlap_game):
-        with pytest.raises(PreconditionViolatedError):
-            check_linearity_equivalence(overlap_game, Partition.from_one_based([[1, 2], [3]]))
+    @settings(max_examples=40, deadline=None)
+    @given(non_simple_ccgs())
+    def test_non_simple_game_not_applicable(self, cg):
+        """Outside the theorem's shape, both sides are still decided as a
+        direct `linearity_report` and `exact_potential(materialize(...))`."""
+        assume(not cg.base.is_simple)
+        verdict = check_linearity_equivalence(cg.base, cg.partition)
+        assert verdict.applicable is False and verdict.consistent is None
+        linearity = linearity_report(cg.base)
+        direct = exact_potential(materialize(cg))
+        assert verdict.linearity == linearity
+        assert verdict.all_linear == all(entry.linear for entry in linearity.values())
+        assert verdict.has_potential == verdict.potential.has_potential == direct.has_potential
+        assert verdict.potential.witness == direct.witness
 
 
 class TestSubgame:

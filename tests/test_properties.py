@@ -22,7 +22,7 @@ from ccg import (
     canonical_block_strategies,
     canonical_multiplicity,
     canonicalize,
-    check_ne_lift_restricted,
+    check_ne_lift,
     coalition_best_response,
     coalition_utility,
     congestion,
@@ -407,6 +407,6 @@ class TestRestrictedLift:
             s = assemble_profile(cg, list(combo))
             if not is_ne_congestion(g, congestion(g, s)):
                 continue
-            verdict = check_ne_lift_restricted(cg, s)
+            verdict = check_ne_lift(cg, s, restricted=True)
             assert verdict.applicable and verdict.holds
             assert canonicalize(cg, s).choices in found
