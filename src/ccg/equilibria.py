@@ -288,8 +288,8 @@ def enumerate_pure_ne(
     or the first `stop_after`. A block with one canonical strategy always
     plays a best reply, so its occupancy joins the background and the
     search nests at most log2(profiles) deep."""
-    if stop_after is not None and stop_after < 1:
-        raise InvalidParamsError(f"stop_after must be at least 1, got {stop_after}")
+    if stop_after is not None and not (type(stop_after) is int and stop_after >= 1):
+        raise InvalidParamsError(f"stop_after must be an integer of at least 1, got {stop_after!r}")
     blocks = range(len(cg.blocks))
     kernel = compile_within_limit(cg, blocks, restricted, "joint canonical profile space")
     strats = kernel.strategies

@@ -209,10 +209,13 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
+        blocks = [tuple(b) for b in self.blocks]
         if not blocks or any(not b for b in blocks):
             raise InvalidGameError("partition blocks must be nonempty")
-        blocks = tuple(sorted(blocks, key=lambda b: b[0]))
+        for i in (i for b in blocks for i in b):
+            if type(i) is not int:
+                raise InvalidGameError(f"sub-agent index {i!r} is not an integer")
+        blocks = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
         seen: set[int] = set()
         for b in blocks:
             for i in b:

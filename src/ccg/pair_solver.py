@@ -20,6 +20,10 @@ built directly instead of searched for:
 The final profile is always re-verified by exhaustive deviation search.
 Steps 1 to 3 share the game's one compiled sub-agent
 (`game.CompiledGame.agent`) and compare its scaled integer costs.
+
+`solve_pair_ccg` is the only entry and checks its input once. Steps 2 and 3
+are private helpers that trust those checks and work on resource indices;
+`PairSolveTrace` records what they did.
 """
 
 from __future__ import annotations
@@ -29,23 +33,20 @@ from fractions import Fraction
 
 from .errors import (
     LoopBoundExceededError,
-    MismatchedResourcesError,
     NotNashAtExitError,
     PreconditionViolatedError,
     RearrangementInfeasibleError,
 )
-from .equilibria import find_deviation, is_ne_congestion, underlying_pure_ne
+from .equilibria import find_deviation, underlying_pure_ne
 from .game import (
     CoalitionalGame,
     CompiledGame,
     CongestionGame,
-    CongestionVector,
     Partition,
     PureProfile,
     canonicalize,
     congestion,
     require_valid,
-    validate_profile,
 )
 
 CASE_DISTINCT = "distinct"
@@ -75,162 +76,97 @@ class PairSolveTrace:
     result: PureProfile
 
 
-def _peak_resource(c: CongestionVector) -> int:
-    """Index of the most congested resource, lowest index on ties."""
-    best = 0
-    for ri in range(1, len(c.counts)):
-        if c.counts[ri] > c.counts[best]:
-            best = ri
-    return best
+def _arrange_distinct(partition: Partition, counts: list[int]) -> list[int]:
+    """Realize occupancy `counts` with every pair split across two
+    resources: one resource index per sub-agent.
 
-
-def arrange_distinct(g: CongestionGame, partition: Partition, c: CongestionVector) -> PureProfile:
-    """Realize congestion vector `c` with every pair split across two
-    resources.
-
-    Requires an equilibrium vector whose peak occupancy is at most the block
-    count. Pairs are placed first, each taking one slot from the two largest
+    Pairs are placed first, each taking one slot from the two largest
     remaining capacities (ties to the lowest resource index); singletons then
     fill the leftover slots in resource order. Feasibility follows from the
-    capacity bound, so the failure path signals a bug.
+    peak occupancy being at most the block count, so the failure paths
+    signal a bug.
     """
-    partition.validate_for(g.n)
-    if not is_ne_congestion(g, c):
-        raise PreconditionViolatedError("arrangement needs an equilibrium congestion vector")
-    if max(c.counts) > partition.n_blocks:
-        raise PreconditionViolatedError("peak congestion exceeds block count")
-    caps = list(c.counts)
-    choices: list[tuple[str, ...]] = [("",)] * g.n
+    caps = list(counts)
+    where = [0] * partition.n_agents
     for k in partition.pairs():
-        first = max(range(len(caps)), key=lambda ri: (caps[ri], -ri))
-        second = max(
-            (ri for ri in range(len(caps)) if ri != first),
-            key=lambda ri: (caps[ri], -ri),
-            default=None,
-        )
-        if second is None or caps[first] < 1 or caps[second] < 1:
+        top = sorted(range(len(caps)), key=lambda ri: (-caps[ri], ri))[:2]
+        if len(top) < 2 or caps[top[1]] < 1:
             raise RearrangementInfeasibleError(f"no two free resources left for block {k}")
-        caps[first] -= 1
-        caps[second] -= 1
-        lo, hi = sorted((first, second))
+        for ri in top:
+            caps[ri] -= 1
         i, j = partition.blocks[k]
-        choices[i] = (g.resources[lo],)
-        choices[j] = (g.resources[hi],)
-    slots = [g.resources[ri] for ri in range(len(caps)) for _ in range(caps[ri])]
-    for k in partition.singletons():
-        (i,) = partition.blocks[k]
-        choices[i] = (slots.pop(0),)
-    if slots:
-        raise RearrangementInfeasibleError(f"{len(slots)} slots left unfilled")
-    return PureProfile(tuple(choices))
+        where[i], where[j] = sorted(top)
+    slots = [ri for ri, cap in enumerate(caps) for _ in range(cap)]
+    singletons = partition.singletons()
+    if len(slots) != len(singletons):
+        raise RearrangementInfeasibleError(f"{len(slots)} slots for {len(singletons)} singletons")
+    for k, ri in zip(singletons, slots):
+        where[partition.blocks[k][0]] = ri
+    return where
 
 
-def arrange_hub(
-    g: CongestionGame, partition: Partition, c: CongestionVector, hub: str
-) -> PureProfile:
-    """Realize `c` so that every block has a member on the hub resource and
-    only the hub carries doubled pairs.
+def _arrange_hub(partition: Partition, counts: list[int], hub: int) -> list[int]:
+    """Realize occupancy `counts` so that every block has a member on the
+    hub resource and only the hub carries doubled pairs: one resource index
+    per sub-agent.
 
-    Requires an equilibrium vector whose peak sits on `hub` and strictly
-    exceeds the block count. Every block's first member goes to the hub; the
-    surplus hub slots are taken by the second members of the first pairs in
-    block order; the remaining second members fill the off-hub slots in
-    resource order.
+    The hub is the peak and its occupancy exceeds the block count. Every
+    block's first member goes to the hub; the surplus hub slots are taken by
+    the second members of the first pairs in block order; the remaining
+    second members fill the off-hub slots in resource order.
     """
-    partition.validate_for(g.n)
-    if hub not in g.resources:
-        raise MismatchedResourcesError(f"unknown hub resource {hub!r}")
-    if not is_ne_congestion(g, c):
-        raise PreconditionViolatedError("arrangement needs an equilibrium congestion vector")
-    hub_idx = g.resources.index(hub)
-    if hub_idx != _peak_resource(c):
-        raise PreconditionViolatedError(f"{hub} is not the most congested resource")
-    if c.counts[hub_idx] <= partition.n_blocks:
-        raise PreconditionViolatedError("peak congestion fits the block count; no hub needed")
-
-    choices: list[tuple[str, ...]] = [("",)] * g.n
-    for block in partition.blocks:
-        choices[block[0]] = (hub,)
-    doubled = c.counts[hub_idx] - partition.n_blocks
-    pair_blocks = partition.pairs()
-    if doubled > len(pair_blocks):
-        raise RearrangementInfeasibleError("more surplus hub slots than pairs")
-    for k in pair_blocks[:doubled]:
-        choices[partition.blocks[k][1]] = (hub,)
-    off_slots = [
-        g.resources[ri]
-        for ri in range(len(c.counts))
-        if ri != hub_idx
-        for _ in range(c.counts[ri])
-    ]
-    for k in pair_blocks[doubled:]:
-        choices[partition.blocks[k][1]] = (off_slots.pop(0),)
-    if off_slots:
-        raise RearrangementInfeasibleError(f"{len(off_slots)} off-hub slots left unfilled")
-    return PureProfile(tuple(choices))
+    where = [hub] * partition.n_agents
+    doubled = counts[hub] - partition.n_blocks
+    rest = partition.pairs()[doubled:]
+    off_slots = [ri for ri, x in enumerate(counts) if ri != hub for _ in range(x)]
+    if len(off_slots) != len(rest):
+        raise RearrangementInfeasibleError(f"{len(off_slots)} off-hub slots for {len(rest)} pairs")
+    for k, ri in zip(rest, off_slots):
+        where[partition.blocks[k][1]] = ri
+    return where
 
 
-def hub_improvement_loop(
-    g: CongestionGame, partition: Partition, s: PureProfile, hub: str
-) -> tuple[PureProfile, tuple[LoopMove, ...]]:
+def _hub_improvement_loop(
+    g: CongestionGame, partition: Partition, where: list[int], counts: list[int], hub: int
+) -> tuple[list[int], tuple[LoopMove, ...]]:
     """Peel doubled pairs off the hub while a single-member move strictly
-    lowers the pair's cost.
+    lowers the pair's cost; `where` and `counts` are copied, not changed.
 
-    In each round the lowest-index block with both members on the hub and a
-    strictly profitable move sends one member to the cheapest alternative
-    (ties to the lowest resource index). No move creates a new doubled pair,
-    so the loop runs at most once per initially doubled pair.
+    In each round the lowest-index block with both members on the hub sends
+    its second member to the cheapest alternative (ties to the lowest
+    resource index) if that strictly pays; every doubled block faces the
+    same costs, so the loop stops at the first move that does not. No move
+    creates a new doubled pair, so the loop runs at most once per initially
+    doubled pair.
     """
-    partition.validate_for(g.n)
-    validate_profile(g, s)
-    if hub not in g.resources:
-        raise MismatchedResourcesError(f"unknown hub resource {hub!r}")
-    index = g.resource_index()
-    hub_idx = index[hub]
     kernel = CompiledGame.agent(g)
     tables = kernel.costs
-    choices = [c[0] for c in s.choices]
-    counts = [0] * len(g.resources)
-    for r in choices:
-        counts[index[r]] += 1
+    where, counts = list(where), list(counts)
+    others = [ri for ri in range(len(counts)) if ri != hub]
 
     def doubled_blocks() -> list[int]:
-        return [
-            k
-            for k in partition.pairs()
-            if all(choices[i] == hub for i in partition.blocks[k])
-        ]
+        return [k for k in partition.pairs() if all(where[i] == hub for i in partition.blocks[k])]
 
-    bound = len(doubled_blocks())
+    doubled = doubled_blocks()
+    bound = len(doubled)
     moves: list[LoopMove] = []
-    while True:
-        move_done = False
-        for k in doubled_blocks():
-            stay_cost = 2 * tables[hub_idx][counts[hub_idx] - 1]
-            target = None
-            for ri in range(len(g.resources)):
-                if ri == hub_idx:
-                    continue
-                if target is None or tables[ri][counts[ri]] < tables[target][counts[target]]:
-                    target = ri
-            if target is None:
-                break
-            after = tables[hub_idx][counts[hub_idx] - 2] + tables[target][counts[target]]
-            if after < stay_cost:
-                if len(moves) >= bound:
-                    raise LoopBoundExceededError(f"more than {bound} improvement moves")
-                mover = partition.blocks[k][1]
-                choices[mover] = g.resources[target]
-                counts[hub_idx] -= 1
-                counts[target] += 1
-                delta = Fraction(after - stay_cost, kernel.scale)
-                moves.append(LoopMove(k, mover, hub, g.resources[target], delta))
-                move_done = True
-                break
-        if not move_done:
+    while doubled and others:
+        stay_cost = 2 * tables[hub][counts[hub] - 1]
+        target = min(others, key=lambda ri: tables[ri][counts[ri]])
+        after = tables[hub][counts[hub] - 2] + tables[target][counts[target]]
+        if after >= stay_cost:
             break
-
-    return PureProfile(tuple((r,) for r in choices)), tuple(moves)
+        if len(moves) >= bound:
+            raise LoopBoundExceededError(f"more than {bound} improvement moves")
+        k = doubled[0]
+        mover = partition.blocks[k][1]
+        where[mover] = target
+        counts[hub] -= 1
+        counts[target] += 1
+        delta = Fraction(after - stay_cost, kernel.scale)
+        moves.append(LoopMove(k, mover, g.resources[hub], g.resources[target], delta))
+        doubled = doubled_blocks()
+    return where, tuple(moves)
 
 
 def solve_pair_ccg(g: CongestionGame, partition: Partition) -> PairSolveTrace:
@@ -248,18 +184,17 @@ def solve_pair_ccg(g: CongestionGame, partition: Partition) -> PairSolveTrace:
     cg = CoalitionalGame(g, partition)
 
     dynamics = underlying_pure_ne(g)
-    c = congestion(g, dynamics.profile)
-    peak = _peak_resource(c)
-    if c.counts[peak] <= partition.n_blocks:
-        case = CASE_DISTINCT
-        hub = None
-        arrangement = arrange_distinct(g, partition, c)
-        result, moves = arrangement, ()
+    counts = list(congestion(g, dynamics.profile).counts)
+    peak = counts.index(max(counts))
+    if counts[peak] <= partition.n_blocks:
+        case, hub = CASE_DISTINCT, None
+        arranged = _arrange_distinct(partition, counts)
+        where, moves = arranged, ()
     else:
-        case = CASE_HUB
-        hub = g.resources[peak]
-        arrangement = arrange_hub(g, partition, c, hub)
-        result, moves = hub_improvement_loop(g, partition, arrangement, hub)
+        case, hub = CASE_HUB, g.resources[peak]
+        arranged = _arrange_hub(partition, counts, peak)
+        where, moves = _hub_improvement_loop(g, partition, arranged, counts, peak)
+    arrangement, result = (PureProfile(tuple((g.resources[ri],) for ri in w)) for w in (arranged, where))
     witness = find_deviation(cg, result)
     if witness is not None:
         raise NotNashAtExitError(f"block {witness.block} still improves to {witness.best_value}")
@@ -269,6 +204,6 @@ def solve_pair_ccg(g: CongestionGame, partition: Partition) -> PairSolveTrace:
         case,
         hub,
         canonicalize(cg, arrangement),
-        tuple(moves),
+        moves,
         canonicalize(cg, result),
     )

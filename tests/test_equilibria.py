@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 
 import pytest
@@ -224,10 +225,11 @@ class TestEnumerate:
         with pytest.raises(SizeLimitExceededError):
             enumerate_pure_ne(triple_ccg)
 
-    @pytest.mark.parametrize("stop_after", [0, -1])
+    @pytest.mark.parametrize("stop_after", [0, -1, 1.5, True, "2"])
     def test_stop_after_below_one_refused_before_compiling(self, triple_game, stop_after):
         cg = CoalitionalGame(triple_game, Partition.discrete(4))
-        with pytest.raises(InvalidParamsError, match=f"stop_after must be at least 1, got {stop_after}"):
+        message = f"stop_after must be an integer of at least 1, got {stop_after!r}"
+        with pytest.raises(InvalidParamsError, match=re.escape(message)):
             enumerate_pure_ne(cg, stop_after=stop_after)
         assert not cg.base._kernels
 

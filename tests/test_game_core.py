@@ -97,6 +97,18 @@ class TestPartition:
     def test_discrete(self):
         assert Partition.discrete(3).blocks == ((0,), (1,), (2,))
 
+    def test_members_must_be_integers(self):
+        for blocks, bad in [
+            (((0.7, 1.2),), "0.7"),
+            ((("1", "0"),), "'1'"),
+            (((0, True),), "True"),
+            (((1, 0), (2.0,)), "2.0"),
+        ]:
+            with pytest.raises(InvalidGameError, match=f"sub-agent index {bad} is not an integer"):
+                Partition(blocks)
+        # each block is read once, so generators work
+        assert Partition((iter(b) for b in [(3, 1), (0, 2)])).blocks == ((0, 2), (1, 3))
+
 
 class TestCongestion:
     def test_counts(self, triple_game):

@@ -12,28 +12,19 @@ from ccg import (
     CongestionVector,
     DeviationWitness,
     Partition,
-    PureProfile,
     as_profile,
-    arrange_distinct,
-    arrange_hub,
     check_ne_lift,
     congestion,
     enumerate_pure_ne,
-    hub_improvement_loop,
     is_ccg_ne,
     is_ne_congestion,
     random_game,
     random_partition,
     solve_pair_ccg,
 )
-from ccg.errors import (
-    InvalidGameError,
-    InvalidProfileError,
-    MismatchedResourcesError,
-    NotNashAtExitError,
-    PreconditionViolatedError,
-)
+from ccg.errors import NotNashAtExitError, PreconditionViolatedError
 from ccg.experiments import pair_solver_sweep
+from ccg.pair_solver import _arrange_distinct, _arrange_hub, _hub_improvement_loop
 from oracle_helpers import brute_is_ccg_ne
 
 
@@ -117,127 +108,63 @@ class TestSolve:
 
 
 class TestArrangeDistinct:
-    def test_two_pairs_balanced(self, triple_game):
+    def test_two_pairs_balanced(self):
         partition = Partition.from_one_based([[1, 2], [3, 4]])
-        s = arrange_distinct(triple_game, partition, CongestionVector(("A", "B"), (2, 2)))
-        assert s.choices == (("A",), ("B",), ("A",), ("B",))
+        assert _arrange_distinct(partition, [2, 2]) == [0, 1, 0, 1]
 
     def test_lone_singleton(self):
-        g = CongestionGame.simple(("A",), {"A": (2,)})
-        s = arrange_distinct(g, Partition.from_one_based([[1]]), CongestionVector(("A",), (1,)))
-        assert s.choices == (("A",),)
+        assert _arrange_distinct(Partition.from_one_based([[1]]), [1]) == [0]
 
     def test_pairs_split_over_four_slots(self):
-        g = CongestionGame.simple(
-            ("A", "B", "C"), {"A": (0, 1, 1, 1), "B": (1, 1, 1, 1), "C": (1, 1, 1, 1)}
-        )
         partition = Partition.from_one_based([[1, 2], [3, 4]])
-        c = CongestionVector(("A", "B", "C"), (2, 1, 1))
-        s = arrange_distinct(g, partition, c)
-        assert s.choices == (("A",), ("B",), ("A",), ("C",))
-        assert congestion(g, s).counts == c.counts
-
-    def test_rejects_non_equilibrium_vector(self, triple_game):
-        with pytest.raises(PreconditionViolatedError):
-            arrange_distinct(
-                triple_game,
-                Partition.from_one_based([[1, 2], [3, 4]]),
-                CongestionVector(("A", "B"), (3, 1)),
-            )
-
-    def test_rejects_partition_naming_an_absent_agent(self, triple_game):
-        with pytest.raises(InvalidGameError, match="partition covers"):
-            arrange_distinct(
-                triple_game, Partition(((0, 1), (2, 5))), CongestionVector(("A", "B"), (2, 2))
-            )
+        where = _arrange_distinct(partition, [2, 1, 1])
+        assert where == [0, 1, 0, 2]
+        assert [where.count(ri) for ri in range(3)] == [2, 1, 1]
 
 
 class TestArrangeHub:
     def test_forced_single_resource(self):
-        g = CongestionGame.simple(("A",), {"A": (0, 1, 2)})
-        partition = Partition.from_one_based([[1, 2], [3]])
-        s = arrange_hub(g, partition, CongestionVector(("A",), (3,)), "A")
-        assert s.choices == (("A",), ("A",), ("A",))
+        assert _arrange_hub(Partition.from_one_based([[1, 2], [3]]), [3], 0) == [0, 0, 0]
 
     def test_surplus_goes_to_first_pair(self):
         g = CongestionGame.simple(("A", "B"), {"A": (0, 0, 1, 5), "B": (1, 6, 7, 8)})
+        assert is_ne_congestion(g, CongestionVector(("A", "B"), (3, 1)))
         partition = Partition.from_one_based([[1, 2], [3, 4]])
-        c = CongestionVector(("A", "B"), (3, 1))
-        assert is_ne_congestion(g, c)
-        s = arrange_hub(g, partition, c, "A")
-        assert s.choices == (("A",), ("A",), ("A",), ("B",))
+        assert _arrange_hub(partition, [3, 1], 0) == [0, 0, 0, 1]
 
     def test_three_blocks(self):
         g = CongestionGame.simple(
             ("A", "B"), {"A": (0, 0, 0, 1, 3), "B": (3, 6, 7, 8, 9)}
         )
+        assert is_ne_congestion(g, CongestionVector(("A", "B"), (4, 1)))
         partition = Partition.from_one_based([[1, 2], [3, 4], [5]])
-        c = CongestionVector(("A", "B"), (4, 1))
-        assert is_ne_congestion(g, c)
-        s = arrange_hub(g, partition, c, "A")
-        assert s.choices == (("A",), ("A",), ("A",), ("B",), ("A",))
-
-    def test_rejects_hub_that_fits_block_count(self, triple_game):
-        with pytest.raises(PreconditionViolatedError):
-            arrange_hub(
-                triple_game,
-                Partition.from_one_based([[1, 2], [3, 4]]),
-                CongestionVector(("A", "B"), (2, 2)),
-                "A",
-            )
-
-    def test_rejects_unknown_hub(self):
-        g = CongestionGame.simple(("A", "B"), {"A": (0, 0, 1, 5), "B": (1, 6, 7, 8)})
-        partition = Partition.from_one_based([[1, 2], [3, 4]])
-        with pytest.raises(MismatchedResourcesError, match="unknown hub resource 'Z'"):
-            arrange_hub(g, partition, CongestionVector(("A", "B"), (3, 1)), "Z")
+        assert _arrange_hub(partition, [4, 1], 0) == [0, 0, 0, 1, 0]
 
 
 class TestImprovementLoop:
     def test_single_move(self):
         g = two_resource_game((0, 1, 5), (5, 6, 7))
         partition = Partition.from_one_based([[1, 2], [3]])
-        s = as_profile(g, ["A", "A", "A"])
-        result, moves = hub_improvement_loop(g, partition, s, "A")
+        where, moves = _hub_improvement_loop(g, partition, [0, 0, 0], [3, 0], 0)
         assert len(moves) == 1
-        assert result.choices == (("A",), ("B",), ("A",))
-        assert brute_is_ccg_ne(CoalitionalGame(g, partition), result)
+        assert where == [0, 1, 0]
+        assert brute_is_ccg_ne(CoalitionalGame(g, partition), as_profile(g, ["A", "B", "A"]))
 
     def test_no_move_when_hub_stays_cheap(self):
         g = two_resource_game((0, 1, 2), (10, 11, 12))
         partition = Partition.from_one_based([[1, 2], [3]])
-        s = as_profile(g, ["A", "A", "A"])
-        result, moves = hub_improvement_loop(g, partition, s, "A")
+        where, moves = _hub_improvement_loop(g, partition, [0, 0, 0], [3, 0], 0)
         assert moves == ()
-        assert result == s
-        assert brute_is_ccg_ne(CoalitionalGame(g, partition), result)
+        assert where == [0, 0, 0]
+        assert brute_is_ccg_ne(CoalitionalGame(g, partition), as_profile(g, ["A", "A", "A"]))
 
     def test_no_doubled_blocks_means_no_moves(self):
         g = two_resource_game((0, 1, 5), (5, 6, 7))
         partition = Partition.from_one_based([[1, 2], [3]])
-        s = as_profile(g, ["A", "B", "A"])
-        result, moves = hub_improvement_loop(g, partition, s, "A")
+        where, moves = _hub_improvement_loop(g, partition, [0, 1, 0], [2, 1], 0)
         assert moves == ()
-        assert result == s
-        assert brute_is_ccg_ne(CoalitionalGame(g, partition), result)
-
-    def test_rejects_unknown_hub(self):
-        g = two_resource_game((0, 1, 5), (5, 6, 7))
-        partition = Partition.from_one_based([[1, 2], [3]])
-        with pytest.raises(MismatchedResourcesError, match="unknown hub resource 'Z'"):
-            hub_improvement_loop(g, partition, as_profile(g, ["A", "A", "A"]), "Z")
-
-    def test_rejects_short_profile(self):
-        g = two_resource_game((0, 1, 5), (5, 6, 7))
-        partition = Partition.from_one_based([[1], [2, 3]])
-        with pytest.raises(InvalidProfileError, match="profile has 2 choices, game has 3"):
-            hub_improvement_loop(g, partition, PureProfile((("A",), ("A",))), "A")
-
-    def test_rejects_partition_naming_an_absent_agent(self):
-        g = two_resource_game((0, 1, 5), (5, 6, 7))
-        partition = Partition(((0, 1), (7,)))
-        with pytest.raises(InvalidGameError, match="partition covers"):
-            hub_improvement_loop(g, partition, as_profile(g, ["A", "A", "A"]), "A")
+        assert where == [0, 1, 0]
+        assert brute_is_ccg_ne(CoalitionalGame(g, partition), as_profile(g, ["A", "B", "A"]))
 
     def test_two_doubled_pairs_both_peel_off(self):
         # underlying equilibrium puts 5 of 6 agents on A (P_A(5)=6 <= P_B(2)=6);
@@ -292,6 +219,47 @@ class TestRandomizedProperty:
             partition = random_partition(f"solver-prop:{trial}", game.n, min(2, game.n))
             trace = solve_pair_ccg(game, partition)
             assert brute_is_ccg_ne(CoalitionalGame(game, partition), trace.result)
+
+
+class TestTraceContracts:
+    """What the solver's private steps promise, read off its trace."""
+
+    def test_steps_keep_their_contracts_on_random_pair_games(self):
+        seen = set()
+        for trial in range(200):
+            kind = ("monotone", "convex", "linear")[trial % 3]
+            game = random_game(f"trace:{trial}", 2 + trial % 7, 1 + trial % 4, kind)
+            partition = random_partition(f"trace:{trial}", game.n, 2)
+            trace = solve_pair_ccg(game, partition)
+            seen.add((trace.case_taken, bool(trace.moves)))
+            placed = trace.arrangement.choices
+            assert congestion(game, trace.arrangement) == congestion(game, trace.underlying_profile)
+            pair_homes = [{placed[i] for i in partition.blocks[k]} for k in partition.pairs()]
+            if trace.case_taken == "distinct":
+                assert all(len(homes) == 2 for homes in pair_homes)
+            else:
+                hub = (trace.hub_resource,)
+                assert all(hub in (placed[i] for i in block) for block in partition.blocks)
+                assert all(homes == {hub} for homes in pair_homes if len(homes) == 1)
+            assert len(trace.moves) <= sum(len(homes) == 1 for homes in pair_homes)
+            assert all(move.cost_delta < 0 for move in trace.moves)
+        assert seen == {("distinct", False), ("hub", False), ("hub", True)}
+
+    @pytest.mark.parametrize("case", ["distinct", "hub"])
+    def test_one_equilibrium_test_and_one_deviation_search(self, monkeypatch, triple_game, case):
+        if case == "distinct":
+            g, blocks = triple_game, [[1, 2], [3, 4]]
+        else:
+            g, blocks = doubled_pairs_game(), [[1, 2], [3, 4], [5, 6]]
+        calls = []
+        for name in ("is_ne_congestion", "find_deviation"):
+            real = getattr(ccg.equilibria, name)
+            counted = lambda *args, name=name, real=real: calls.append(name) or real(*args)
+            # where it is defined, and where the solver would import it
+            monkeypatch.setattr(ccg.equilibria, name, counted)
+            monkeypatch.setattr(ccg.pair_solver, name, counted, raising=False)
+        assert solve_pair_ccg(g, Partition.from_one_based(blocks)).case_taken == case
+        assert sorted(calls) == ["find_deviation", "is_ne_congestion"]
 
 
 class TestOneCompilePerGame:
