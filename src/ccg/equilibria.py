@@ -200,7 +200,7 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
 # Coalitional equilibria
 #
 # All of these compare scaled integer utilities on the game's `CompiledGame`
-# for the blocks they search, whose best replies are cached per (block,
+# for the blocks they search, whose best replies are cached per (layout,
 # opponent occupancy) and shared by every later call on the same game.
 
 
@@ -257,15 +257,25 @@ def _suffix_equilibria(kernel: CompiledGame, order: list[int], background: tuple
     `background`, in lexicographic order. `listing(j, prefix)` holds those
     of the blocks from position j on, given the occupancy `prefix` before j.
     It depends on the blocks before j only through `prefix`, so it is stored
-    once complete; it is never computed ahead of need, so a stop is early."""
+    once complete; it is never computed ahead of need, so a stop is early.
+    The last block's opponents are exactly `prefix`, so its listing is its
+    best replies against `prefix`, found with one cached lookup."""
     usage = kernel.usage
+    last = len(order) - 1
     memo: dict[tuple[int, tuple[int, ...]], list] = {}
 
     def listing(j: int, prefix: tuple[int, ...]):
-        if j == len(order):
+        if j > last:  # no block to search
             return (((), prefix),)
         found = memo.get((j, prefix))
-        return extend(j, prefix) if found is None else found
+        if found is not None:
+            return found
+        if j < last:
+            return extend(j, prefix)
+        vectors = usage[order[j]]
+        replies = kernel.best_reply(order[j], prefix)[2]
+        found = memo[(j, prefix)] = [((si,), tuple(map(add, prefix, vectors[si]))) for si in replies]
+        return found
 
     def extend(j: int, prefix: tuple[int, ...]):
         k, found = order[j], []
@@ -290,29 +300,38 @@ def enumerate_pure_ne(
     search nests at most log2(profiles) deep."""
     if stop_after is not None and not (type(stop_after) is int and stop_after >= 1):
         raise InvalidParamsError(f"stop_after must be an integer of at least 1, got {stop_after!r}")
-    blocks = range(len(cg.blocks))
-    kernel = compile_within_limit(cg, blocks, restricted, "joint canonical profile space")
+    blocks = cg.blocks
+    kernel = compile_within_limit(cg, range(len(blocks)), restricted, "joint canonical profile space")
     strats = kernel.strategies
     sizes = [len(s) for s in strats]
     total = math.prod(sizes)
     if not total:
         return NeReport((), (), True, 0)
     order = [k for k, size in enumerate(sizes) if size != 1]
-    fixed = [kernel.usage[k][0] for k, size in enumerate(sizes) if size == 1]
-    background = tuple(map(sum, zip([0] * len(cg.base.resources), *fixed)))
-    orbit = functools.cache(lambda k, si: block_orbit(cg.base, cg.blocks[k], strats[k][si]))
+    fixed = [k for k, size in enumerate(sizes) if size == 1]
+    background = tuple(map(sum, zip([0] * len(cg.base.resources), *(kernel.usage[k][0] for k in fixed))))
+    orbit = functools.cache(lambda k, si: block_orbit(cg.base, blocks[k], strats[k][si]))
+    choices: list = [()] * cg.base.n
     idx = [0] * len(sizes)
 
+    def place(k: int, si: int) -> int:
+        """Hand block k's strategy si to its members in `choices`; its orbit size."""
+        members, size = orbit(k, si)
+        for i, c in zip(blocks[k], members):
+            choices[i] = c
+        return size
+
+    fixed_multiplicity = math.prod(place(k, 0) for k in fixed)
     equilibria: list[PureProfile] = []
     multiplicities: list[int] = []
     checked = total
     for found, _ in _suffix_equilibria(kernel, order, background):
+        multiplicity = fixed_multiplicity
         for k, si in zip(order, found):
             idx[k] = si
-        orbits = [(cg.blocks[k], *orbit(k, si)) for k, si in enumerate(idx)]
-        placed = {i: c for block, members, _ in orbits for i, c in zip(block, members)}
-        equilibria.append(PureProfile(tuple(placed[i] for i in range(cg.base.n))))
-        multiplicities.append(math.prod(size for _, _, size in orbits))
+            multiplicity *= place(k, si)
+        equilibria.append(PureProfile(tuple(choices)))
+        multiplicities.append(multiplicity)
         if stop_after is not None and len(equilibria) >= stop_after:
             checked = sum(map(mul, idx, row_major_strides(sizes))) + 1
             break

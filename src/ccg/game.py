@@ -128,10 +128,17 @@ class CongestionGame:
             str(r): t if isinstance(t, CostTable) else CostTable(tuple(t))
             for r, t in dict(self.costs).items()
         }
-        sets = tuple(
-            tuple(_normalize_choice(c, index, len(resources)) for c in strat_set)
-            for strat_set in self.strategy_sets
-        )
+        # Simple games pass one strategy set object for every sub-agent, so
+        # each object is normalized once; keeping it in `seen` keeps its id.
+        seen: dict[int, tuple] = {}
+
+        def normalize(strat_set) -> tuple[Choice, ...]:
+            if id(strat_set) not in seen:
+                choices = tuple(_normalize_choice(c, index, len(resources)) for c in strat_set)
+                seen[id(strat_set)] = (strat_set, choices)
+            return seen[id(strat_set)][1]
+
+        sets = tuple(map(normalize, self.strategy_sets))
         if not sets:
             raise InvalidGameError("a game needs at least one sub-agent")
         object.__setattr__(self, "resources", resources)
@@ -197,6 +204,16 @@ class CongestionGame:
         return {}
 
 
+def _integer_blocks(blocks: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
+    """`blocks` as tuples, once every member is checked to be an `int` (not
+    a `bool`)."""
+    blocks = [tuple(b) for b in blocks]
+    for i in (i for b in blocks for i in b):
+        if type(i) is not int:
+            raise InvalidGameError(f"sub-agent index {i!r} is not an integer")
+    return blocks
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty blocks of sub-agent indices (0-based).
@@ -209,12 +226,9 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = [tuple(b) for b in self.blocks]
+        blocks = _integer_blocks(self.blocks)
         if not blocks or any(not b for b in blocks):
             raise InvalidGameError("partition blocks must be nonempty")
-        for i in (i for b in blocks for i in b):
-            if type(i) is not int:
-                raise InvalidGameError(f"sub-agent index {i!r} is not an integer")
         blocks = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
         seen: set[int] = set()
         for b in blocks:
@@ -228,7 +242,7 @@ class Partition:
 
     @classmethod
     def from_one_based(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        return cls(tuple(tuple(i - 1 for i in b) for b in blocks))
+        return cls(tuple(tuple(i - 1 for i in b) for b in _integer_blocks(blocks)))
 
     def one_based(self) -> list[list[int]]:
         return [[i + 1 for i in b] for b in self.blocks]
@@ -651,9 +665,12 @@ class CompiledGame:
     A kernel compiles some blocks, in order; for the one at position p,
     `strategies[p]`, `usage[p]` and `contributions[p]` are its `BlockLayout`
     (one read-only layout per block shape in simple games). A block's utility
-    depends on everyone else only through their occupancy, so `best_reply`
-    caches per (position, occupancy). The game keeps its kernels, so callers
-    on one game share these caches (see `compile_within_limit`).
+    depends on everyone else only through their occupancy and on itself only
+    through its layout, so `best_reply` caches per (layout, occupancy):
+    blocks compiled from one `BlockLayout` object, such as the equal-size
+    blocks of a simple game, share their entries. The game keeps its
+    kernels, so callers on one game share these caches (see
+    `compile_within_limit`).
     """
 
     def __init__(self, g: CongestionGame, layouts: Sequence[BlockLayout]):
@@ -661,6 +678,9 @@ class CompiledGame:
         self.strategies = [layout.strategies for layout in layouts]
         self.usage = [layout.usage for layout in layouts]
         self.contributions = [layout.contributions for layout in layouts]
+        # the first position compiled from each layout object keys its cache entries
+        first: dict[int, int] = {}
+        self._slots = [first.setdefault(id(layout), p) for p, layout in enumerate(layouts)]
         self._replies: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     @staticmethod
@@ -674,7 +694,8 @@ class CompiledGame:
         """Scaled utility of every strategy of the block at position p when
         everyone else occupies the resources as counted in `env`, the best
         of them, and every maximizer."""
-        found = self._replies.get((p, env))
+        key = (self._slots[p], env)
+        found = self._replies.get(key)
         if found is None:
             costs = self.costs
             values = [
@@ -683,7 +704,7 @@ class CompiledGame:
             ]
             best = max(values)
             found = (values, best, tuple(si for si, v in enumerate(values) if v == best))
-            self._replies[(p, env)] = found
+            self._replies[key] = found
         return found
 
     def deviation(self, idx: Sequence[int]) -> tuple[int, int, int, int] | None:

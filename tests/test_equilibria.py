@@ -285,26 +285,58 @@ class TestPinnedInstances:
         assert first.profiles_checked == 6270
         assert not first.exhaustive
 
-    def test_b3_search_work(self, monkeypatch):
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        """The block position of every best-reply lookup from here on."""
+        found = []
+        best_reply = ccg.game.CompiledGame.best_reply
+        monkeypatch.setattr(
+            ccg.game.CompiledGame,
+            "best_reply",
+            lambda kernel, k, env: found.append(k) or best_reply(kernel, k, env),
+        )
+        return found
+
+    def test_b3_search_work(self, lookups):
         # A joint-profile scan looks up at least one best reply per profile
         # (2,109,375). The search lists each suffix once per prefix
         # occupancy, and only as far as needed: an existence query stops
         # after a fraction of the full search's lookups.
-        import ccg.equilibria
-
-        lookups = []
-        best_reply = ccg.equilibria.CompiledGame.best_reply
-        monkeypatch.setattr(
-            ccg.equilibria.CompiledGame,
-            "best_reply",
-            lambda kernel, k, env: lookups.append(k) or best_reply(kernel, k, env),
-        )
         cg = CoalitionalGame(random_game("b3", 10, 5, "monotone"), random_partition("b3", 10, 2))
         assert len(enumerate_pure_ne(cg).equilibria) == 3429
         assert len(lookups) < 40_000
         lookups.clear()
         assert len(enumerate_pure_ne(cg, stop_after=1).equilibria) == 1
         assert len(lookups) < 2_500
+
+    def test_b3_work_per_prefix(self, lookups):
+        # The last searched block's listing takes one lookup per prefix, and
+        # the game's three equal pairs share their cached replies.
+        cg = CoalitionalGame(random_game("b3", 10, 5, "monotone"), random_partition("b3", 10, 2))
+        assert len(enumerate_pure_ne(cg).equilibria) == 3429
+        kernel = ccg.game.compile_within_limit(cg, range(len(cg.blocks)), False)
+        assert len(kernel._replies) < 1_100
+        lookups.clear()
+        assert len(enumerate_pure_ne(cg, stop_after=1).equilibria) == 1
+        assert len(lookups) < 1_300
+
+    def test_blocks_share_replies_only_through_one_layout(self):
+        costs = {r: (0, 1, 2, 3) for r in "AB"}
+        env = (1, 1)
+        pairs = Partition.from_one_based([[1, 2], [3, 4]])
+        simple = ccg.game.compile_within_limit(
+            CoalitionalGame(CongestionGame.simple("AB", costs), pairs), range(2), False
+        )
+        assert simple.best_reply(0, env) is simple.best_reply(1, env)
+        assert len(simple._replies) == 1
+        # block 1 plays (A, A) or (A, B); block 2 plays (A, B) or (B, B)
+        sets = [["A"], ["A", "B"], ["B"], ["A", "B"]]
+        crossed = ccg.game.compile_within_limit(
+            CoalitionalGame(CongestionGame(("A", "B"), costs, sets), pairs), range(2), False
+        )
+        assert crossed.strategies[0] != crossed.strategies[1]
+        assert crossed.best_reply(0, env) != crossed.best_reply(1, env)
+        assert len(crossed._replies) == 2
 
     def test_many_single_strategy_blocks_do_not_recurse(self):
         g = CongestionGame.simple(("A",), {"A": tuple(range(1500))})

@@ -80,6 +80,17 @@ class TestValidation:
         with pytest.raises(InvalidGameError):
             CongestionGame.simple(("A", "A"), {"A": (0,)})
 
+    def test_shared_and_fresh_strategy_sets_store_the_same(self):
+        costs = {"A": (0, 1, 2), "B": (0, 1, 2)}
+        shared = [["B", "A"], "A"]
+        fresh = CongestionGame(("A", "B"), costs, tuple([["B", "A"], "A"] for _ in range(3)))
+        assert CongestionGame(("A", "B"), costs, (shared,) * 3).strategy_sets == fresh.strategy_sets
+        assert fresh.strategy_sets == ((("A", "B"), ("A",)),) * 3
+        # sets freed as soon as they are read (so their ids come round again)
+        # still normalize one by one
+        sets = ([r] for r in "BABA")
+        assert CongestionGame(("A", "B"), costs, sets).strategy_sets == ((("B",),), (("A",),)) * 2
+
 
 class TestPartition:
     def test_normalization(self):
@@ -108,6 +119,13 @@ class TestPartition:
                 Partition(blocks)
         # each block is read once, so generators work
         assert Partition((iter(b) for b in [(3, 1), (0, 2)])).blocks == ((0, 2), (1, 3))
+
+    def test_one_based_members_checked_before_shifting(self):
+        # "1" - 1 would be a TypeError, and True - 1 the integer 0
+        for blocks, bad in [([["1", "2"]], "'1'"), ([[True, 2]], "True"), ([[1], [2.0]], "2.0")]:
+            with pytest.raises(InvalidGameError, match=f"sub-agent index {bad} is not an integer"):
+                Partition.from_one_based(blocks)
+        assert Partition.from_one_based(iter(b) for b in [[4, 2], [1, 3]]).blocks == ((0, 2), (1, 3))
 
 
 class TestCongestion:

@@ -115,6 +115,23 @@ def simple_games_with_vector(draw):
     return game, CongestionVector(resources, tuple(map(users.count, range(len(resources)))))
 
 
+@st.composite
+def tied_simple_ccgs(draw):
+    """A simple game with cost steps of 0, 1/2 or 1, so that many block
+    strategies tie, split into several blocks of one size (and perhaps one
+    more sub-agent alone), members drawn in any order."""
+    size, count = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    n = size * count + draw(st.integers(0, 1))
+    resources = tuple("ABC"[: draw(st.integers(1, 3))])
+    steps = st.lists(st.sampled_from((0, Fraction(1, 2), 1)), min_size=n, max_size=n)
+    game = CongestionGame.simple(
+        resources, {r: tuple(itertools.accumulate(draw(steps))) for r in resources}
+    )
+    members = draw(st.permutations(range(n)))
+    blocks = [members[k : k + size] for k in range(0, size * count, size)] + [members[size * count :]]
+    return CoalitionalGame(game, Partition([b for b in blocks if b]))
+
+
 class TestBookkeepingIdentities:
     @COMMON
     @given(ccgs_with_profile())
@@ -389,6 +406,11 @@ class TestSearchMatchesScan:
     @given(non_simple_ccgs(), STOPS)
     def test_non_simple(self, cg, stop_after):
         self.check(cg, False, stop_after)
+
+    @COMMON
+    @given(tied_simple_ccgs(), st.booleans(), STOPS)
+    def test_ties_and_equal_blocks(self, cg, restricted, stop_after):
+        self.check(cg, restricted, stop_after)
 
 
 class TestRestrictedLift:
