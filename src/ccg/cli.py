@@ -5,7 +5,9 @@ human-readable text or as JSON (`--format json`). The JSON form is the
 machine contract: it round-trips through `json.loads`/`json.dumps`, and the
 text form is rendered purely from it. Its bytes are those of
 `json.dumps(report, indent=2)`, written by the one writer
-`gamefile.dumps_json`, which also writes game files.
+`gamefile.dumps_json`, which also writes game files. A potential table
+goes to that writer, and to `render_text`, as its label grid (a
+`gamefile.TableGrid`), with the bytes of its list of row dicts.
 
 Exit codes encode verdicts so pipelines can branch on them:
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import sys
 import time
@@ -52,13 +53,19 @@ from .game import (
     materialize,
     require_valid,
 )
-from .gamefile import dumps_json, game_to_dict, loads_game, read_game_bytes, write_game_file
+from .gamefile import (
+    TableGrid,
+    dumps_json,
+    game_to_dict,
+    loads_game,
+    read_game_bytes,
+    write_game_file,
+)
 from .instances import canned_fixtures, evaluate_fixture, random_game, random_partition
 from .pair_solver import PairSolveTrace, solve_pair_ccg
 from .potential import (
     EquivalenceVerdict,
     FourCycleWitness,
-    PotentialTable,
     check_linearity_equivalence,
 )
 from .rationals import format_rational, format_scaled
@@ -136,13 +143,6 @@ def _witness_json(sf: StrategicForm, w: FourCycleWitness) -> dict:
         },
         "residual": format_rational(w.residual),
     }
-
-
-def _table_json(sf: StrategicForm, table: PotentialTable) -> list[dict]:
-    return [
-        {"profile": list(labels), "value": format_scaled(v, table.scale)}
-        for labels, v in zip(itertools.product(*sf.strategies), table.flat)
-    ]
 
 
 def _matrix_json(sf: StrategicForm) -> dict:
@@ -228,7 +228,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
 def _cmd_potential(args) -> tuple[dict, int]:
     game, partition, digest = _load(args.file)
     eq = check_linearity_equivalence(game, partition)
-    sf, verdict = eq.form, eq.potential
+    sf, verdict, table = eq.form, eq.potential, eq.potential.table
     verdicts = {
         "has_potential": verdict.has_potential,
         "all_linear": eq.all_linear,
@@ -237,7 +237,7 @@ def _cmd_potential(args) -> tuple[dict, int]:
     witnesses = [] if verdict.witness is None else [_witness_json(sf, verdict.witness)]
     traces = {
         "linearity": _linearity_json(eq.linearity),
-        "potential_table": None if verdict.table is None else _table_json(sf, verdict.table),
+        "potential_table": None if table is None else TableGrid(sf.strategies, table.flat, table.scale),
     }
     code = EXIT_OK if verdict.has_potential else EXIT_NONE_EXISTS
     return _report("potential", {"file": args.file}, digest, verdicts, witnesses, traces), code
@@ -385,8 +385,9 @@ def render_text(report: dict) -> str:
     elif command == "potential":
         if v["has_potential"]:
             lines.append("exact potential exists")
-            for row in report["traces"]["potential_table"]:
-                lines.append(f"  {' | '.join(row['profile'])}: {row['value']}")
+            table = report["traces"]["potential_table"]
+            rows = table.rows() if type(table) is TableGrid else ((r["profile"], r["value"]) for r in table)
+            lines.extend(f"  {' | '.join(profile)}: {value}" for profile, value in rows)
         else:
             lines.append("no exact potential")
             for w in report["witnesses"]:

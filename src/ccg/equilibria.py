@@ -330,7 +330,10 @@ def enumerate_pure_ne(
         for k, si in zip(order, found):
             idx[k] = si
             multiplicity *= place(k, si)
-        equilibria.append(PureProfile(tuple(choices)))
+        # `choices` holds tuples already, so skip PureProfile's normalization
+        profile = object.__new__(PureProfile)
+        object.__setattr__(profile, "choices", tuple(choices))
+        equilibria.append(profile)
         multiplicities.append(multiplicity)
         if stop_after is not None and len(equilibria) >= stop_after:
             checked = sum(map(mul, idx, row_major_strides(sizes))) + 1

@@ -21,14 +21,17 @@ defines the canonical resource order of the loaded game.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import GameFileError
 from .game import CongestionGame, CostTable, Partition
-from .rationals import as_fraction, format_rational
+from .rationals import as_fraction, format_rational, format_scaled
 
 GameWithPartition = tuple[CongestionGame, Partition]
 
@@ -61,11 +64,54 @@ def game_to_dict(game: CongestionGame, partition: Partition) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class TableGrid:
+    """A table with one row `{"profile": [label, ...], "value": v}` per
+    joint profile, given as its label grid: `labels` holds each player's
+    labels (a game has at least one player), the profiles are
+    `itertools.product(*labels)` and row f has value
+    `format_scaled(flat[f], scale)`. `dumps_json` writes it as that list of
+    rows without building them."""
+
+    labels: tuple[tuple[str, ...], ...]
+    flat: Sequence[int]
+    scale: int
+
+    def rows(self):
+        """Each row's (profile labels, value), in order."""
+        values = map(format_scaled, self.flat, itertools.repeat(self.scale))
+        return zip(itertools.product(*self.labels), values)
+
+
+def _grid_parts(grid: TableGrid, newline: str):
+    """The pieces of `grid`'s rows as `dumps_json` writes a list of row
+    dicts: each label is encoded once and each distinct value formatted
+    once, and the pieces come from C-level iterators, with no string the
+    size of the table besides the writer's one join."""
+    # the line breaks before a row, before its keys and before its labels
+    row, key, label = newline + "  ", newline + "    ", newline + "      "
+    if not all(grid.labels):
+        return ["[]"]
+    if grid.scale == 1:
+        values = map(int.__repr__, grid.flat)
+    else:
+        scaled = {v: format_scaled(v, grid.scale) for v in set(grid.flat)}
+        texts = {v: f'"{t}"' if type(t) is str else int.__repr__(t) for v, t in scaled.items()}
+        values = map(texts.__getitem__, grid.flat)
+    encoded = [[encode_basestring_ascii(s) for s in block] for block in grid.labels]
+    profiles = map(("," + label).join, itertools.product(*encoded))
+    head = "{" + key + '"profile": [' + label
+    leads = itertools.chain(["[" + row + head], itertools.repeat(row + "}," + row + head))
+    rows = zip(leads, profiles, itertools.repeat(key + "]," + key + '"value": '), values)
+    return itertools.chain(itertools.chain.from_iterable(rows), [row + "}" + newline + "]"])
+
+
 def dumps_json(obj) -> str:
     """`json.dumps(obj, indent=2)`, byte for byte, in one pass (the stdlib's
     C encoder ignores `indent`). Dicts with string keys, lists, tuples,
     strings, ints, bools and None are written here, sharing separators and
-    encoded keys; anything else, such as a float, goes to `json.dumps`."""
+    encoded keys; a `TableGrid` is written as its list of row dicts; anything
+    else, such as a float, goes to `json.dumps`."""
     parts: list[str] = []
     out = parts.append
     levels: dict[str, tuple[str, str, str, str]] = {}
@@ -104,6 +150,8 @@ def dumps_json(obj) -> str:
                     write(item, inner)
                     sep = comma
                 out(close_list)
+        elif kind is TableGrid:
+            parts.extend(_grid_parts(value, newline))
         else:  # an encoded string holds no raw newline, so this just indents
             out(json.dumps(value, indent=2).replace("\n", newline))
 

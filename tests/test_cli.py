@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from ccg.instances import (
     no_ne_triple_fixture,
     parametric_two_resource_fixture,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -390,6 +393,19 @@ class TestReportContract:
         rendered = render_text(report).strip().splitlines()
         # the timing line reflects each run's own duration
         assert printed[:-1] == rendered[:-1]
+
+    @pytest.mark.parametrize("name", ["t2_linear.json", "crossed.json"])
+    def test_text_of_a_potential_table_is_function_of_machine_report(self, capsys, name):
+        path = str(GOLDEN / name)
+        report, _ = run_json(capsys, "potential", path)
+        table = report["traces"]["potential_table"]
+        assert table
+        assert main(["potential", path]) == 0
+        printed = capsys.readouterr().out.strip().splitlines()
+        rendered = render_text(report).strip().splitlines()
+        assert printed[:-1] == rendered[:-1]
+        rows = [f"  {' | '.join(row['profile'])}: {row['value']}" for row in table]
+        assert printed[1 : 1 + len(rows)] == rows
 
     def test_threads_flag_does_not_change_output(self, capsys, pair_file):
         r1, _ = run_json(capsys, "solve", pair_file)

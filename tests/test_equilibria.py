@@ -285,6 +285,19 @@ class TestPinnedInstances:
         assert first.profiles_checked == 6270
         assert not first.exhaustive
 
+    def test_reported_profiles_equal_the_public_constructor(self, overlap_game):
+        # the search builds its profiles without PureProfile's normalization
+        b1 = CoalitionalGame(random_game("b1", 8, 4, "monotone"), random_partition("b1", 8, 3))
+        grand = CoalitionalGame(overlap_game, Partition.from_one_based([[1, 2, 3]]))
+        for cg in (b1, grand):
+            profiles = enumerate_pure_ne(cg).equilibria
+            assert profiles
+            for p in profiles:
+                again = PureProfile(p.choices)
+                assert p == again and hash(p) == hash(again)
+                assert type(p.choices) is tuple
+                assert all(type(c) is tuple and all(type(r) is str for r in c) for c in p.choices)
+
     @pytest.fixture
     def lookups(self, monkeypatch):
         """The block position of every best-reply lookup from here on."""

@@ -2,7 +2,9 @@
 
 Each case runs `ccg.cli.main` from `tests/golden/` with relative file names,
 drops the report's wall-clock `timing` field, and compares the re-encoded
-report with `tests/golden/expected/<case>.json`. A refactor must keep these
+report with `tests/golden/expected/<case>.json`. The raw stdout must also be
+exactly `json.dumps(report, indent=2)` plus a newline, so the writer's bytes
+are pinned, not just the report they parse to. A refactor must keep these
 files unchanged; an intended change to a report rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -86,20 +88,23 @@ CASES = [
 ]
 
 
-def _run(argv: list[str]) -> tuple[str, int]:
+def _run(argv: list[str]) -> tuple[str, str, int]:
+    """The raw stdout, the re-encoded report without `timing`, and the exit code."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["--format", "json", *argv])
-    report = json.loads(out.getvalue())
+    stdout = out.getvalue()
+    report = json.loads(stdout)
     del report["timing"]
-    return json.dumps(report, indent=2) + "\n", code
+    return stdout, json.dumps(report, indent=2) + "\n", code
 
 
 @pytest.mark.parametrize("case, argv, code", CASES, ids=[c[0] for c in CASES])
 def test_report_matches_golden(case, argv, code, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    text, got = _run(argv)
+    stdout, text, got = _run(argv)
     assert got == code
+    assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
     assert text == (GOLDEN / "expected" / f"{case}.json").read_text()
 
 
@@ -109,6 +114,6 @@ if __name__ == "__main__":
         write_game_file(GOLDEN / name, *build())
     os.chdir(GOLDEN)
     for case, argv, code in CASES:
-        text, got = _run(argv)
+        _, text, got = _run(argv)
         (GOLDEN / "expected" / f"{case}.json").write_text(text)
         print(f"{case}: exit {got}" + ("" if got == code else f", expected {code}"))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from ccg import CoalitionalGame, Partition, coalition_utility, as_profile
 from ccg.errors import GameFileError
-from ccg.gamefile import dumps_game, dumps_json, game_to_dict, load_game_file, loads_game
+from ccg.gamefile import (
+    TableGrid,
+    dumps_game,
+    dumps_json,
+    game_to_dict,
+    load_game_file,
+    loads_game,
+)
 from ccg.rationals import format_rational, format_scaled
 from ccg.instances import no_ne_overlap_fixture, no_ne_triple_fixture
 
@@ -177,6 +186,43 @@ def test_dumps_json_equals_stdlib_indent_2(value):
 )
 def test_dumps_json_edge_values(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+_labels = st.lists(
+    st.text(max_size=3) | st.sampled_from(['"', "\\", ",", "é", "😀", '\\"', "a,b", ", "]),
+    max_size=3,
+).map("".join)
+
+
+@st.composite
+def _grids(draw):
+    """A table grid of 1-4 players with 1-5 labels each, and its rows."""
+    labels = draw(st.lists(st.lists(_labels, min_size=1, max_size=5).map(tuple), min_size=1, max_size=4))
+    scale = draw(st.sampled_from([1, 12, 1_000_003, 2**61 - 1]))
+    value = st.integers(-(10**20), 10**20) | st.integers(-50, 50).map(lambda m: m * scale)
+    flat = draw(st.lists(value, min_size=math.prod(map(len, labels)), max_size=math.prod(map(len, labels))))
+    grid = TableGrid(tuple(labels), tuple(flat), scale)
+    rows = [
+        {"profile": list(profile), "value": format_scaled(v, scale)}
+        for profile, v in zip(itertools.product(*labels), flat)
+    ]
+    return grid, rows
+
+
+_nestings = [
+    lambda t: t,
+    lambda t: [t],
+    lambda t: {"traces": {"linearity": [], "potential_table": t}},
+    lambda t: {"a": [1, {"b": [t, None]}], "c": t},
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grids(), st.sampled_from(_nestings))
+def test_dumps_json_writes_a_grid_as_its_rows(grid_rows, nest):
+    grid, rows = grid_rows
+    assert dumps_json(nest(grid)) == json.dumps(nest(rows), indent=2)
+    assert list(grid.rows()) == [(tuple(r["profile"]), r["value"]) for r in rows]
 
 
 def test_dumps_game_is_written_by_dumps_json(triple_game):
