@@ -6,8 +6,9 @@ machine contract: it round-trips through `json.loads`/`json.dumps`, and the
 text form is rendered purely from it. Its bytes are those of
 `json.dumps(report, indent=2)`, written by the one writer
 `gamefile.dumps_json`, which also writes game files. A potential table
-goes to that writer, and to `render_text`, as its label grid (a
-`gamefile.TableGrid`), with the bytes of its list of row dicts.
+goes to that writer as its label grid (a `gamefile.TableGrid`), with the
+bytes of its list of row dicts; `render_text` reads its rows through
+`TableGrid.rows_of`, from the grid or from a parsed report alike.
 
 Exit codes encode verdicts so pipelines can branch on them:
 
@@ -385,8 +386,7 @@ def render_text(report: dict) -> str:
     elif command == "potential":
         if v["has_potential"]:
             lines.append("exact potential exists")
-            table = report["traces"]["potential_table"]
-            rows = table.rows() if type(table) is TableGrid else ((r["profile"], r["value"]) for r in table)
+            rows = TableGrid.rows_of(report["traces"]["potential_table"])
             lines.extend(f"  {' | '.join(profile)}: {value}" for profile, value in rows)
         else:
             lines.append("no exact potential")

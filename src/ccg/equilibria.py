@@ -330,10 +330,7 @@ def enumerate_pure_ne(
         for k, si in zip(order, found):
             idx[k] = si
             multiplicity *= place(k, si)
-        # `choices` holds tuples already, so skip PureProfile's normalization
-        profile = object.__new__(PureProfile)
-        object.__setattr__(profile, "choices", tuple(choices))
-        equilibria.append(profile)
+        equilibria.append(PureProfile.of_tuples(tuple(choices)))
         multiplicities.append(multiplicity)
         if stop_after is not None and len(equilibria) >= stop_after:
             checked = sum(map(mul, idx, row_major_strides(sizes))) + 1

@@ -306,6 +306,14 @@ class PureProfile:
             self, "choices", tuple(tuple(c) if not isinstance(c, str) else (c,) for c in self.choices)
         )
 
+    @classmethod
+    def of_tuples(cls, choices: tuple[Choice, ...]) -> PureProfile:
+        """The profile of `choices`, a tuple of choice tuples, taken as is
+        without `__post_init__`'s normalization."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "choices", choices)
+        return profile
+
     def __len__(self) -> int:
         return len(self.choices)
 

@@ -77,10 +77,14 @@ class TableGrid:
     flat: Sequence[int]
     scale: int
 
-    def rows(self):
-        """Each row's (profile labels, value), in order."""
-        values = map(format_scaled, self.flat, itertools.repeat(self.scale))
-        return zip(itertools.product(*self.labels), values)
+    @staticmethod
+    def rows_of(table):
+        """Each row's (profile labels, value), in order, of a `TableGrid` or
+        of the list of row dicts it is written as (a parsed report)."""
+        if type(table) is not TableGrid:
+            return ((row["profile"], row["value"]) for row in table)
+        values = map(format_scaled, table.flat, itertools.repeat(table.scale))
+        return zip(itertools.product(*table.labels), values)
 
 
 def _grid_parts(grid: TableGrid, newline: str):
@@ -92,12 +96,12 @@ def _grid_parts(grid: TableGrid, newline: str):
     row, key, label = newline + "  ", newline + "    ", newline + "      "
     if not all(grid.labels):
         return ["[]"]
-    if grid.scale == 1:
-        values = map(int.__repr__, grid.flat)
-    else:
-        scaled = {v: format_scaled(v, grid.scale) for v in set(grid.flat)}
-        texts = {v: f'"{t}"' if type(t) is str else int.__repr__(t) for v, t in scaled.items()}
-        values = map(texts.__getitem__, grid.flat)
+    # a table's values repeat across profiles, so each is formatted once
+    texts = dict.fromkeys(grid.flat)
+    for v in texts:
+        t = format_scaled(v, grid.scale)
+        texts[v] = f'"{t}"' if type(t) is str else int.__repr__(t)
+    values = map(texts.__getitem__, grid.flat)
     encoded = [[encode_basestring_ascii(s) for s in block] for block in grid.labels]
     profiles = map(("," + label).join, itertools.product(*encoded))
     head = "{" + key + '"profile": [' + label

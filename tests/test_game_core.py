@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import inspect
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from ccg import (
     CongestionGame,
     CostTable,
     Partition,
+    PureProfile,
     StrategicForm,
     as_profile,
     build_potential_by_path,
@@ -144,6 +146,14 @@ class TestCongestion:
     def test_invalid_profile(self, triple_game):
         with pytest.raises(InvalidProfileError):
             congestion(triple_game, as_profile(triple_game, ["A", "A", "B"]))
+
+
+def test_trusted_profile_constructor_matches_the_public_one(overlap_game):
+    # of_tuples sets `choices` alone, so it must be PureProfile's only field
+    assert [f.name for f in dataclasses.fields(PureProfile)] == ["choices"]
+    s = as_profile(overlap_game, [("A", "B"), "C", ("B", "C")])
+    again = PureProfile.of_tuples(s.choices)
+    assert again == s and hash(again) == hash(s) and again.choices is s.choices
 
 
 class TestPlayerCost:
