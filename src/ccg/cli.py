@@ -8,7 +8,7 @@ text form is rendered purely from it. Its bytes are those of
 `gamefile.dumps_json`, which also writes game files. A potential table
 goes to that writer as its label grid (a `gamefile.TableGrid`), with the
 bytes of its list of row dicts; `render_text` reads its rows through
-`TableGrid.rows_of`, from the grid or from a parsed report alike.
+`TableGrid.columns_of`, from the grid or from a parsed report alike.
 
 Exit codes encode verdicts so pipelines can branch on them:
 
@@ -386,8 +386,9 @@ def render_text(report: dict) -> str:
     elif command == "potential":
         if v["has_potential"]:
             lines.append("exact potential exists")
-            rows = TableGrid.rows_of(report["traces"]["potential_table"])
-            lines.extend(f"  {' | '.join(profile)}: {value}" for profile, value in rows)
+            # each distinct value is formatted once; a row is one C-level join and format
+            profiles, values = TableGrid.columns_of(report["traces"]["potential_table"])
+            lines.extend(map("  {}: {}".format, map(" | ".join, profiles), values))
         else:
             lines.append("no exact potential")
             for w in report["witnesses"]:

@@ -227,8 +227,8 @@ def find_deviation(
     equilibrium. Blocks are scanned in index order; among a block's best
     replies the lexicographically first is reported. Each block's strategy
     count must be within the size limit, as for its best reply."""
-    validate_profile(cg.base, s)
     kernel = compile_within_limit(cg, range(len(cg.blocks)), restricted)
+    validate_profile(cg.base, s)
     idx = []
     for k, block in enumerate(cg.blocks):
         strat = tuple(sorted((s.choices[i] for i in block), key=cg.base.choice_key))

@@ -9,17 +9,21 @@ chooses a tuple of member strategies and receives the sum of member utilities
 (utilities are negated costs).
 
 Everything is an immutable value; every operation is a pure function; all
-arithmetic is exact, so equilibrium and potential verdicts are too. Costs are
-stored as `fractions.Fraction`. For analysis a coalitional game is compiled
-once (`CompiledGame`): every cost table is multiplied by the LCM of all cost
-denominators in the game, so inner loops run on Python integers, and values
-become Fractions again only when they leave the kernel. A game keeps its
-scaled tables and its kernels, with their best-reply caches, for as long as
-it lives, so the solver, its checks, enumeration and `materialize` share one
-compile. A simple game's blocks read their strategies and usage counts from
-a `BlockLayout` built once per process. `materialize` emits a flat
-`StrategicForm` of such scaled integers. Sub-agents and blocks are 0-indexed
-throughout the library; the file format and CLI translate to 1-based ids.
+arithmetic is exact, so equilibrium and potential verdicts are too. A cost
+table is stored as integer numerators over its least common denominator,
+and validation compares those integers. For analysis a coalitional game is
+compiled once (`CompiledGame`): every table is brought to the LCM of the
+table denominators, so inner loops run on Python integers, and values
+become Fractions only when they leave the kernel. A game without tables to
+compile (a missing or short table, an unknown resource, an empty strategy
+set) is refused with `InvalidGameError` whenever it is compiled. A game
+keeps its scaled tables and its kernels, with their best-reply caches, for
+as long as it lives, so the solver, its checks, enumeration and
+`materialize` share one compile. A simple game's blocks read their
+strategies and usage counts from a `BlockLayout` built once per process.
+`materialize` emits a flat `StrategicForm` of such scaled integers.
+Sub-agents and blocks are 0-indexed throughout the library; the file format
+and CLI translate to 1-based ids.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul, sub
+from operator import le, mul, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -69,21 +73,52 @@ UNKNOWN_RESOURCE = "UnknownResource"
 LENGTH_MISMATCH = "LengthMismatch"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CostTable:
-    """Per-user cost of one resource, indexed by occupancy 1..n.
+    """Per-user cost of one resource, indexed by occupancy 1..n: the cost at
+    occupancy c is `Fraction(numerators[c - 1], denominator)`.
 
+    `CostTable(values)` takes ints, Fractions and "p/q" strings;
+    `CostTable.scaled` takes integers already over one denominator. Either
+    way the pair is reduced (the denominator is the least common one of the
+    values), so equal tables have equal fields, and equality and hashing see
+    only them. `values` is derived once, for the definition-level code.
     Valid tables are non-negative and weakly increasing; `validate_game`
     reports violations rather than the constructor raising.
     """
 
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
+    def __init__(self, values: Iterable) -> None:
+        # an int is its own numerator over denominator 1
+        values = [v if type(v) is int else as_fraction(v) for v in values]
+        denominator = math.lcm(*(v.denominator for v in values))
+        self._set([v.numerator * (denominator // v.denominator) for v in values], denominator)
+
+    @classmethod
+    def scaled(cls, numerators: Iterable[int], denominator: int) -> "CostTable":
+        """The table of `Fraction(x, denominator)` for x in `numerators`, for
+        integers x and `denominator >= 1`, taken without coercion."""
+        table = object.__new__(cls)
+        table._set(numerators, denominator)
+        return table
+
+    def _set(self, numerators: Iterable[int], denominator: int) -> None:
+        numerators = tuple(numerators)
+        g = math.gcd(denominator, *numerators)
+        if g != 1:
+            numerators = tuple(x // g for x in numerators)
+            denominator //= g
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.numerators)
 
     def cost(self, occupancy: int) -> Fraction:
         """Cost paid by each user when `occupancy` users share the resource."""
@@ -125,7 +160,7 @@ class CongestionGame:
             raise InvalidGameError(f"duplicate resource ids in {resources}")
         index = {r: i for i, r in enumerate(resources)}
         costs = {
-            str(r): t if isinstance(t, CostTable) else CostTable(tuple(t))
+            str(r): t if isinstance(t, CostTable) else CostTable(t)
             for r, t in dict(self.costs).items()
         }
         # Simple games pass one strategy set object for every sub-agent, so
@@ -152,7 +187,7 @@ class CongestionGame:
         The sub-agent count is the (common) cost table length.
         """
         tables = {
-            r: v if isinstance(v, CostTable) else CostTable(tuple(v)) for r, v in costs.items()
+            r: v if isinstance(v, CostTable) else CostTable(v) for r, v in costs.items()
         }
         lengths = {len(t) for t in tables.values()}
         if len(lengths) != 1:
@@ -185,9 +220,14 @@ class CongestionGame:
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        tables = [self.costs[r].values for r in self.resources]
-        scale = math.lcm(*(v.denominator for table in tables for v in table))
-        return scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in t) for t in tables)
+        """The LCM of the table denominators, and every table's numerators
+        over it (a table already on that scale is shared, not copied)."""
+        tables = [self.costs[r] for r in self.resources]
+        scale = math.lcm(*(t.denominator for t in tables))
+        factors = [scale // t.denominator for t in tables]
+        return scale, tuple(
+            t.numerators if f == 1 else tuple(x * f for x in t.numerators) for t, f in zip(tables, factors)
+        )
 
     @cached_property
     def _violations(self) -> tuple[Violation, ...]:
@@ -196,6 +236,7 @@ class CongestionGame:
     @cached_property
     def _agent(self) -> "CompiledGame":
         """`CompiledGame.agent(self)`, compiled on first use."""
+        _require_compilable(self)
         return CompiledGame(self, [_simple_layout(self.resources, 1, False)])
 
     @cached_property
@@ -420,7 +461,9 @@ def as_profile(g: CongestionGame, choices: Sequence) -> PureProfile:
 
 
 def validate_game(g: CongestionGame) -> tuple[Violation, ...]:
-    """Check every structural invariant; return all violations found."""
+    """Check every structural invariant; return all violations found. Costs
+    are compared as numerators over their table's denominator; a value
+    becomes a Fraction only to be named in a message."""
     found: list[Violation] = []
     n = g.n
     resource_set = set(g.resources)
@@ -433,40 +476,55 @@ def validate_game(g: CongestionGame) -> tuple[Violation, ...]:
             found.append(
                 Violation(LENGTH_MISMATCH, f"costs[{r}]", f"table length {len(table)} != {n} sub-agents")
             )
-        for j, v in enumerate(table.values, start=1):
-            if v < 0:
-                found.append(Violation(NEGATIVE_COST, f"costs[{r}][{j}]", f"cost {v} is negative"))
-        for j in range(1, len(table)):
-            if table.values[j] < table.values[j - 1]:
-                found.append(
-                    Violation(
-                        DECREASING_COST,
-                        f"costs[{r}][{j + 1}]",
-                        f"{table.values[j]} < {table.values[j - 1]}",
-                    )
-                )
+        x = table.numerators
+        if min(x, default=0) >= 0 and all(map(le, x, x[1:])):
+            continue
+        v = table.values
+        for j in (j for j in range(len(x)) if x[j] < 0):
+            found.append(Violation(NEGATIVE_COST, f"costs[{r}][{j + 1}]", f"cost {v[j]} is negative"))
+        for j in (j for j in range(1, len(x)) if x[j] < x[j - 1]):
+            found.append(Violation(DECREASING_COST, f"costs[{r}][{j + 1}]", f"{v[j]} < {v[j - 1]}"))
     for r in g.costs:
         if r not in resource_set:
             found.append(Violation(UNKNOWN_RESOURCE, f"costs[{r}]", "cost table for unknown resource"))
+    # sub-agents often share one strategy set object (all of them in a simple
+    # game), so each object is checked once
+    problems_of: dict[int, list[tuple[str, str]]] = {}
     for i, strat_set in enumerate(g.strategy_sets):
-        if not strat_set:
-            found.append(Violation(EMPTY_STRATEGY_SET, f"strategies[{i}]", "empty strategy set"))
-        for choice in strat_set:
-            if not choice:
-                found.append(Violation(EMPTY_STRATEGY_SET, f"strategies[{i}]", "empty resource subset"))
-            for r in choice:
-                if r not in resource_set:
-                    found.append(
-                        Violation(UNKNOWN_RESOURCE, f"strategies[{i}]", f"unknown resource {r!r}")
-                    )
+        if id(strat_set) not in problems_of:
+            problems_of[id(strat_set)] = _strategy_set_problems(strat_set, resource_set)
+        for code, message in problems_of[id(strat_set)]:
+            found.append(Violation(code, f"strategies[{i}]", message))
     return tuple(found)
 
 
-def require_valid(g: CongestionGame) -> None:
-    problems = g._violations
-    if problems:
-        detail = "; ".join(f"{v.code} at {v.where}: {v.message}" for v in problems)
+def _strategy_set_problems(strat_set: tuple[Choice, ...], resource_set: set[str]) -> list[tuple[str, str]]:
+    problems = [] if strat_set else [(EMPTY_STRATEGY_SET, "empty strategy set")]
+    for choice in strat_set:
+        if not choice:
+            problems.append((EMPTY_STRATEGY_SET, "empty resource subset"))
+        problems += [(UNKNOWN_RESOURCE, f"unknown resource {r!r}") for r in choice if r not in resource_set]
+    return problems
+
+
+def _refuse(problems: Iterable[Violation]) -> None:
+    detail = "; ".join(f"{v.code} at {v.where}: {v.message}" for v in problems)
+    if detail:
         raise InvalidGameError(detail)
+
+
+def require_valid(g: CongestionGame) -> None:
+    _refuse(g._violations)
+
+
+# The defects that leave a game without integer tables to compile: a missing
+# or short cost table, an unknown resource, nothing to play. Negative and
+# decreasing costs compile, and the library analyses such games.
+_STRUCTURAL = (LENGTH_MISMATCH, UNKNOWN_RESOURCE, EMPTY_STRATEGY_SET)
+
+
+def _require_compilable(g: CongestionGame) -> None:
+    _refuse(v for v in g._violations if v.code in _STRUCTURAL)
 
 
 def validate_profile(g: CongestionGame, s: PureProfile) -> None:
@@ -792,6 +850,7 @@ def compile_within_limit(
     key = (cg.partition, blocks, restricted)
     kernel = cg.base._kernels.get(key)
     if kernel is None:
+        _require_compilable(cg.base)
         if cg.base.is_simple:
             r, sizes = len(cg.base.resources), [len(cg.block(k)) for k in blocks]
             charge([math.comb(r, m) if restricted else math.comb(r + m - 1, m) for m in sizes])

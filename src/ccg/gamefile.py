@@ -27,11 +27,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import GameFileError
 from .game import CongestionGame, CostTable, Partition
-from .rationals import as_fraction, format_rational, format_scaled
+from .rationals import as_fraction, format_scaled
 
 GameWithPartition = tuple[CongestionGame, Partition]
 
@@ -47,7 +48,8 @@ def _parse_rational(value, where: str) -> Fraction:
 
 def game_to_dict(game: CongestionGame, partition: Partition) -> dict:
     resources = sorted(game.resources)
-    costs = {r: [format_rational(v) for v in game.costs[r].values] for r in resources}
+    tables = {r: game.costs[r] for r in resources}
+    costs = {r: [format_scaled(x, t.denominator) for x in t.numerators] for r, t in tables.items()}
     if game.is_simple:
         strategies = "simple"
     else:
@@ -78,13 +80,22 @@ class TableGrid:
     scale: int
 
     @staticmethod
-    def rows_of(table):
-        """Each row's (profile labels, value), in order, of a `TableGrid` or
-        of the list of row dicts it is written as (a parsed report)."""
+    def columns_of(table):
+        """Each row's profile labels and each row's value, as two iterables
+        in row order, of a `TableGrid` or of the list of row dicts it is
+        written as (a parsed report)."""
         if type(table) is not TableGrid:
-            return ((row["profile"], row["value"]) for row in table)
-        values = map(format_scaled, table.flat, itertools.repeat(table.scale))
-        return zip(itertools.product(*table.labels), values)
+            return map(itemgetter("profile"), table), map(itemgetter("value"), table)
+        return itertools.product(*table.labels), map(_formatted(table).__getitem__, table.flat)
+
+
+def _formatted(grid: TableGrid) -> dict:
+    """`format_scaled(v, grid.scale)` by value v of `grid.flat`: a table's
+    values repeat across profiles, so each is formatted once."""
+    texts = dict.fromkeys(grid.flat)
+    for v in texts:
+        texts[v] = format_scaled(v, grid.scale)
+    return texts
 
 
 def _grid_parts(grid: TableGrid, newline: str):
@@ -96,11 +107,7 @@ def _grid_parts(grid: TableGrid, newline: str):
     row, key, label = newline + "  ", newline + "    ", newline + "      "
     if not all(grid.labels):
         return ["[]"]
-    # a table's values repeat across profiles, so each is formatted once
-    texts = dict.fromkeys(grid.flat)
-    for v in texts:
-        t = format_scaled(v, grid.scale)
-        texts[v] = f'"{t}"' if type(t) is str else int.__repr__(t)
+    texts = {v: f'"{t}"' if type(t) is str else int.__repr__(t) for v, t in _formatted(grid).items()}
     values = map(texts.__getitem__, grid.flat)
     encoded = [[encode_basestring_ascii(s) for s in block] for block in grid.labels]
     profiles = map(("," + label).join, itertools.product(*encoded))
@@ -188,7 +195,10 @@ def dict_to_game(obj) -> GameWithPartition:
     for r, values in costs_obj.items():
         if not isinstance(values, list):
             raise GameFileError(f"costs[{r}] must be an array")
-        costs[r] = CostTable(tuple(_parse_rational(v, f"costs[{r}][{j + 1}]") for j, v in enumerate(values)))
+        # integer tokens are taken as they are; any other goes through `as_fraction`
+        costs[r] = CostTable(
+            v if type(v) is int else _parse_rational(v, f"costs[{r}][{j + 1}]") for j, v in enumerate(values)
+        )
 
     strategies = obj["strategies"]
     if strategies == "simple":

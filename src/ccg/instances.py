@@ -196,7 +196,7 @@ def no_ne_overlap_fixture() -> Fixture:
     two_subsets = (("A", "B"), ("A", "C"), ("B", "C"))
     game = CongestionGame(
         ("A", "B", "C"),
-        {r: CostTable((Fraction(0), Fraction(3), Fraction(4))) for r in ("A", "B", "C")},
+        {r: CostTable((0, 3, 4)) for r in ("A", "B", "C")},
         tuple(two_subsets for _ in range(3)),
     )
     cells = {
@@ -294,9 +294,10 @@ def canned_fixtures() -> dict[str, tuple[Fixture, ...]]:
 COST_CLASSES = ("linear", "convex", "monotone")
 
 
-def _small_rational(rng: random.Random) -> Fraction:
-    # Denominators from {1,2,3,4}: any sum of these stays over denominator 12.
-    return Fraction(rng.randint(0, 8), rng.choice((1, 2, 3, 4)))
+def _small_rational(rng: random.Random) -> int:
+    """A draw of 0..8 over a denominator from {1, 2, 3, 4}, in twelfths:
+    every such denominator divides 12, so sums stay in twelfths too."""
+    return rng.randint(0, 8) * (12 // rng.choice((1, 2, 3, 4)))
 
 
 def _resource_names(count: int) -> tuple[str, ...]:
@@ -311,6 +312,8 @@ def random_game(seed, n: int, resource_count: int, cost_class: str) -> Congestio
     linear: P(j) = slope*j + intercept with slope, intercept >= 0.
     convex: non-negative increments whose increments are non-negative.
     monotone: any non-negative weakly increasing values.
+
+    Costs are drawn and summed as integer twelfths.
     """
     if n < 1:
         raise InvalidParamsError(f"need at least one sub-agent, got {n}")
@@ -336,7 +339,7 @@ def random_game(seed, n: int, resource_count: int, cost_class: str) -> Congestio
             values = [_small_rational(rng)]
             for _ in range(n - 1):
                 values.append(values[-1] + _small_rational(rng))
-        costs[r] = CostTable(tuple(values))
+        costs[r] = CostTable.scaled(values, 12)
     return CongestionGame.simple(resources, costs)
 
 

@@ -304,18 +304,15 @@ def exact_potential(game: StrategicForm) -> PotentialVerdict:
 
 
 def is_linear(table: CostTable) -> LinearityEntry:
-    """Affine check via second differences; reports slope and intercept when
-    they exist. Tables of length at most two are trivially affine."""
-    v = table.values
-    for j in range(1, len(v) - 1):
-        if v[j + 1] - 2 * v[j] + v[j - 1] != 0:
+    """Affine check via second differences of the table's numerators;
+    reports slope and intercept when they exist. Tables of length at most
+    two are trivially affine."""
+    x, d = table.numerators, table.denominator
+    for j in range(1, len(x) - 1):
+        if x[j + 1] - 2 * x[j] + x[j - 1] != 0:
             return LinearityEntry(False, None, None, j + 1)
-    if len(v) >= 2:
-        slope = v[1] - v[0]
-    else:
-        slope = Fraction(0)
-    intercept = v[0] - slope
-    return LinearityEntry(True, slope, intercept, None)
+    slope = x[1] - x[0] if len(x) >= 2 else 0
+    return LinearityEntry(True, Fraction(slope, d), Fraction(x[0] - slope, d), None)
 
 
 def linearity_report(g: CongestionGame) -> dict[str, LinearityEntry]:

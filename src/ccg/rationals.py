@@ -1,9 +1,12 @@
 """Helpers for exact rational values at package boundaries.
 
 Values enter the package as ints, Fractions or "p/q" strings; floats are
-rejected on input so that every comparison stays exact. Inner loops work on
-integers scaled by a common denominator (see `game.CompiledGame`), and
-every value leaving a kernel becomes `Fraction(value, scale)`.
+rejected on input so that every comparison stays exact. An int is kept as
+it is; `as_fraction` reads the rest. From there on values are integers over
+a common denominator: a cost table's numerators (`game.CostTable`), a
+compiled game's scaled tables (`game.CompiledGame`). A value leaving the
+package becomes `Fraction(value, scale)`, or is written by `format_scaled`
+without one.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ for report, and `listed_block_layout` the per-call strategy listing that the
 cached simple-game layouts replaced. The potential oracle checks the
 defining equation edge by edge on the rational utility mapping, independent
 of the fiber test the library uses. The form and table helpers convert
-between rational mappings and the library's flat scaled-integer tables.
+between rational mappings and the library's flat scaled-integer tables,
+and the cost-table references redo on Fractions what the library does on
+each table's integer numerators.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from ccg import (
     materialize,
     player_cost,
 )
-from ccg.game import CompiledGame, block_layout, validate_profile
-from ccg.potential import PotentialViolation
+from ccg.game import CompiledGame, Violation, block_layout, validate_profile
+from ccg.potential import LinearityEntry, PotentialViolation
 
 
 def _scaled(values) -> tuple[list[int], int]:
@@ -232,3 +234,68 @@ def listed_block_layout(cg: CoalitionalGame, k: int, restricted: bool = False):
         usage.append(tuple(counts))
     contributions = [tuple((r, used) for r, used in enumerate(v) if used) for v in usage]
     return strategies, usage, contributions
+
+
+# ---------------------------------------------------------------------------
+# Cost tables on Fractions: the library compares a table's integer numerators
+# over its denominator; these read `CostTable.values` instead.
+
+
+def reference_scaled(g: CongestionGame) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The LCM of every cost value's denominator, and each table's values
+    times it, in resource order."""
+    tables = [g.costs[r].values for r in g.resources]
+    scale = math.lcm(*(v.denominator for table in tables for v in table))
+    return scale, tuple(tuple(int(v * scale) for v in table) for table in tables)
+
+
+def reference_violations(g: CongestionGame) -> tuple[Violation, ...]:
+    """`validate_game`, one sub-agent and one Fraction comparison at a time."""
+    found = []
+    for r in g.resources:
+        if r not in g.costs:
+            found.append(Violation("LengthMismatch", f"costs[{r}]", "no cost table for resource"))
+            continue
+        v = g.costs[r].values
+        if len(v) != g.n:
+            found.append(
+                Violation("LengthMismatch", f"costs[{r}]", f"table length {len(v)} != {g.n} sub-agents")
+            )
+        found += [
+            Violation("NegativeCost", f"costs[{r}][{j + 1}]", f"cost {x} is negative")
+            for j, x in enumerate(v)
+            if x < 0
+        ]
+        found += [
+            Violation("DecreasingCost", f"costs[{r}][{j + 1}]", f"{v[j]} < {v[j - 1]}")
+            for j in range(1, len(v))
+            if v[j] < v[j - 1]
+        ]
+    found += [
+        Violation("UnknownResource", f"costs[{r}]", "cost table for unknown resource")
+        for r in g.costs
+        if r not in g.resources
+    ]
+    for i, strat_set in enumerate(g.strategy_sets):
+        if not strat_set:
+            found.append(Violation("EmptyStrategySet", f"strategies[{i}]", "empty strategy set"))
+        for choice in strat_set:
+            if not choice:
+                found.append(Violation("EmptyStrategySet", f"strategies[{i}]", "empty resource subset"))
+            found += [
+                Violation("UnknownResource", f"strategies[{i}]", f"unknown resource {r!r}")
+                for r in choice
+                if r not in g.resources
+            ]
+    return tuple(found)
+
+
+def reference_is_linear(values) -> LinearityEntry:
+    """`is_linear` on the values: affine exactly when every second
+    difference is zero, with P(j) = slope * j + intercept."""
+    v = [Fraction(x) for x in values]
+    for j in range(1, len(v) - 1):
+        if v[j + 1] - v[j] != v[j] - v[j - 1]:
+            return LinearityEntry(False, None, None, j + 1)
+    slope = v[1] - v[0] if len(v) >= 2 else Fraction(0)
+    return LinearityEntry(True, slope, v[0] - slope, None)

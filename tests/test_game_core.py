@@ -94,6 +94,40 @@ class TestValidation:
         assert CongestionGame(("A", "B"), costs, sets).strategy_sets == ((("B",),), (("A",),)) * 2
 
 
+_SINGLES = (("A",), ("B",))
+
+# Games two sub-agents cannot be compiled for, with the violation each keeps.
+BROKEN_GAMES = {
+    "missing cost table": (CongestionGame(("A", "B"), {"A": (0, 1)}, (_SINGLES,) * 2), "LengthMismatch"),
+    "short cost table": (CongestionGame(("A", "B"), {"A": (0, 1), "B": (2,)}, (_SINGLES,) * 2), "LengthMismatch"),
+    "unknown resource": (CongestionGame(("A",), {"A": (0, 1)}, ((("A",),), (("A",), ("Z",)))), "UnknownResource"),
+    "empty strategy set": (CongestionGame(("A",), {"A": (0, 1)}, ((("A",),), ())), "EmptyStrategySet"),
+}
+
+COMPILING_ENTRY_POINTS = {
+    "enumerate_pure_ne": enumerate_pure_ne,
+    "materialize": materialize,
+    "find_deviation": lambda cg: find_deviation(cg, PureProfile((("A",), ("A",)))),
+}
+
+
+class TestCompileRefusal:
+    @pytest.mark.parametrize("entry", sorted(COMPILING_ENTRY_POINTS))
+    @pytest.mark.parametrize("defect", sorted(BROKEN_GAMES))
+    def test_structurally_broken_game_is_refused(self, defect, entry):
+        g, code = BROKEN_GAMES[defect]
+        assert code in {v.code for v in validate_game(g)}
+        for blocks in ([[1], [2]], [[1, 2]]):
+            with pytest.raises(InvalidGameError, match=f"^{code} at "):
+                COMPILING_ENTRY_POINTS[entry](CoalitionalGame(g, Partition.from_one_based(blocks)))
+
+    @pytest.mark.parametrize("entry", sorted(COMPILING_ENTRY_POINTS))
+    def test_negative_and_decreasing_costs_compile(self, entry):
+        g = CongestionGame.simple(("A", "B"), {"A": (-1, 2), "B": (3, "1/2")})
+        assert {v.code for v in validate_game(g)} == {"NegativeCost", "DecreasingCost"}
+        COMPILING_ENTRY_POINTS[entry](CoalitionalGame(g, Partition.discrete(2)))
+
+
 class TestPartition:
     def test_normalization(self):
         p = Partition.from_one_based([[4], [2, 3, 1]])

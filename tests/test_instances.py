@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ccg import (
     CoalitionalGame,
     canned_fixtures,
+    dumps_game,
     enumerate_pure_ne,
     evaluate_fixture,
     is_linear,
@@ -137,3 +139,41 @@ class TestRandomPartition:
             random_partition(1, 3, 4)
         with pytest.raises(InvalidParamsError):
             random_partition(1, 2, 2, require_singleton_and_pair=True)
+
+
+# sha256 prefixes of `dumps_game(random_game(seed, n, r, cost_class),
+# random_partition(seed, n, max_block))`, recorded while the generator still
+# drew Fractions; it draws integer twelfths now, with the same calls on its
+# random stream, so every seeded game and every report built on one is kept.
+SEEDED_STREAMS = [
+    (0, 4, 3, 2, "linear", "17d4d6e70ac13e35"),
+    (1, 4, 3, 2, "linear", "781fce11f5546aa4"),
+    (7, 4, 3, 2, "linear", "f5ad13643f19718e"),
+    (2024, 4, 3, 2, "linear", "3816984709f9fc62"),
+    (0, 4, 3, 2, "convex", "7222b53c0fec2d90"),
+    (1, 4, 3, 2, "convex", "c8da80b74d0e1b17"),
+    (7, 4, 3, 2, "convex", "60ddda2f607a9110"),
+    (2024, 4, 3, 2, "convex", "a7107c3d0f075cf6"),
+    (0, 4, 3, 2, "monotone", "26ec4a818b872d03"),
+    (1, 4, 3, 2, "monotone", "598c1895e9c37aee"),
+    (7, 4, 3, 2, "monotone", "bf6f58659af45db8"),
+    (2024, 4, 3, 2, "monotone", "c1ba12f95af5f5fe"),
+    (0, 9, 5, 3, "linear", "004338d5ae82d5c1"),
+    (1, 9, 5, 3, "linear", "d63526658c247170"),
+    (7, 9, 5, 3, "linear", "b438502384103806"),
+    (2024, 9, 5, 3, "linear", "e23ca1cd458a6097"),
+    (0, 9, 5, 3, "convex", "eb1f43a7a4c7c3d8"),
+    (1, 9, 5, 3, "convex", "dd298d5abbf6ba1c"),
+    (7, 9, 5, 3, "convex", "458df9ba02e850af"),
+    (2024, 9, 5, 3, "convex", "14b1a7272f0c000d"),
+    (0, 9, 5, 3, "monotone", "38736cb735f48778"),
+    (1, 9, 5, 3, "monotone", "67d354b9cb9c9631"),
+    (7, 9, 5, 3, "monotone", "5d2a93ca199cb2cf"),
+    (2024, 9, 5, 3, "monotone", "479630c2246d6608"),
+]
+
+
+@pytest.mark.parametrize("seed, n, r, max_block, cost_class, digest", SEEDED_STREAMS)
+def test_seeded_streams_are_pinned(seed, n, r, max_block, cost_class, digest):
+    text = dumps_game(random_game(seed, n, r, cost_class), random_partition(seed, n, max_block))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

@@ -222,8 +222,8 @@ _nestings = [
 def test_dumps_json_writes_a_grid_as_its_rows(grid_rows, nest):
     grid, rows = grid_rows
     assert dumps_json(nest(grid)) == json.dumps(nest(rows), indent=2)
-    assert list(TableGrid.rows_of(grid)) == [(tuple(r["profile"]), r["value"]) for r in rows]
-    assert list(TableGrid.rows_of(rows)) == [(r["profile"], r["value"]) for r in rows]
+    assert list(zip(*TableGrid.columns_of(grid))) == [(tuple(r["profile"]), r["value"]) for r in rows]
+    assert list(zip(*TableGrid.columns_of(rows))) == [(r["profile"], r["value"]) for r in rows]
 
 
 def test_dumps_game_is_written_by_dumps_json(triple_game):
