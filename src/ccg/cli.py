@@ -131,16 +131,16 @@ def _solve_trace_json(cg: CoalitionalGame, trace: PairSolveTrace) -> dict:
     }
 
 
-def _witness_json(sf: StrategicForm, w: FourCycleWitness) -> dict:
+def _witness_json(strategies: tuple[tuple[str, ...], ...], w: FourCycleWitness) -> dict:
     def labels(profile: tuple[int, ...]) -> list[str]:
-        return [sf.strategies[k][si] for k, si in enumerate(profile)]
+        return [strategies[k][si] for k, si in enumerate(profile)]
 
     return {
         "players": [w.player_i + 1, w.player_j + 1],
         "cycle": [labels(p) for p in w.cycle_profiles()],
         "alternatives": {
-            str(w.player_i + 1): sf.strategies[w.player_i][w.alt_i],
-            str(w.player_j + 1): sf.strategies[w.player_j][w.alt_j],
+            str(w.player_i + 1): strategies[w.player_i][w.alt_i],
+            str(w.player_j + 1): strategies[w.player_j][w.alt_j],
         },
         "residual": format_rational(w.residual),
     }
@@ -229,16 +229,16 @@ def _cmd_solve(args) -> tuple[dict, int]:
 def _cmd_potential(args) -> tuple[dict, int]:
     game, partition, digest = _load(args.file)
     eq = check_linearity_equivalence(game, partition)
-    sf, verdict, table = eq.form, eq.potential, eq.potential.table
+    labels, verdict, table = eq.strategies, eq.potential, eq.potential.table
     verdicts = {
         "has_potential": verdict.has_potential,
         "all_linear": eq.all_linear,
         "equivalence": _equivalence_json(eq) if game.is_simple else None,
     }
-    witnesses = [] if verdict.witness is None else [_witness_json(sf, verdict.witness)]
+    witnesses = [] if verdict.witness is None else [_witness_json(labels, verdict.witness)]
     traces = {
         "linearity": _linearity_json(eq.linearity),
-        "potential_table": None if table is None else TableGrid(sf.strategies, table.flat, table.scale),
+        "potential_table": None if table is None else TableGrid(labels, table.flat, table.scale),
     }
     code = EXIT_OK if verdict.has_potential else EXIT_NONE_EXISTS
     return _report("potential", {"file": args.file}, digest, verdicts, witnesses, traces), code

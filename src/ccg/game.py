@@ -815,11 +815,14 @@ class CompiledGame:
             tables.append(utility)
         return tables
 
+    def labels(self) -> tuple[tuple[str, ...], ...]:
+        """Each compiled block's strategy labels, in strategy order."""
+        return tuple(tuple(map(block_strategy_label, per_block)) for per_block in self.strategies)
+
     def form(self, env: Sequence[int]) -> StrategicForm:
         """The compiled blocks' strategic form against the fixed occupancy
         `env`. Compile through `compile_within_limit` to bound its size."""
-        labels = tuple(tuple(map(block_strategy_label, per_block)) for per_block in self.strategies)
-        return StrategicForm(labels, tuple(map(tuple, self.payoffs(env))), self.scale)
+        return StrategicForm(self.labels(), tuple(map(tuple, self.payoffs(env))), self.scale)
 
 
 def compile_within_limit(

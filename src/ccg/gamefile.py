@@ -21,11 +21,12 @@ defines the canonical resource order of the loaded game.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -37,13 +38,25 @@ from .rationals import as_fraction, format_scaled
 GameWithPartition = tuple[CongestionGame, Partition]
 
 
-def _parse_rational(value, where: str) -> Fraction:
-    if isinstance(value, float):
+def _cost_pair(v, r: str, j: int) -> tuple[int, int]:
+    """Cost token j of resource r as (numerator, denominator). Integers, and
+    "p/q" strings of ASCII digits with an optional "-" on p and q nonzero,
+    are read without `Fraction(str)`; other tokens go through `as_fraction`."""
+    if type(v) is int:
+        return v, 1
+    num, _, den = v.partition("/") if type(v) is str else ("", "", "")
+    digits = num.removeprefix("-")
+    if digits.isascii() and digits.isdigit() and den.isascii() and den.isdigit() and den.strip("0"):
+        with contextlib.suppress(ValueError):  # int() refuses strings past the digit limit
+            return int(num), int(den)
+    where = f"costs[{r}][{j + 1}]"
+    if isinstance(v, float):
         raise GameFileError(f"{where}: floats are not allowed, use ints or 'p/q' strings")
     try:
-        return as_fraction(value)
+        value = as_fraction(v)
     except (TypeError, GameFileError) as exc:
         raise GameFileError(f"{where}: {exc}") from exc
+    return value.numerator, value.denominator
 
 
 def game_to_dict(game: CongestionGame, partition: Partition) -> dict:
@@ -195,10 +208,9 @@ def dict_to_game(obj) -> GameWithPartition:
     for r, values in costs_obj.items():
         if not isinstance(values, list):
             raise GameFileError(f"costs[{r}] must be an array")
-        # integer tokens are taken as they are; any other goes through `as_fraction`
-        costs[r] = CostTable(
-            v if type(v) is int else _parse_rational(v, f"costs[{r}][{j + 1}]") for j, v in enumerate(values)
-        )
+        pairs = [_cost_pair(v, r, j) for j, v in enumerate(values)]
+        denominator = math.lcm(*(q for _, q in pairs))
+        costs[r] = CostTable.scaled([p * (denominator // q) for p, q in pairs], denominator)
 
     strategies = obj["strategies"]
     if strategies == "simple":

@@ -1,27 +1,25 @@
 """Exact-potential analysis of finite strategic-form games.
 
-An exact potential is a single function over joint profiles whose change
-under any unilateral deviation equals the deviating player's utility change.
-Existence is decided constructively: integrate utility differences along the
-lexicographic path from the all-first-strategies profile, then verify the
-candidate. P is an exact potential iff `U_i - P` is constant along every
-player-i fiber (the profiles that differ only in player i's strategy; Monderer
-& Shapley, *Potential Games*, GEB 14, 1996), so verification is one pass per
-player over the profile table. For finite games this is sound and complete,
-and on failure some deviation square (a *four-cycle*: two players, two
-strategies each) must carry a nonzero residual, which is extracted as a
-witness.
+An exact potential is one function over joint profiles whose change under
+any unilateral deviation equals the deviator's utility change. Any finite
+game is decided by search: integrate utility differences along the
+lexicographic path from the all-first profile, then verify that `U_i - P`
+is constant along every player-i fiber (Monderer & Shapley, *Potential
+Games*, GEB 14, 1996); on failure some deviation square (a *four-cycle*)
+has a nonzero residual, the witness. All of it runs on the flat integer
+tables of a `StrategicForm` (utilities times its `scale`).
 
-Every step works on the flat integer tables of a `StrategicForm` (utilities
-times the form's `scale`); the potential table and the witness residual are
-divided back into rationals when they are reported.
-
-The module also ties potential existence back to congestion structure: for a
-simple game with a partition containing at least one singleton and one pair
-(and at least two resources), an induced coalitional game has an exact
-potential exactly when every resource cost table is affine.
-`check_linearity_equivalence` decides both sides for any game and marks a
-game outside that shape, a non-simple one included, as not applicable.
+A coalitional congestion game whose costs are all affine, c_r(x) = a_r*x +
+b_r, has for every partition and strategy set the exact potential
+P = -sum_r [a_r * (n_r^2 + sum_k x_kr^2) / 2 + b_r * n_r], with n_r the
+occupancy of resource r and x_kr block k's usage of it (on the discrete
+partition, Rosenthal's). `check_linearity_equivalence` decides such games
+by this identity, with no utility table and no verification sweep, and
+charges the table to the size limit as "potential table"; games with a
+non-affine cost are still materialized and searched. For a simple game
+with two or more resources and a partition holding a singleton and a pair,
+a potential exists exactly when every cost is affine; other games,
+non-simple ones included, are marked as outside that shape.
 """
 
 from __future__ import annotations
@@ -29,24 +27,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
-from typing import Iterable, Mapping
+from operator import add, sub
 
 from .errors import (
-    CoverageMismatchError,
     InvalidGameError,
     InvalidIndicesError,
-    InvalidProfileError,
     LinearityEquivalenceViolationError,
     PreconditionViolatedError,
 )
 from .game import (
     CoalitionalGame,
+    CompiledGame,
     CongestionGame,
     CostTable,
     Partition,
     StrategicForm,
-    as_profile,
+    _require_compilable,
     compile_within_limit,
     materialize,
     profile_at,
@@ -127,7 +123,7 @@ class EquivalenceVerdict:
 
     `consistent` is None when the partition shape makes the equivalence
     inapplicable; when applicable, inconsistency raises instead. `form` is
-    the materialized game the potential verdict was decided on.
+    the materialized game, None when the closed form decided the verdict.
     """
 
     applicable: bool
@@ -136,7 +132,8 @@ class EquivalenceVerdict:
     consistent: bool | None
     potential: PotentialVerdict
     linearity: dict[str, LinearityEntry]
-    form: StrategicForm
+    strategies: tuple[tuple[str, ...], ...]
+    form: StrategicForm | None
 
 
 def build_potential_by_path(game: StrategicForm) -> PotentialTable:
@@ -319,8 +316,30 @@ def linearity_report(g: CongestionGame) -> dict[str, LinearityEntry]:
     return {r: is_linear(g.costs[r]) for r in g.resources}
 
 
+def _affine_potential(kernel: CompiledGame) -> PotentialTable:
+    """The closed form on the kernel's profiles when each scaled table t is
+    affine, anchored at zero on the all-first profile: with a = t[1] - t[0]
+    and b = t[0] - a, twice its negation sums a * x_kr^2 and a * n_r^2 +
+    2b * n_r, which is even as n^2 + sum_k x_k^2 = 2n mod 2."""
+    slopes = [t[1] - t[0] if len(t) > 1 else 0 for t in kernel.costs]
+    doubled = [0]
+    for vectors in kernel.usage:
+        own = [sum([a * x * x for a, x in zip(slopes, v)]) for v in vectors]
+        doubled = [d + w for d in doubled for w in own]
+    for r, (a, t) in enumerate(zip(slopes, kernel.costs)):
+        term = [a * n * n + 2 * (t[0] - a) * n for n in range(len(t) + 1)]  # n_r <= len(t)
+        occupancy = [0]
+        for vectors in kernel.usage:
+            occupancy = [c + v[r] for c in occupancy for v in vectors]
+        doubled = list(map(add, doubled, map(term.__getitem__, occupancy)))
+    anchor, sizes = doubled[0], tuple(map(len, kernel.usage))
+    return PotentialTable(sizes, tuple([(anchor - d) >> 1 for d in doubled]), kernel.scale)
+
+
 def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> EquivalenceVerdict:
-    """Run both sides of the linearity/potential equivalence on any game.
+    """Run both sides of the linearity/potential equivalence on any game:
+    affine games by the closed form (see the module docstring), others by
+    `exact_potential` on the materialized game.
 
     Applicable when the base game is simple with at least two resources and
     the partition holds at least one singleton and one pair (with a single
@@ -328,10 +347,16 @@ def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> Equi
     the cost shape). When applicable the two verdicts must agree; raises
     otherwise. Both are computed for every game so the caller sees them.
     """
-    form = materialize(CoalitionalGame(g, partition))
-    verdict = exact_potential(form)
+    cg = CoalitionalGame(g, partition)
+    _require_compilable(g)
     report = linearity_report(g)
     all_linear = all(entry.linear for entry in report.values())
+    if all_linear:
+        kernel = compile_within_limit(cg, range(len(cg.blocks)), False, "potential table")
+        form, strategies, verdict = None, kernel.labels(), PotentialVerdict(_affine_potential(kernel), None)
+    else:
+        form = materialize(cg)
+        strategies, verdict = form.strategies, exact_potential(form)
     applicable = (
         g.is_simple and bool(partition.singletons()) and bool(partition.pairs()) and len(g.resources) >= 2
     )
@@ -343,43 +368,5 @@ def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> Equi
                 f"all_linear={all_linear} but has_potential={verdict.has_potential}"
             )
     return EquivalenceVerdict(
-        applicable, all_linear, verdict.has_potential, consistent, verdict, report, form
+        applicable, all_linear, verdict.has_potential, consistent, verdict, report, strategies, form
     )
-
-
-# ---------------------------------------------------------------------------
-# Frozen-context subgames
-
-
-def fix_strategies_subgame(
-    cg: CoalitionalGame, fixed: Mapping[int, object], free_blocks: Iterable[int]
-) -> StrategicForm:
-    """Strategic form over a subset of blocks with everyone else frozen.
-
-    `fixed` maps each sub-agent outside the free blocks to its frozen choice;
-    it must cover exactly those sub-agents, and each must be able to play it.
-    This is materialization of the free blocks with the frozen sub-agents'
-    occupancy added; with all blocks free it is just `materialize`, and like
-    it refuses tables larger than the size limit before listing a strategy.
-    """
-    free = sorted(set(free_blocks))
-    for k in free:
-        cg.block(k)
-    free_agents = {i for k in free for i in cg.blocks[k]}
-    frozen_agents = set(range(cg.base.n)) - free_agents
-    if set(fixed) != frozen_agents:
-        raise CoverageMismatchError(
-            f"fixed profile covers {sorted(fixed)}, expected {sorted(frozen_agents)}"
-        )
-
-    g = cg.base
-    frozen = as_profile(g, [fixed.get(i, g.resources[0]) for i in range(g.n)])
-    index = g.resource_index()
-    env = [0] * len(g.resources)
-    for i in sorted(frozen_agents):
-        if frozen.choices[i] not in g.strategy_sets[i]:
-            raise InvalidProfileError(f"sub-agent {i} cannot play {frozen.choices[i]}")
-        for r in frozen.choices[i]:
-            env[index[r]] += 1
-    what = "materialized utility table"
-    return compile_within_limit(cg, free, False, what, len(free)).form(env)

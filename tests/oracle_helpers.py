@@ -11,7 +11,8 @@ defining equation edge by edge on the rational utility mapping, independent
 of the fiber test the library uses. The form and table helpers convert
 between rational mappings and the library's flat scaled-integer tables,
 and the cost-table references redo on Fractions what the library does on
-each table's integer numerators.
+each table's integer numerators. `fix_strategies_subgame` materializes a
+subset of blocks against frozen outsiders, for tests that restrict a game.
 """
 
 from __future__ import annotations
@@ -36,7 +37,15 @@ from ccg import (
     materialize,
     player_cost,
 )
-from ccg.game import CompiledGame, Violation, block_layout, validate_profile
+from ccg.errors import CoverageMismatchError, InvalidProfileError
+from ccg.game import (
+    CompiledGame,
+    Violation,
+    as_profile,
+    block_layout,
+    compile_within_limit,
+    validate_profile,
+)
 from ccg.potential import LinearityEntry, PotentialViolation
 
 
@@ -299,3 +308,35 @@ def reference_is_linear(values) -> LinearityEntry:
             return LinearityEntry(False, None, None, j + 1)
     slope = v[1] - v[0] if len(v) >= 2 else Fraction(0)
     return LinearityEntry(True, slope, v[0] - slope, None)
+
+
+def fix_strategies_subgame(cg: CoalitionalGame, fixed, free_blocks) -> StrategicForm:
+    """Strategic form over a subset of blocks with everyone else frozen.
+
+    `fixed` maps each sub-agent outside the free blocks to its frozen choice;
+    it must cover exactly those sub-agents, and each must be able to play it.
+    This is materialization of the free blocks with the frozen sub-agents'
+    occupancy added; with all blocks free it is just `materialize`, and like
+    it refuses tables larger than the size limit before listing a strategy.
+    """
+    free = sorted(set(free_blocks))
+    for k in free:
+        cg.block(k)
+    free_agents = {i for k in free for i in cg.blocks[k]}
+    frozen_agents = set(range(cg.base.n)) - free_agents
+    if set(fixed) != frozen_agents:
+        raise CoverageMismatchError(
+            f"fixed profile covers {sorted(fixed)}, expected {sorted(frozen_agents)}"
+        )
+
+    g = cg.base
+    frozen = as_profile(g, [fixed.get(i, g.resources[0]) for i in range(g.n)])
+    index = g.resource_index()
+    env = [0] * len(g.resources)
+    for i in sorted(frozen_agents):
+        if frozen.choices[i] not in g.strategy_sets[i]:
+            raise InvalidProfileError(f"sub-agent {i} cannot play {frozen.choices[i]}")
+        for r in frozen.choices[i]:
+            env[index[r]] += 1
+    what = "materialized utility table"
+    return compile_within_limit(cg, free, False, what, len(free)).form(env)

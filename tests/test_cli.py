@@ -323,19 +323,25 @@ class TestExperiment:
 
 class TestWorkDone:
     def test_potential_materializes_once(self, capsys, monkeypatch, linear_file, nonlinear_file):
-        calls = []
-        original = ccg.potential.materialize
+        # affine costs: the closed form, with no utility table and no sweep
+        calls = dict.fromkeys(("materialize", "verify_exact_potential"), 0)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(name):
+            original = getattr(ccg.potential, name)
 
-        monkeypatch.setattr(ccg.cli, "materialize", counting)
-        monkeypatch.setattr(ccg.potential, "materialize", counting)
-        for path, code in ((linear_file, 0), (nonlinear_file, 3)):
-            calls.clear()
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ccg.potential, name, counting(name))
+        monkeypatch.setattr(ccg.cli, "materialize", ccg.potential.materialize)
+        for path, code, made in ((linear_file, 0, 0), (nonlinear_file, 3, 1)):
+            calls.update(dict.fromkeys(calls, 0))
             assert main(["potential", path]) == code
-            assert len(calls) == 1
+            assert calls == {"materialize": made, "verify_exact_potential": made}
 
     def test_theorem1_validates_the_game_once(self, capsys, monkeypatch, pair_file):
         # cli._load and solve_pair_ccg both require a valid game

@@ -23,7 +23,6 @@ from ccg import (
     congestion,
     enumerate_pure_ne,
     find_deviation,
-    fix_strategies_subgame,
     is_ccg_ne,
     is_ne_congestion,
     materialize,
@@ -46,6 +45,7 @@ from oracle_helpers import (
     brute_is_ccg_ne,
     brute_simple_ne_congestions,
     form_from_utilities,
+    fix_strategies_subgame,
     pure_nash_equilibria,
     scan_pure_ne,
 )

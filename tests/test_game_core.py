@@ -27,7 +27,6 @@ from ccg import (
     evaluate_fixture,
     exact_potential,
     find_deviation,
-    fix_strategies_subgame,
     materialize,
     no_ne_triple_fixture,
     player_cost,
@@ -42,7 +41,12 @@ from ccg.errors import (
 from ccg.game import CompiledGame, block_layout, compile_within_limit
 from ccg.limits import effective_size_limit, ensure_within_limit
 
-from oracle_helpers import assert_kernel_matches_definition, form_utilities, listed_block_layout
+from oracle_helpers import (
+    assert_kernel_matches_definition,
+    fix_strategies_subgame,
+    form_utilities,
+    listed_block_layout,
+)
 
 
 class TestValidation:
@@ -105,6 +109,7 @@ BROKEN_GAMES = {
 }
 
 COMPILING_ENTRY_POINTS = {
+    "check_linearity_equivalence": lambda cg: check_linearity_equivalence(cg.base, cg.partition),
     "enumerate_pure_ne": enumerate_pure_ne,
     "materialize": materialize,
     "find_deviation": lambda cg: find_deviation(cg, PureProfile((("A",), ("A",)))),

@@ -6,9 +6,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ccg import CoalitionalGame, Partition, coalition_utility, as_profile
+from ccg import CoalitionalGame, CostTable, Partition, coalition_utility, as_profile
 from ccg.errors import GameFileError
 from ccg.gamefile import (
     TableGrid,
@@ -18,7 +18,7 @@ from ccg.gamefile import (
     load_game_file,
     loads_game,
 )
-from ccg.rationals import format_rational, format_scaled
+from ccg.rationals import as_fraction, format_rational, format_scaled
 from ccg.instances import no_ne_overlap_fixture, no_ne_triple_fixture
 
 
@@ -70,6 +70,59 @@ def test_rational_strings():
         )
     )
     assert game.costs["A"].values == (Fraction(1, 3), Fraction(2, 3))
+
+
+TOKEN_PIECES = ["", "-", "+", " ", "\t", "_", ".", "/", "e", "0", "00", "1", "7", "12", "\u0663", "\u00b2"]
+
+cost_tokens = st.one_of(
+    st.lists(st.sampled_from(TOKEN_PIECES), max_size=6).map("".join),
+    st.builds(
+        "{}{}/{}".format,
+        st.sampled_from(["", "-", "+"]),
+        st.integers(0, 10**30),
+        st.integers(0, 99),
+    ),
+    st.integers(-50, 50),
+)
+
+
+def as_fraction_table(tokens) -> CostTable | str:
+    """The table `as_fraction` reads from `tokens`, or the loader's message
+    for the first token it refuses."""
+    values = []
+    for j, token in enumerate(tokens, 1):
+        try:
+            values.append(as_fraction(token))
+        except GameFileError as exc:
+            return f"costs[A][{j}]: {exc}"
+    return CostTable(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(cost_tokens, min_size=1, max_size=4))
+@example(["1/0"])
+@example(["-0/5", "1/00"])
+@example([" 1/2", "+1/2", "1_0/3"])
+@example(["1.5", "1/2", "\u0663/\u0664"])
+@example(["\u00b2/3"])
+@example(["-/3"])
+@example(["3/-4"])
+@example(["007/010", "-12/18"])
+@example(["1" * 5000 + "/3"])
+def test_cost_tokens_read_as_as_fraction_reads_them(tokens):
+    """Cost tokens "p/q" of ASCII digits are read as integers, not through
+    `Fraction(str)`; values, refusals and messages stay `as_fraction`'s."""
+    text = json.dumps(
+        {"resources": ["A"], "players": 1, "costs": {"A": tokens}, "strategies": "simple", "partition": [[1]]}
+    )
+    try:
+        table = loads_game(text)[0].costs["A"]
+    except GameFileError as exc:
+        table = str(exc)
+    expected = as_fraction_table(tokens)
+    assert table == expected
+    if isinstance(expected, CostTable):
+        assert table.values == expected.values
 
 
 def test_fraction_emission():

@@ -14,19 +14,21 @@ from ccg import (
     build_potential_by_path,
     check_linearity_equivalence,
     exact_potential,
-    fix_strategies_subgame,
     four_cycle_residual,
     is_linear,
     linearity_report,
     materialize,
     parametric_two_resource_fixture,
+    random_partition,
     verify_exact_potential,
 )
 from ccg.errors import (
     CoverageMismatchError,
     InvalidIndicesError,
+    SizeLimitExceededError,
 )
 from oracle_helpers import (
+    fix_strategies_subgame,
     form_from_utilities,
     form_utilities,
     pairwise_potential_check,
@@ -287,6 +289,61 @@ class TestEquivalence:
         assert verdict.all_linear == all(entry.linear for entry in linearity.values())
         assert verdict.has_potential == verdict.potential.has_potential == direct.has_potential
         assert verdict.potential.witness == direct.witness
+
+
+@st.composite
+def affine_ccgs(draw):
+    """Games whose costs are all affine, simple or not, under a discrete,
+    one-block or random partition. Slopes and intercepts may be fractional
+    (written as "p/q", so the game's scale exceeds 1), negative or zero."""
+    n = draw(st.integers(1, 4))
+    resources = ("A", "B", "C")[: draw(st.integers(1, 3))]
+    coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    costs = {}
+    for r in resources:
+        slope, intercept = draw(coefficients), draw(coefficients)
+        costs[r] = [str(slope * j + intercept) for j in range(1, n + 1)]
+    singles = tuple((r,) for r in resources)
+    if draw(st.booleans()):
+        strategy_sets = (singles,) * n
+    else:
+        menu = list(singles) + list(itertools.combinations(resources, 2))
+        choices = st.lists(st.sampled_from(menu), min_size=1, max_size=3, unique=True)
+        strategy_sets = tuple(tuple(draw(choices)) for _ in range(n))
+    game = CongestionGame(resources, costs, strategy_sets)
+    shape = draw(st.sampled_from(("discrete", "one block", "random")))
+    if shape == "discrete":
+        partition = Partition.discrete(n)
+    elif shape == "one block":
+        partition = Partition((tuple(range(n)),))
+    else:
+        partition = random_partition(draw(st.integers(0, 10**6)), n, draw(st.integers(1, n)))
+    return CoalitionalGame(game, partition)
+
+
+class TestClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(affine_ccgs())
+    def test_closed_form_equals_path_table(self, cg):
+        """The affine verdict's table is the path-integrated table of the
+        materialized game, entry for entry, and an exact potential of it
+        edge by edge."""
+        verdict = check_linearity_equivalence(cg.base, cg.partition)
+        assert verdict.all_linear and verdict.has_potential and verdict.form is None
+        form = materialize(cg)
+        path, table = build_potential_by_path(form), verdict.potential.table
+        assert (table.sizes, table.flat, table.scale) == (path.sizes, path.flat, path.scale)
+        assert verdict.strategies == form.strategies
+        assert pairwise_potential_check(form, table) == (True, None)
+
+    def test_affine_path_charges_the_potential_table(self, monkeypatch):
+        fx = parametric_two_resource_fixture((1, 2, 3), (2, 4, 6))
+        profiles = materialize(CoalitionalGame(fx.game, fx.partition)).num_profiles()
+        monkeypatch.setenv("CCG_SIZE_LIMIT", str(profiles - 1))
+        with pytest.raises(SizeLimitExceededError, match=f"^potential table needs {profiles} entries"):
+            check_linearity_equivalence(fx.game, fx.partition)
+        monkeypatch.setenv("CCG_SIZE_LIMIT", str(profiles))
+        assert check_linearity_equivalence(fx.game, fx.partition).has_potential
 
 
 class TestSubgame:
