@@ -8,14 +8,15 @@ size) tuple pins the exact instance stream and therefore the exact report.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .equilibria import enumerate_pure_ne, is_ccg_ne
 from .errors import InvalidParamsError
-from .game import CoalitionalGame
+from .game import CoalitionalGame, assemble_profile, canonical_block_strategies, coalition_utility
 from .gamefile import game_to_dict
 from .instances import no_ne_triple_fixture, random_game, random_partition
 from .pair_solver import solve_pair_ccg
-from .potential import check_linearity_equivalence, four_cycle_residual
+from .potential import FourCycleWitness, check_linearity_equivalence
 
 MAX_REPORTED_COUNTEREXAMPLES = 5
 
@@ -66,12 +67,22 @@ def pair_solver_sweep(
     }
 
 
+def _residual_at_corners(cg: CoalitionalGame, w: FourCycleWitness) -> Fraction:
+    """The witness square's residual by definition: `coalition_utility` of
+    the moving block at each of its four corners."""
+    strategies = [canonical_block_strategies(cg, k) for k in range(len(cg.blocks))]
+    corners = [assemble_profile(cg, [s[x] for s, x in zip(strategies, c)]) for c in w.cycle_profiles()]
+    steps = zip(corners, corners[1:] + corners[:1], (w.player_i, w.player_j, w.player_i, w.player_j))
+    return sum(coalition_utility(cg, a, k) - coalition_utility(cg, b, k) for a, b, k in steps)
+
+
 def linearity_sweep(
     trials: int, seed, max_players: int = 5, max_resources: int = 3
 ) -> dict:
     """Confusion matrix of (all costs affine) versus (exact potential exists)
     over partitions with a singleton and a pair. The off-diagonal cells must
-    stay empty; every negative verdict's witness is re-evaluated."""
+    stay empty; every negative verdict's witness is re-evaluated at its four
+    corners by `coalition_utility`."""
     _require_at_least("theorem2", max_players, 3, max_resources, 2)
     driver = random.Random(f"linearity-sweep:{seed}")
     confusion = {
@@ -96,10 +107,7 @@ def linearity_sweep(
         confusion[key] += 1
         witness = verdict.potential.witness
         if witness is not None:
-            again = four_cycle_residual(
-                verdict.form, witness.player_i, witness.player_j,
-                witness.profile, witness.alt_i, witness.alt_j,
-            )
+            again = _residual_at_corners(CoalitionalGame(game, partition), witness)
             if again != witness.residual or again == 0:
                 witness_failures += 1
     return {

@@ -1,33 +1,40 @@
 """Exact-potential analysis of finite strategic-form games.
 
 An exact potential is one function over joint profiles whose change under
-any unilateral deviation equals the deviator's utility change. Any finite
-game is decided by search: integrate utility differences along the
-lexicographic path from the all-first profile, then verify that `U_i - P`
-is constant along every player-i fiber (Monderer & Shapley, *Potential
-Games*, GEB 14, 1996); on failure some deviation square (a *four-cycle*)
-has a nonzero residual, the witness. All of it runs on the flat integer
-tables of a `StrategicForm` (utilities times its `scale`).
+any unilateral deviation equals the deviator's utility change; a game has
+one iff every deviation square (a *four-cycle*) has a zero residual
+(Monderer & Shapley, *Potential Games*, GEB 14, 1996). Any finite game is
+decided by search: integrate utility differences along the lexicographic
+path from the all-first profile, then verify that `U_i - P` is constant
+along every player-i fiber; on failure the first nonzero square is the
+witness. All of it runs on the flat integer tables of a `StrategicForm`.
 
 A coalitional congestion game whose costs are all affine, c_r(x) = a_r*x +
 b_r, has for every partition and strategy set the exact potential
 P = -sum_r [a_r * (n_r^2 + sum_k x_kr^2) / 2 + b_r * n_r], with n_r the
 occupancy of resource r and x_kr block k's usage of it (on the discrete
 partition, Rosenthal's). `check_linearity_equivalence` decides such games
-by this identity, with no utility table and no verification sweep, and
-charges the table to the size limit as "potential table"; games with a
-non-affine cost are still materialized and searched. For a simple game
-with two or more resources and a partition holding a singleton and a pair,
-a potential exists exactly when every cost is affine; other games,
-non-simple ones included, are marked as outside that shape.
+by this identity, charged as "potential table". Other games are charged as
+their "materialized utility table", and their squares are scanned on the
+compiled game in the search's order, a block's utilities along a fiber
+being one best-reply values list; pairs of two single-agent blocks are
+skipped, as with everyone else fixed they play a congestion game, whose
+squares are all zero (Rosenthal, 1973). Only a game with no nonzero square
+is materialized. For a simple game with two or more resources and a
+partition holding a singleton and a pair, a potential exists exactly when
+every cost is affine; other games, non-simple ones included, are marked as
+outside that shape.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     InvalidGameError,
@@ -46,6 +53,7 @@ from .game import (
     compile_within_limit,
     materialize,
     profile_at,
+    row_major_strides,
 )
 from .limits import ensure_within_limit
 
@@ -119,12 +127,9 @@ class LinearityEntry:
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
-    """Joint verdict of cost linearity and potential existence.
-
-    `consistent` is None when the partition shape makes the equivalence
-    inapplicable; when applicable, inconsistency raises instead. `form` is
-    the materialized game, None when the closed form decided the verdict.
-    """
+    """Joint verdict of cost linearity and potential existence. `consistent`
+    is None when the partition shape makes the equivalence inapplicable;
+    when applicable, inconsistency raises instead."""
 
     applicable: bool
     all_linear: bool
@@ -133,7 +138,6 @@ class EquivalenceVerdict:
     potential: PotentialVerdict
     linearity: dict[str, LinearityEntry]
     strategies: tuple[tuple[str, ...], ...]
-    form: StrategicForm | None
 
 
 def build_potential_by_path(game: StrategicForm) -> PotentialTable:
@@ -219,22 +223,7 @@ def verify_exact_potential(
     )
 
 
-def _square_residual(game: StrategicForm, i: int, j: int, f: int, step_i: int, step_j: int) -> int:
-    """Scaled residual of the deviation square at flat profile f where
-    players i and j move by `step_i` and `step_j` flat positions."""
-    ui, uj = game.payoffs[i], game.payoffs[j]
-    f10, f01, f11 = f + step_i, f + step_j, f + step_i + step_j
-    return (ui[f] - ui[f10]) + (uj[f10] - uj[f11]) + (ui[f11] - ui[f01]) + (uj[f01] - uj[f])
-
-
-def four_cycle_residual(
-    game: StrategicForm,
-    i: int,
-    j: int,
-    s: tuple[int, ...],
-    t_i: int,
-    t_j: int,
-) -> Fraction:
+def four_cycle_residual(game: StrategicForm, i: int, j: int, s: tuple[int, ...], t_i: int, t_j: int) -> Fraction:
     """Signed utility change around the deviation square spanned by players
     i and j moving to t_i and t_j. Zero on every square iff the game has an
     exact potential."""
@@ -251,32 +240,82 @@ def four_cycle_residual(
         raise InvalidIndicesError(f"bad alternative {t_i} for player {i}")
     if not 0 <= t_j < len(game.strategies[j]):
         raise InvalidIndicesError(f"bad alternative {t_j} for player {j}")
+    ui, uj, f = game.payoffs[i], game.payoffs[j], game.index(s)
+    f10, f01 = f + (t_i - s[i]) * game.strides[i], f + (t_j - s[j]) * game.strides[j]
+    f11 = f10 + f01 - f
+    return Fraction(ui[f] - ui[f10] + uj[f10] - uj[f11] + ui[f11] - ui[f01] + uj[f01] - uj[f], game.scale)
 
-    step_i = (t_i - s[i]) * game.strides[i]
-    step_j = (t_j - s[j]) * game.strides[j]
-    return Fraction(_square_residual(game, i, j, game.index(s), step_i, step_j), game.scale)
+
+def _first_nonzero_square(
+    sizes: tuple[int, ...],
+    scale: int,
+    pairs: Iterable[tuple[int, int]],
+    fiber_values: Callable[[int, int], Sequence[int]],
+) -> FourCycleWitness | None:
+    """The first deviation square with a nonzero residual among the player
+    pairs `pairs` (i < j), in the order (pair, profile, alternative i,
+    alternative j), alternatives above the profile's own. `fiber_values(p,
+    base)` lists p's scaled utilities along the fiber from flat profile
+    `base` (p on strategy 0) and is called once per fiber read.
+
+    Only squares from profiles with i and j on strategy 0 are read: a
+    residual is the mixed difference of u_i - u_j, so moving i from a to b
+    has the residual of 0 -> b minus that of 0 -> a, and a nonzero square
+    with i on a > 0 implies an earlier nonzero one with i on 0; same for j.
+    """
+    pairs = [(i, j) for i, j in pairs if min(sizes[i], sizes[j]) > 1]  # others span no square
+    if not pairs:
+        return None
+    fiber = functools.cache(fiber_values)
+    strides = row_major_strides(sizes)
+    for i, j in pairs:
+        m_i, m_j, stride_i, stride_j = sizes[i], sizes[j], strides[i], strides[j]
+        # the profiles with players i and j on strategy 0, in order
+        starts = [0]
+        for k, (m, stride) in enumerate(zip(sizes, strides)):
+            if k != i and k != j:
+                starts = [f + x * stride for f in starts for x in range(m)]
+        for f in starts:
+            a_i, a_j = fiber(i, f), fiber(j, f)
+            # player i's fibers once player j has moved to each t_j
+            b_is = [fiber(i, f + t_j * stride_j) for t_j in range(1, m_j)]
+            for t_i in range(1, m_i):
+                b_j = fiber(j, f + t_i * stride_i)
+                head = a_i[0] - a_i[t_i] + b_j[0] - a_j[0]
+                for t_j, b_i in enumerate(b_is, 1):
+                    residual = head - b_j[t_j] + b_i[t_i] - b_i[0] + a_j[t_j]
+                    if residual:
+                        return FourCycleWitness(
+                            i, j, profile_at(f, sizes), t_i, t_j, Fraction(residual, scale)
+                        )
+    return None
 
 
 def _find_nonzero_cycle(game: StrategicForm) -> FourCycleWitness | None:
     """Lexicographically first deviation square with nonzero residual, in
     the order (player i, player j, profile, alternative i, alternative j)."""
-    sizes, strides = game.sizes, game.strides
-    for i in range(game.players):
-        for j in range(i + 1, game.players):
-            m_i, m_j = sizes[i], sizes[j]
-            for f in range(game.num_profiles()):
-                s_i = f // strides[i] % m_i
-                s_j = f // strides[j] % m_j
-                for t_i in range(s_i + 1, m_i):
-                    for t_j in range(s_j + 1, m_j):
-                        step_i = (t_i - s_i) * strides[i]
-                        step_j = (t_j - s_j) * strides[j]
-                        residual = _square_residual(game, i, j, f, step_i, step_j)
-                        if residual:
-                            return FourCycleWitness(
-                                i, j, profile_at(f, sizes), t_i, t_j, Fraction(residual, game.scale)
-                            )
-    return None
+    sizes, strides, payoffs = game.sizes, game.strides, game.payoffs
+    pairs = itertools.combinations(range(game.players), 2)
+    return _first_nonzero_square(
+        sizes, game.scale, pairs, lambda p, base: payoffs[p][base : base + sizes[p] * strides[p] : strides[p]]
+    )
+
+
+def _kernel_witness(cg: CoalitionalGame, kernel: CompiledGame) -> FourCycleWitness | None:
+    """`_find_nonzero_cycle(materialize(cg))` read off `kernel` (all blocks,
+    in order): a block's utilities along a fiber are its best-reply values
+    against everyone else's occupancy there. Pairs of two single-agent
+    blocks are skipped; each of their squares is zero (Rosenthal)."""
+    sizes = tuple(map(len, kernel.usage))
+    placed = list(enumerate(zip(kernel.usage, sizes, row_major_strides(sizes))))
+
+    def fiber_values(p: int, base: int) -> list[int]:
+        others = [vectors[base // stride % m] for k, (vectors, m, stride) in placed if k != p]
+        return kernel.best_reply(p, tuple(map(sum, zip(*others))))[0]
+
+    single = [len(block) == 1 for block in cg.blocks]
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(single)), 2) if not (single[i] and single[j])]
+    return _first_nonzero_square(sizes, kernel.scale, pairs, fiber_values)
 
 
 def exact_potential(game: StrategicForm) -> PotentialVerdict:
@@ -338,8 +377,9 @@ def _affine_potential(kernel: CompiledGame) -> PotentialTable:
 
 def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> EquivalenceVerdict:
     """Run both sides of the linearity/potential equivalence on any game:
-    affine games by the closed form (see the module docstring), others by
-    `exact_potential` on the materialized game.
+    affine games by the closed form, others by the first nonzero deviation
+    square on the compiled game, and by `exact_potential` on the
+    materialized game only when there is none (see the module docstring).
 
     Applicable when the base game is simple with at least two resources and
     the partition holds at least one singleton and one pair (with a single
@@ -351,15 +391,19 @@ def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> Equi
     _require_compilable(g)
     report = linearity_report(g)
     all_linear = all(entry.linear for entry in report.values())
+    blocks = range(len(cg.blocks))
     if all_linear:
-        kernel = compile_within_limit(cg, range(len(cg.blocks)), False, "potential table")
-        form, strategies, verdict = None, kernel.labels(), PotentialVerdict(_affine_potential(kernel), None)
+        kernel = compile_within_limit(cg, blocks, False, "potential table")
+        strategies, verdict = kernel.labels(), PotentialVerdict(_affine_potential(kernel), None)
     else:
-        form = materialize(cg)
-        strategies, verdict = form.strategies, exact_potential(form)
-    applicable = (
-        g.is_simple and bool(partition.singletons()) and bool(partition.pairs()) and len(g.resources) >= 2
-    )
+        kernel = compile_within_limit(cg, blocks, False, "materialized utility table", len(blocks))
+        witness = _kernel_witness(cg, kernel)
+        if witness is None:
+            form = materialize(cg)
+            strategies, verdict = form.strategies, exact_potential(form)
+        else:
+            strategies, verdict = kernel.labels(), PotentialVerdict(None, witness)
+    applicable = g.is_simple and bool(partition.singletons() and partition.pairs()) and len(g.resources) >= 2
     consistent: bool | None = None
     if applicable:
         consistent = all_linear == verdict.has_potential
@@ -367,6 +411,4 @@ def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> Equi
             raise LinearityEquivalenceViolationError(
                 f"all_linear={all_linear} but has_potential={verdict.has_potential}"
             )
-    return EquivalenceVerdict(
-        applicable, all_linear, verdict.has_potential, consistent, verdict, report, strategies, form
-    )
+    return EquivalenceVerdict(applicable, all_linear, verdict.has_potential, consistent, verdict, report, strategies)

@@ -8,11 +8,15 @@ scan that the suffix-subgame search replaced, kept to cross-check it report
 for report, and `listed_block_layout` the per-call strategy listing that the
 cached simple-game layouts replaced. The potential oracle checks the
 defining equation edge by edge on the rational utility mapping, independent
-of the fiber test the library uses. The form and table helpers convert
-between rational mappings and the library's flat scaled-integer tables,
-and the cost-table references redo on Fractions what the library does on
-each table's integer numerators. `fix_strategies_subgame` materializes a
-subset of blocks against frozen outsiders, for tests that restrict a game.
+of the fiber test the library uses. The square oracles evaluate one
+deviation square from `coalition_utility` at its corners, and find the
+first nonzero square by trying every square in order with
+`four_cycle_residual`, the plain scan the library's fiber scan replaced.
+The form and table helpers convert between rational mappings and the
+library's flat scaled-integer tables, and the cost-table references redo
+on Fractions what the library does on each table's integer numerators.
+`fix_strategies_subgame` materializes a subset of blocks against frozen
+outsiders, for tests that restrict a game.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from ccg import (
     CoalitionalGame,
     CongestionGame,
     CongestionVector,
+    FourCycleWitness,
     NeReport,
     PotentialTable,
     PureProfile,
@@ -34,6 +39,7 @@ from ccg import (
     canonical_multiplicity,
     coalition_utility,
     congestion,
+    four_cycle_residual,
     materialize,
     player_cost,
 )
@@ -202,6 +208,43 @@ def pairwise_potential_check(
                 if pot_delta != util_delta:
                     return False, PotentialViolation(profile, i, t, pot_delta, util_delta)
     return True, None
+
+
+def square_residual_by_definition(
+    cg: CoalitionalGame, i: int, j: int, profile: tuple[int, ...], t_i: int, t_j: int
+) -> Fraction:
+    """Residual of the deviation square where blocks i and j move from
+    `profile` (one canonical strategy index per block) to t_i and t_j: the
+    moving block's utility change along each edge of the square, with every
+    utility taken from `coalition_utility` at the assembled corner."""
+    strats = [canonical_block_strategies(cg, k) for k in range(len(cg.blocks))]
+
+    def utility(k: int, moved: dict[int, int]) -> Fraction:
+        idx = [moved.get(b, si) for b, si in enumerate(profile)]
+        return coalition_utility(cg, assemble_profile(cg, [strats[b][x] for b, x in enumerate(idx)]), k)
+
+    start, moved_i, both, moved_j = {}, {i: t_i}, {i: t_i, j: t_j}, {j: t_j}
+    return (
+        utility(i, start) - utility(i, moved_i)
+        + utility(j, moved_i) - utility(j, both)
+        + utility(i, both) - utility(i, moved_j)
+        + utility(j, moved_j) - utility(j, start)
+    )
+
+
+def first_nonzero_square(game: StrategicForm) -> FourCycleWitness | None:
+    """The first deviation square with a nonzero residual in the order
+    (player i < player j, profile, alternative i, alternative j), both
+    alternatives above the profile's own, found by evaluating every square
+    in turn with `four_cycle_residual`."""
+    for i, j in itertools.combinations(range(game.players), 2):
+        for s in game.profiles():
+            for t_i in range(s[i] + 1, game.sizes[i]):
+                for t_j in range(s[j] + 1, game.sizes[j]):
+                    residual = four_cycle_residual(game, i, j, s, t_i, t_j)
+                    if residual:
+                        return FourCycleWitness(i, j, s, t_i, t_j, residual)
+    return None
 
 
 def scan_pure_ne(

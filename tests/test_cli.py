@@ -322,8 +322,14 @@ class TestExperiment:
 
 
 class TestWorkDone:
-    def test_potential_materializes_once(self, capsys, monkeypatch, linear_file, nonlinear_file):
-        # affine costs: the closed form, with no utility table and no sweep
+    def test_potential_materializes_once(self, capsys, monkeypatch, tmp_path, linear_file, nonlinear_file):
+        # affine costs: the closed form, with no utility table and no sweep;
+        # non-affine costs: the first nonzero deviation square on the kernel,
+        # and the materialized game only when there is none, as when every
+        # block is a single agent
+        fx = parametric_two_resource_fixture((0, 12, 16), (0, 12, 16))
+        discrete_file = str(tmp_path / "discrete.json")
+        write_game_file(discrete_file, fx.game, Partition.discrete(fx.game.n))
         calls = dict.fromkeys(("materialize", "verify_exact_potential"), 0)
 
         def counting(name):
@@ -338,7 +344,7 @@ class TestWorkDone:
         for name in calls:
             monkeypatch.setattr(ccg.potential, name, counting(name))
         monkeypatch.setattr(ccg.cli, "materialize", ccg.potential.materialize)
-        for path, code, made in ((linear_file, 0, 0), (nonlinear_file, 3, 1)):
+        for path, code, made in ((linear_file, 0, 0), (nonlinear_file, 3, 0), (discrete_file, 0, 1)):
             calls.update(dict.fromkeys(calls, 0))
             assert main(["potential", path]) == code
             assert calls == {"materialize": made, "verify_exact_potential": made}

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import ccg.experiments
 from ccg import (
     CoalitionalGame,
     CongestionGame,
     CostTable,
     Partition,
+    PotentialVerdict,
     build_potential_by_path,
+    canonical_block_strategies,
     check_linearity_equivalence,
     exact_potential,
     four_cycle_residual,
@@ -27,11 +31,14 @@ from ccg.errors import (
     InvalidIndicesError,
     SizeLimitExceededError,
 )
+from ccg.experiments import linearity_sweep
 from oracle_helpers import (
+    first_nonzero_square,
     fix_strategies_subgame,
     form_from_utilities,
     form_utilities,
     pairwise_potential_check,
+    square_residual_by_definition,
     table_from_values,
     table_values,
 )
@@ -292,17 +299,24 @@ class TestEquivalence:
 
 
 @st.composite
-def affine_ccgs(draw):
-    """Games whose costs are all affine, simple or not, under a discrete,
-    one-block or random partition. Slopes and intercepts may be fractional
+def shaped_ccgs(draw, affine: bool | None = None):
+    """Games whose costs are all affine (when `affine` is true; drawn when
+    it is None) or arbitrary, simple or not, under a discrete, one-block,
+    random or theorem-2-shape partition (a singleton and a pair, once there
+    are three agents). Costs and affine coefficients may be fractional
     (written as "p/q", so the game's scale exceeds 1), negative or zero."""
     n = draw(st.integers(1, 4))
     resources = ("A", "B", "C")[: draw(st.integers(1, 3))]
     coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    if affine is None:
+        affine = draw(st.booleans())
     costs = {}
     for r in resources:
-        slope, intercept = draw(coefficients), draw(coefficients)
-        costs[r] = [str(slope * j + intercept) for j in range(1, n + 1)]
+        if affine:
+            slope, intercept = draw(coefficients), draw(coefficients)
+            costs[r] = [str(slope * j + intercept) for j in range(1, n + 1)]
+        else:
+            costs[r] = [str(draw(coefficients)) for _ in range(n)]
     singles = tuple((r,) for r in resources)
     if draw(st.booleans()):
         strategy_sets = (singles,) * n
@@ -311,25 +325,28 @@ def affine_ccgs(draw):
         choices = st.lists(st.sampled_from(menu), min_size=1, max_size=3, unique=True)
         strategy_sets = tuple(tuple(draw(choices)) for _ in range(n))
     game = CongestionGame(resources, costs, strategy_sets)
-    shape = draw(st.sampled_from(("discrete", "one block", "random")))
+    shape = draw(st.sampled_from(("discrete", "one block", "random", "theorem 2")))
+    seed = draw(st.integers(0, 10**6))
     if shape == "discrete":
         partition = Partition.discrete(n)
     elif shape == "one block":
         partition = Partition((tuple(range(n)),))
+    elif shape == "theorem 2" and n >= 3:
+        partition = random_partition(seed, n, min(3, n), require_singleton_and_pair=True)
     else:
-        partition = random_partition(draw(st.integers(0, 10**6)), n, draw(st.integers(1, n)))
+        partition = random_partition(seed, n, draw(st.integers(1, n)))
     return CoalitionalGame(game, partition)
 
 
 class TestClosedForm:
     @settings(max_examples=150, deadline=None)
-    @given(affine_ccgs())
+    @given(shaped_ccgs(affine=True))
     def test_closed_form_equals_path_table(self, cg):
         """The affine verdict's table is the path-integrated table of the
         materialized game, entry for entry, and an exact potential of it
         edge by edge."""
         verdict = check_linearity_equivalence(cg.base, cg.partition)
-        assert verdict.all_linear and verdict.has_potential and verdict.form is None
+        assert verdict.all_linear and verdict.has_potential
         form = materialize(cg)
         path, table = build_potential_by_path(form), verdict.potential.table
         assert (table.sizes, table.flat, table.scale) == (path.sizes, path.flat, path.scale)
@@ -344,6 +361,76 @@ class TestClosedForm:
             check_linearity_equivalence(fx.game, fx.partition)
         monkeypatch.setenv("CCG_SIZE_LIMIT", str(profiles))
         assert check_linearity_equivalence(fx.game, fx.partition).has_potential
+
+
+class TestWitnessScan:
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_ccgs())
+    def test_verdict_equals_materialized_search(self, cg):
+        """However it is decided, the verdict is `exact_potential` of the
+        materialized game: the same table and labels, or the same witness,
+        which is the first nonzero square tried in order and has the
+        residual the definition gives."""
+        verdict = check_linearity_equivalence(cg.base, cg.partition)
+        form = materialize(cg)
+        direct = exact_potential(form)
+        assert verdict.has_potential == direct.has_potential
+        assert verdict.strategies == form.strategies
+        w = verdict.potential.witness
+        assert w == direct.witness == first_nonzero_square(form)
+        if w is None:
+            table, expected = verdict.potential.table, direct.table
+            assert (table.sizes, table.flat, table.scale) == (expected.sizes, expected.flat, expected.scale)
+        else:
+            args = (w.player_i, w.player_j, w.profile, w.alt_i, w.alt_j)
+            assert square_residual_by_definition(cg, *args) == w.residual
+
+    @settings(max_examples=150, deadline=None)
+    @given(hand_built_forms())
+    def test_form_scan_finds_the_first_nonzero_square(self, form):
+        """On any game, not only a congestion one, the scan that reads only
+        squares whose first profile has both players on strategy 0 finds
+        the square that trying every square in order finds first."""
+        sf, _ = form
+        assert exact_potential(sf).witness == first_nonzero_square(sf)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shaped_ccgs(affine=False), st.data())
+    def test_squares_between_single_agent_blocks_are_zero(self, cg, data):
+        """Rosenthal: two single agents, everyone else fixed, play a
+        congestion game, which has an exact potential."""
+        singles = [k for k, block in enumerate(cg.blocks) if len(block) == 1]
+        assume(len(singles) >= 2)
+        i, j = sorted(data.draw(st.lists(st.sampled_from(singles), min_size=2, max_size=2, unique=True)))
+        sizes = [len(canonical_block_strategies(cg, k)) for k in range(len(cg.blocks))]
+        profile = tuple(data.draw(st.integers(0, m - 1)) for m in sizes)
+        for t_i, t_j in itertools.product(range(sizes[i]), range(sizes[j])):
+            assert square_residual_by_definition(cg, i, j, profile, t_i, t_j) == 0
+
+    def test_scan_is_charged_as_the_materialized_table(self, monkeypatch):
+        fx = parametric_two_resource_fixture((0, 12, 16), (0, 12, 16))
+        cells = 2 * materialize(CoalitionalGame(fx.game, fx.partition)).num_profiles()
+        monkeypatch.setenv("CCG_SIZE_LIMIT", str(cells - 1))
+        with pytest.raises(SizeLimitExceededError, match=f"^materialized utility table needs {cells} entries"):
+            check_linearity_equivalence(fx.game, fx.partition)
+        monkeypatch.setenv("CCG_SIZE_LIMIT", str(cells))
+        assert not check_linearity_equivalence(fx.game, fx.partition).has_potential
+
+    def test_sweep_counts_a_witness_the_definition_contradicts(self, monkeypatch):
+        original = ccg.experiments.check_linearity_equivalence
+
+        def off_by_one(g, partition):
+            verdict = original(g, partition)
+            w = verdict.potential.witness
+            if w is None:
+                return verdict
+            wrong = dataclasses.replace(w, residual=w.residual + 1)
+            return dataclasses.replace(verdict, potential=PotentialVerdict(None, wrong))
+
+        assert linearity_sweep(6, seed=7)["witness_recheck_failures"] == 0
+        monkeypatch.setattr(ccg.experiments, "check_linearity_equivalence", off_by_one)
+        result = linearity_sweep(6, seed=7)
+        assert result["witness_recheck_failures"] == result["confusion"]["nonlinear+none"] > 0
 
 
 class TestSubgame:
