@@ -9,6 +9,7 @@ set it is the ``CCG_SIZE_LIMIT`` environment variable, read on every check.
 from __future__ import annotations
 
 import os
+from decimal import Decimal
 
 from .errors import InvalidParamsError, SizeLimitExceededError
 
@@ -33,4 +34,8 @@ def effective_size_limit() -> int:
 def ensure_within_limit(count: int, what: str) -> None:
     bound = effective_size_limit()
     if count > bound:
-        raise SizeLimitExceededError(f"{what} needs {count} entries, limit is {bound}")
+        try:
+            needs = f"{count} entries"
+        except ValueError:  # str() refuses ints of too many digits; Decimal counts them exactly
+            needs = f"a {Decimal(count).adjusted() + 1}-digit number of entries"
+        raise SizeLimitExceededError(f"{what} needs {needs}, limit is {bound}")

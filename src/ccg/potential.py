@@ -3,27 +3,28 @@
 An exact potential is one function over joint profiles whose change under
 any unilateral deviation equals the deviator's utility change; a game has
 one iff every deviation square (a *four-cycle*) has a zero residual
-(Monderer & Shapley, *Potential Games*, GEB 14, 1996). Any finite game is
-decided by search: integrate utility differences along the lexicographic
-path from the all-first profile, then verify that `U_i - P` is constant
-along every player-i fiber; on failure the first nonzero square is the
-witness. All of it runs on the flat integer tables of a `StrategicForm`.
+(Monderer & Shapley, *Potential Games*, GEB 14, 1996). So one scan decides
+any finite game: the first nonzero square, in the order (player i < player
+j, profile, alternative i, alternative j), is the witness, and with none
+the table integrated along the lexicographic path from the all-first
+profile, read from the fibers the scan cached, is the exact potential.
+`exact_potential` runs it on a `StrategicForm`'s flat integer tables;
+`verify_exact_potential` is the fiber test that checks a table.
 
 A coalitional congestion game whose costs are all affine, c_r(x) = a_r*x +
 b_r, has for every partition and strategy set the exact potential
 P = -sum_r [a_r * (n_r^2 + sum_k x_kr^2) / 2 + b_r * n_r], with n_r the
 occupancy of resource r and x_kr block k's usage of it (on the discrete
 partition, Rosenthal's). `check_linearity_equivalence` decides such games
-by this identity, charged as "potential table". Other games are charged as
-their "materialized utility table", and their squares are scanned on the
-compiled game in the search's order, a block's utilities along a fiber
-being one best-reply values list; pairs of two single-agent blocks are
+by this identity, charged as "potential table". Other games are scanned on
+the compiled game, charged as their "materialized utility table" though
+none is built: a block's utilities along a fiber are its best replies to
+everyone else's occupancy there. Pairs of two single-agent blocks are
 skipped, as with everyone else fixed they play a congestion game, whose
-squares are all zero (Rosenthal, 1973). Only a game with no nonzero square
-is materialized. For a simple game with two or more resources and a
-partition holding a singleton and a pair, a potential exists exactly when
-every cost is affine; other games, non-simple ones included, are marked as
-outside that shape.
+squares are all zero (Rosenthal, 1973). For a simple game with two or more
+resources and a partition holding a singleton and a pair, a potential
+exists exactly when every cost is affine; other games, non-simple ones
+included, are marked as outside that shape.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import (
     InvalidGameError,
     InvalidIndicesError,
     LinearityEquivalenceViolationError,
-    PreconditionViolatedError,
 )
 from .game import (
     CoalitionalGame,
@@ -51,7 +51,6 @@ from .game import (
     StrategicForm,
     _require_compilable,
     compile_within_limit,
-    materialize,
     profile_at,
     row_major_strides,
 )
@@ -105,7 +104,7 @@ class FourCycleWitness:
 
 @dataclass(frozen=True)
 class PotentialVerdict:
-    """Either a verified potential table or a four-cycle witness."""
+    """Either an exact potential table or a four-cycle witness."""
 
     table: PotentialTable | None
     witness: FourCycleWitness | None
@@ -140,30 +139,38 @@ class EquivalenceVerdict:
     strategies: tuple[tuple[str, ...], ...]
 
 
-def build_potential_by_path(game: StrategicForm) -> PotentialTable:
-    """Integrate utility differences along one-coordinate steps from the
-    all-first-strategies profile (anchored at zero).
+# fiber(p, base): player p's scaled utilities along the fiber from flat profile base, p on strategy 0
+Fibers = Callable[[int, int], Sequence[int]]
 
-    The value at a profile whose last nonzero coordinate is player j's is
-    the value with that coordinate reset to 0, plus player j's utility
-    change between the two. The table is well-defined for any finite game;
-    whether it actually is a potential is decided by
-    `verify_exact_potential`.
-    """
-    n_profiles = game.num_profiles()
-    ensure_within_limit(n_profiles, "potential table")
-    values = [0] * n_profiles
-    for j, (m, stride) in enumerate(zip(game.sizes, game.strides)):
-        u = game.payoffs[j]
+
+def _slices(game: StrategicForm) -> Fibers:
+    sizes, strides, payoffs = game.sizes, game.strides, game.payoffs
+    return lambda p, base: payoffs[p][base : base + sizes[p] * strides[p] : strides[p]]
+
+
+def _path_table(sizes: tuple[int, ...], scale: int, fiber: Fibers) -> PotentialTable:
+    """Integrate utility differences along one-coordinate steps from the
+    all-first profile, anchored at zero: the value at `base + t * stride_j`,
+    where `base` has zeros from coordinate j on, is the value at `base` plus
+    `fiber(j, base)[t] - fiber(j, base)[0]`."""
+    values = [0] * math.prod(sizes)
+    for j, (m, stride) in enumerate(zip(sizes, row_major_strides(sizes))):
         span = m * stride
-        # Each base has zeros from coordinate j on; the profiles it reaches by
-        # changing coordinate j are those whose last nonzero coordinate is j.
-        for base in range(0, n_profiles, span):
-            offset = values[base] - u[base]
-            values[base + stride : base + span : stride] = [
-                offset + x for x in u[base + stride : base + span : stride]
-            ]
-    return PotentialTable(game.sizes, tuple(values), game.scale)
+        for base in range(0, len(values), span):
+            u = fiber(j, base)
+            offset = values[base] - u[0]
+            values[base + stride : base + span : stride] = [offset + x for x in u[1:]]
+    return PotentialTable(sizes, tuple(values), scale)
+
+
+def build_potential_by_path(game: StrategicForm) -> PotentialTable:
+    """The path-integrated table of any finite game: zero at the all-first
+    profile, and at a profile whose last nonzero coordinate is player j's,
+    the value with that coordinate reset to 0 plus player j's utility change
+    between the two. It is an exact potential iff the game has one, which
+    `exact_potential` decides and `verify_exact_potential` checks."""
+    ensure_within_limit(game.num_profiles(), "potential table")
+    return _path_table(game.sizes, game.scale, _slices(game))
 
 
 def _rescaled(values: tuple[int, ...], factor: int) -> tuple[int, ...] | list[int]:
@@ -250,13 +257,11 @@ def _first_nonzero_square(
     sizes: tuple[int, ...],
     scale: int,
     pairs: Iterable[tuple[int, int]],
-    fiber_values: Callable[[int, int], Sequence[int]],
+    fiber: Fibers,
 ) -> FourCycleWitness | None:
     """The first deviation square with a nonzero residual among the player
     pairs `pairs` (i < j), in the order (pair, profile, alternative i,
-    alternative j), alternatives above the profile's own. `fiber_values(p,
-    base)` lists p's scaled utilities along the fiber from flat profile
-    `base` (p on strategy 0) and is called once per fiber read.
+    alternative j), alternatives above the profile's own.
 
     Only squares from profiles with i and j on strategy 0 are read: a
     residual is the mixed difference of u_i - u_j, so moving i from a to b
@@ -264,9 +269,6 @@ def _first_nonzero_square(
     with i on a > 0 implies an earlier nonzero one with i on 0; same for j.
     """
     pairs = [(i, j) for i, j in pairs if min(sizes[i], sizes[j]) > 1]  # others span no square
-    if not pairs:
-        return None
-    fiber = functools.cache(fiber_values)
     strides = row_major_strides(sizes)
     for i, j in pairs:
         m_i, m_j, stride_i, stride_j = sizes[i], sizes[j], strides[i], strides[j]
@@ -291,48 +293,26 @@ def _first_nonzero_square(
     return None
 
 
-def _find_nonzero_cycle(game: StrategicForm) -> FourCycleWitness | None:
-    """Lexicographically first deviation square with nonzero residual, in
-    the order (player i, player j, profile, alternative i, alternative j)."""
-    sizes, strides, payoffs = game.sizes, game.strides, game.payoffs
-    pairs = itertools.combinations(range(game.players), 2)
-    return _first_nonzero_square(
-        sizes, game.scale, pairs, lambda p, base: payoffs[p][base : base + sizes[p] * strides[p] : strides[p]]
-    )
-
-
-def _kernel_witness(cg: CoalitionalGame, kernel: CompiledGame) -> FourCycleWitness | None:
-    """`_find_nonzero_cycle(materialize(cg))` read off `kernel` (all blocks,
-    in order): a block's utilities along a fiber are its best-reply values
-    against everyone else's occupancy there. Pairs of two single-agent
-    blocks are skipped; each of their squares is zero (Rosenthal)."""
-    sizes = tuple(map(len, kernel.usage))
-    placed = list(enumerate(zip(kernel.usage, sizes, row_major_strides(sizes))))
-
-    def fiber_values(p: int, base: int) -> list[int]:
-        others = [vectors[base // stride % m] for k, (vectors, m, stride) in placed if k != p]
-        return kernel.best_reply(p, tuple(map(sum, zip(*others))))[0]
-
-    single = [len(block) == 1 for block in cg.blocks]
-    pairs = [(i, j) for i, j in itertools.combinations(range(len(single)), 2) if not (single[i] and single[j])]
-    return _first_nonzero_square(sizes, kernel.scale, pairs, fiber_values)
+def _decide(
+    sizes: tuple[int, ...], scale: int, pairs: Iterable[tuple[int, int]], fiber_values: Fibers
+) -> PotentialVerdict:
+    """The first nonzero square among `pairs`, else the path table, both
+    read from one cache of fibers. With every square zero the path table is
+    an exact potential (Monderer & Shapley), so it is not verified."""
+    fiber = functools.cache(fiber_values)
+    witness = _first_nonzero_square(sizes, scale, pairs, fiber)
+    return PotentialVerdict(_path_table(sizes, scale, fiber) if witness is None else None, witness)
 
 
 def exact_potential(game: StrategicForm) -> PotentialVerdict:
     """Decide exact-potential existence; return the table or a witness.
 
-    If an exact potential exists, path integration reconstructs it (up to
-    the anchoring constant), so verification failure proves non-existence
-    and guarantees a nonzero four-cycle can be found.
+    The witness is the first deviation square with a nonzero residual in the
+    order (player i < player j, profile, alternative i, alternative j); with
+    none, the table is `build_potential_by_path`'s, an exact potential.
     """
-    candidate = build_potential_by_path(game)
-    ok, _ = verify_exact_potential(game, candidate)
-    if ok:
-        return PotentialVerdict(candidate, None)
-    witness = _find_nonzero_cycle(game)
-    if witness is None:
-        raise PreconditionViolatedError("verification failed but every four-cycle is zero (bug)")
-    return PotentialVerdict(None, witness)
+    ensure_within_limit(game.num_profiles(), "potential table")
+    return _decide(game.sizes, game.scale, itertools.combinations(range(game.players), 2), _slices(game))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +358,8 @@ def _affine_potential(kernel: CompiledGame) -> PotentialTable:
 def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> EquivalenceVerdict:
     """Run both sides of the linearity/potential equivalence on any game:
     affine games by the closed form, others by the first nonzero deviation
-    square on the compiled game, and by `exact_potential` on the
-    materialized game only when there is none (see the module docstring).
+    square on the compiled game, or with none by the path table read from
+    the same fibers (see the module docstring).
 
     Applicable when the base game is simple with at least two resources and
     the partition holds at least one singleton and one pair (with a single
@@ -394,15 +374,20 @@ def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> Equi
     blocks = range(len(cg.blocks))
     if all_linear:
         kernel = compile_within_limit(cg, blocks, False, "potential table")
-        strategies, verdict = kernel.labels(), PotentialVerdict(_affine_potential(kernel), None)
+        verdict = PotentialVerdict(_affine_potential(kernel), None)
     else:
         kernel = compile_within_limit(cg, blocks, False, "materialized utility table", len(blocks))
-        witness = _kernel_witness(cg, kernel)
-        if witness is None:
-            form = materialize(cg)
-            strategies, verdict = form.strategies, exact_potential(form)
-        else:
-            strategies, verdict = kernel.labels(), PotentialVerdict(None, witness)
+        sizes = tuple(map(len, kernel.usage))
+        placed = list(enumerate(zip(kernel.usage, sizes, row_major_strides(sizes))))
+        zeros = (0,) * len(kernel.costs)  # a one-block game's fibers have no opponents
+
+        def fiber_values(p: int, base: int) -> list[int]:
+            others = [vectors[base // stride % m] for k, (vectors, m, stride) in placed if k != p]
+            return kernel.best_reply(p, tuple(map(sum, zip(zeros, *others))))[0]
+
+        single = [len(block) == 1 for block in cg.blocks]
+        pairs = [(i, j) for i, j in itertools.combinations(blocks, 2) if not (single[i] and single[j])]
+        verdict = _decide(sizes, kernel.scale, pairs, fiber_values)
     applicable = g.is_simple and bool(partition.singletons() and partition.pairs()) and len(g.resources) >= 2
     consistent: bool | None = None
     if applicable:
@@ -411,4 +396,5 @@ def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> Equi
             raise LinearityEquivalenceViolationError(
                 f"all_linear={all_linear} but has_potential={verdict.has_potential}"
             )
-    return EquivalenceVerdict(applicable, all_linear, verdict.has_potential, consistent, verdict, report, strategies)
+    labels = kernel.labels()
+    return EquivalenceVerdict(applicable, all_linear, verdict.has_potential, consistent, verdict, report, labels)

@@ -8,6 +8,7 @@ import pytest
 
 import ccg.cli
 import ccg.game
+import ccg.instances
 import ccg.potential
 from ccg import CoalitionalGame, Partition, PureProfile, find_deviation
 from ccg.cli import main, render_text
@@ -323,31 +324,32 @@ class TestExperiment:
 
 class TestWorkDone:
     def test_potential_materializes_once(self, capsys, monkeypatch, tmp_path, linear_file, nonlinear_file):
-        # affine costs: the closed form, with no utility table and no sweep;
-        # non-affine costs: the first nonzero deviation square on the kernel,
-        # and the materialized game only when there is none, as when every
-        # block is a single agent
+        # affine costs: the closed form; non-affine costs: the first nonzero
+        # deviation square on the kernel, or with none, as when every block
+        # is a single agent, the path table from the same fibers. Neither
+        # builds a utility table or runs the verification sweep.
         fx = parametric_two_resource_fixture((0, 12, 16), (0, 12, 16))
         discrete_file = str(tmp_path / "discrete.json")
         write_game_file(discrete_file, fx.game, Partition.discrete(fx.game.n))
         calls = dict.fromkeys(("materialize", "verify_exact_potential"), 0)
 
-        def counting(name):
-            original = getattr(ccg.potential, name)
-
+        def counting(name, original):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(ccg.potential, name, counting(name))
-        monkeypatch.setattr(ccg.cli, "materialize", ccg.potential.materialize)
-        for path, code, made in ((linear_file, 0, 0), (nonlinear_file, 3, 0), (discrete_file, 0, 1)):
+        # where each is defined, and every module that imports it
+        for name, defined in (("materialize", ccg.game), ("verify_exact_potential", ccg.potential)):
+            wrapper = counting(name, getattr(defined, name))
+            for module in (ccg, ccg.cli, ccg.game, ccg.instances, ccg.potential):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        for path, code in ((linear_file, 0), (nonlinear_file, 3), (discrete_file, 0)):
             calls.update(dict.fromkeys(calls, 0))
             assert main(["potential", path]) == code
-            assert calls == {"materialize": made, "verify_exact_potential": made}
+            assert calls == {"materialize": 0, "verify_exact_potential": 0}
 
     def test_theorem1_validates_the_game_once(self, capsys, monkeypatch, pair_file):
         # cli._load and solve_pair_ccg both require a valid game
@@ -438,6 +440,19 @@ class TestReportContract:
         assert "block 0 strategy space needs 3 entries, limit is 2" in capsys.readouterr().err
         monkeypatch.setenv("CCG_SIZE_LIMIT", "3")
         assert main(["solve", pair_file, "--method", "theorem1"]) == 0
+
+    def test_size_limit_refuses_a_count_too_long_to_print(self, capsys, tmp_path, monkeypatch):
+        # 3,000 agents on 40 resources: a profile count of over 4,300 digits
+        monkeypatch.delenv("CCG_SIZE_LIMIT", raising=False)
+        path = str(tmp_path / "g.json")
+        assert main(["generate", "--players", "3000", "--resources", "40", "--seed", "1", "--max-block", "1",
+                     "--out", path]) == 0
+        capsys.readouterr()
+        for command in ("solve", "potential"):
+            assert main([command, path]) == 4
+            err = capsys.readouterr().err
+            assert re.search(r"needs a \d+-digit number of entries, limit is 10000000$", err.strip())
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_malformed_size_limit_env_exits_2(self, capsys, pair_file, monkeypatch, value):

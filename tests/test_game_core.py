@@ -389,6 +389,15 @@ def test_size_limit_setting_bounds_every_exhaustive_entry_point(name, triple_ccg
         run(triple_ccg)
 
 
+def test_refusal_names_a_count_too_long_to_print_by_its_digits(monkeypatch):
+    # str() of an int over 4,300 digits raises ValueError; the refusal must not
+    monkeypatch.delenv("CCG_SIZE_LIMIT", raising=False)
+    with pytest.raises(SizeLimitExceededError, match="^x needs a 5001-digit number of entries, limit is 10000000$"):
+        ensure_within_limit(10**5000, "x")
+    with pytest.raises(SizeLimitExceededError, match=f"^x needs {10**4299} entries, limit is 10000000$"):
+        ensure_within_limit(10**4299, "x")
+
+
 def test_no_public_function_takes_a_limit():
     internal = [compile_within_limit, ensure_within_limit, effective_size_limit]
     public = [getattr(ccg, name) for name in ccg.__all__]

@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ccg.experiments
 from ccg import (
@@ -13,7 +13,9 @@ from ccg import (
     CongestionGame,
     CostTable,
     Partition,
+    PotentialTable,
     PotentialVerdict,
+    StrategicForm,
     build_potential_by_path,
     canonical_block_strategies,
     check_linearity_equivalence,
@@ -363,14 +365,39 @@ class TestClosedForm:
         assert check_linearity_equivalence(fx.game, fx.partition).has_potential
 
 
+def assert_anchored_exact_potential(form: StrategicForm, table: PotentialTable) -> None:
+    """An exact potential is unique up to a constant, so one that passes the
+    edge-by-edge check and is 0 at the all-first profile is pinned."""
+    assert pairwise_potential_check(form, table) == (True, None)
+    assert table.flat[0] == 0
+
+
+def non_affine_ccg(strategy_sets, blocks) -> CoalitionalGame:
+    costs = {"A": ["1", "5/2", "2"], "B": ["0", "3", "7"], "C": ["-1", "4", "4"], "D": ["2", "2", "9"]}
+    return CoalitionalGame(CongestionGame(("A", "B", "C", "D"), costs, strategy_sets), Partition(blocks))
+
+
+SIMPLE3 = ((("A",), ("B",), ("C",), ("D",)),) * 3
+NON_SIMPLE3 = ((("A",), ("B", "C")), (("B",), ("A", "C"), ("C",)), (("C",), ("A",)))
+# the pair {0, 2} and agent 1 share no resource, so every square is zero
+DISJOINT3 = ((("C",), ("D",)), (("A",), ("B",)), (("C",), ("D",), ("C", "D")))
+
+
 class TestWitnessScan:
     @settings(max_examples=200, deadline=None)
     @given(shaped_ccgs())
+    @example(non_affine_ccg(SIMPLE3, ((0, 1, 2),)))
+    @example(non_affine_ccg(NON_SIMPLE3, ((0, 1, 2),)))
+    @example(non_affine_ccg(SIMPLE3, ((0,), (1,), (2,))))
+    @example(non_affine_ccg(NON_SIMPLE3, ((0,), (1,), (2,))))
+    @example(non_affine_ccg(NON_SIMPLE3, ((0, 2), (1,))))
+    @example(non_affine_ccg(DISJOINT3, ((0, 2), (1,))))
     def test_verdict_equals_materialized_search(self, cg):
         """However it is decided, the verdict is `exact_potential` of the
         materialized game: the same table and labels, or the same witness,
         which is the first nonzero square tried in order and has the
-        residual the definition gives."""
+        residual the definition gives. The two share the decision, so a
+        table is also checked edge by edge."""
         verdict = check_linearity_equivalence(cg.base, cg.partition)
         form = materialize(cg)
         direct = exact_potential(form)
@@ -381,6 +408,7 @@ class TestWitnessScan:
         if w is None:
             table, expected = verdict.potential.table, direct.table
             assert (table.sizes, table.flat, table.scale) == (expected.sizes, expected.flat, expected.scale)
+            assert_anchored_exact_potential(form, table)
         else:
             args = (w.player_i, w.player_j, w.profile, w.alt_i, w.alt_j)
             assert square_residual_by_definition(cg, *args) == w.residual
@@ -390,9 +418,14 @@ class TestWitnessScan:
     def test_form_scan_finds_the_first_nonzero_square(self, form):
         """On any game, not only a congestion one, the scan that reads only
         squares whose first profile has both players on strategy 0 finds
-        the square that trying every square in order finds first."""
-        sf, _ = form
-        assert exact_potential(sf).witness == first_nonzero_square(sf)
+        the square that trying every square in order finds first; with
+        none, the table it returns is checked edge by edge."""
+        sf, potential = form
+        verdict = exact_potential(sf)
+        assert verdict.witness == first_nonzero_square(sf)
+        assert verdict.has_potential or not potential  # drawn with a potential: one is found
+        if verdict.table is not None:
+            assert_anchored_exact_potential(sf, verdict.table)
 
     @settings(max_examples=100, deadline=None)
     @given(shaped_ccgs(affine=False), st.data())
