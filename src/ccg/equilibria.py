@@ -23,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import mul
 
 from .errors import (
     InvalidParamsError,
@@ -147,9 +147,9 @@ def is_ne_congestion(g: CongestionGame, c: CongestionVector) -> bool:
     if any(x < 0 for x in c.counts):
         raise InvalidVectorError("negative occupancy")
     kernel = CompiledGame.agent(g)
+    total, codes = kernel.code(c.counts), kernel.codes[0]
     for ri, x in enumerate(c.counts):
-        others = (*c.counts[:ri], x - 1, *c.counts[ri + 1 :])
-        if x and ri not in kernel.best_reply(0, others)[2]:
+        if x and ri not in kernel.best_reply(0, total - codes[ri])[2]:
             return False
     return True
 
@@ -168,9 +168,9 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
     # Every sub-agent has the same strategies, one per resource in order,
     # so one compiled singleton block answers every sub-agent's best reply.
     kernel = CompiledGame.agent(g)
+    codes = kernel.codes[0]
     position = [0] * g.n
-    counts = [0] * len(g.resources)
-    counts[0] = g.n
+    occupancy = g.n * codes[0]
     start = PureProfile(tuple((g.resources[0],) for _ in range(g.n)))
 
     moves: list[DynamicsMove] = []
@@ -178,8 +178,8 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
     while moved:
         moved = False
         for i, here in enumerate(position):
-            counts[here] -= 1
-            values, best, arg = kernel.best_reply(0, tuple(counts))
+            occupancy -= codes[here]
+            values, best, arg = kernel.best_reply(0, occupancy)
             if best > values[here]:
                 moves.append(DynamicsMove(
                     i, g.resources[here], g.resources[arg[0]],
@@ -187,10 +187,10 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
                 ))
                 position[i] = here = arg[0]
                 moved = True
-            counts[here] += 1
+            occupancy += codes[here]
 
     profile = PureProfile(tuple((g.resources[p],) for p in position))
-    final = CongestionVector(g.resources, tuple(counts))
+    final = CongestionVector(g.resources, kernel.digits(occupancy))
     if not is_ne_congestion(g, final):
         raise PreconditionViolatedError("dynamics ended off-equilibrium (bug)")
     return DynamicsResult(start, profile, tuple(moves))
@@ -200,8 +200,8 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
 # Coalitional equilibria
 #
 # All of these compare scaled integer utilities on the game's `CompiledGame`
-# for the blocks they search, whose best replies are cached per (layout,
-# opponent occupancy) and shared by every later call on the same game.
+# for the blocks they search, whose best replies are cached per layout, by
+# opponent occupancy code, and shared by every later call on the same game.
 
 
 def coalition_best_response(
@@ -215,8 +215,8 @@ def coalition_best_response(
     validate_profile(cg.base, s)
     kernel = compile_within_limit(cg, [k], restricted)
     strats = kernel.strategies[0]
-    own = private_congestion(cg, s, k).counts
-    _, best, arg = kernel.best_reply(0, tuple(map(sub, congestion(cg.base, s).counts, own)))
+    others = kernel.code(congestion(cg.base, s).counts) - kernel.code(private_congestion(cg, s, k).counts)
+    _, best, arg = kernel.best_reply(0, others)
     return BestReplySet(k, tuple(strats[si] for si in arg), Fraction(best, kernel.scale))
 
 
@@ -251,40 +251,41 @@ def is_ccg_ne(cg: CoalitionalGame, s: PureProfile, restricted: bool = False) -> 
     return find_deviation(cg, s, restricted=restricted) is None
 
 
-def _suffix_equilibria(kernel: CompiledGame, order: list[int], background: tuple[int, ...]):
-    """(strategy indices, total occupancy) of every profile of the blocks in
-    `order` at which each plays a best reply, all other occupancy fixed at
-    `background`, in lexicographic order. `listing(j, prefix)` holds those
-    of the blocks from position j on, given the occupancy `prefix` before j.
-    It depends on the blocks before j only through `prefix`, so it is stored
-    once complete; it is never computed ahead of need, so a stop is early.
-    The last block's opponents are exactly `prefix`, so its listing is its
-    best replies against `prefix`, found with one cached lookup."""
-    usage = kernel.usage
+def _suffix_equilibria(kernel: CompiledGame, order: list[int], background: int):
+    """(strategy indices, total occupancy code) of every profile of the
+    blocks in `order` at which each plays a best reply, all other occupancy
+    fixed at the code `background`, in lexicographic order. `listing(j,
+    prefix)` holds those of the blocks from position j on, given the
+    occupancy code `prefix` before j. It depends on the blocks before j only
+    through `prefix`, so it is stored once complete, in level j's memo; it is
+    never computed ahead of need, so a stop is early. The last block's
+    opponents are exactly `prefix`, so its listing is its best replies
+    against `prefix`, found with one cached lookup."""
+    codes = kernel.codes
     last = len(order) - 1
-    memo: dict[tuple[int, tuple[int, ...]], list] = {}
+    memo: list[dict[int, list]] = [{} for _ in order]
 
-    def listing(j: int, prefix: tuple[int, ...]):
+    def listing(j: int, prefix: int):
         if j > last:  # no block to search
             return (((), prefix),)
-        found = memo.get((j, prefix))
+        found = memo[j].get(prefix)
         if found is not None:
             return found
         if j < last:
             return extend(j, prefix)
-        vectors = usage[order[j]]
+        own = codes[order[j]]
         replies = kernel.best_reply(order[j], prefix)[2]
-        found = memo[(j, prefix)] = [((si,), tuple(map(add, prefix, vectors[si]))) for si in replies]
+        found = memo[j][prefix] = [((si,), prefix + own[si]) for si in replies]
         return found
 
-    def extend(j: int, prefix: tuple[int, ...]):
+    def extend(j: int, prefix: int):
         k, found = order[j], []
-        for si, vector in enumerate(usage[k]):
-            for tail, total in listing(j + 1, tuple(map(add, prefix, vector))):
-                if si in kernel.best_reply(k, tuple(map(sub, total, vector)))[2]:
+        for si, code in enumerate(codes[k]):
+            for tail, total in listing(j + 1, prefix + code):
+                if si in kernel.best_reply(k, total - code)[2]:
                     found.append(((si, *tail), total))
                     yield found[-1]
-        memo[(j, prefix)] = found
+        memo[j][prefix] = found
 
     return listing(0, background)
 
@@ -309,7 +310,7 @@ def enumerate_pure_ne(
         return NeReport((), (), True, 0)
     order = [k for k, size in enumerate(sizes) if size != 1]
     fixed = [k for k, size in enumerate(sizes) if size == 1]
-    background = tuple(map(sum, zip([0] * len(cg.base.resources), *(kernel.usage[k][0] for k in fixed))))
+    background = sum(kernel.codes[k][0] for k in fixed)
     orbit = functools.cache(lambda k, si: block_orbit(cg.base, blocks[k], strats[k][si]))
     choices: list = [()] * cg.base.n
     idx = [0] * len(sizes)

@@ -10,18 +10,20 @@ chooses a tuple of member strategies and receives the sum of member utilities
 
 Everything is an immutable value; every operation is a pure function; all
 arithmetic is exact, so equilibrium and potential verdicts are too. A cost
-table is stored as integer numerators over its least common denominator,
-and validation compares those integers. For analysis a coalitional game is
+table is stored as integer numerators over its least common denominator, and
+validation compares those integers. For analysis a coalitional game is
 compiled once (`CompiledGame`): every table is brought to the LCM of the
-table denominators, so inner loops run on Python integers, and values
-become Fractions only when they leave the kernel. A game without tables to
-compile (a missing or short table, an unknown resource, an empty strategy
-set) is refused with `InvalidGameError` whenever it is compiled. A game
-keeps its scaled tables and its kernels, with their best-reply caches, for
-as long as it lives, so the solver, its checks, enumeration and
-`materialize` share one compile. A simple game's blocks read their
-strategies and usage counts from a `BlockLayout` built once per process.
-`materialize` emits a flat `StrategicForm` of such scaled integers.
+table denominators, so inner loops run on Python integers, and values become
+Fractions only when they leave the kernel. There an occupancy vector is one
+integer, its code (counts as digits in base n + 1), and best replies are
+cached by code. A game without tables to compile (a missing or short table,
+an unknown resource, an empty strategy set) is refused with
+`InvalidGameError` whenever it is compiled. A game keeps its scaled tables
+and its kernels, with their best-reply caches, for as long as it lives, so
+the solver, its checks, enumeration and `materialize` share one compile. A
+simple game's blocks read their strategies and usage counts from a
+`BlockLayout` built once per process. `materialize` emits a flat
+`StrategicForm` of such scaled integers.
 Sub-agents and blocks are 0-indexed throughout the library; the file format
 and CLI translate to 1-based ids.
 """
@@ -728,15 +730,21 @@ class CompiledGame:
     unchanged, so values are divided back by `scale` only when they leave
     the kernel. The game computes both once and all its kernels share them.
 
+    An occupancy vector is one integer, its code: resource r's count is
+    digit r in base `radix` = n + 1. That base suffices because a choice is
+    a set, so no count exceeds n. Occupancies add and subtract as their
+    codes do.
+
     A kernel compiles some blocks, in order; for the one at position p,
     `strategies[p]`, `usage[p]` and `contributions[p]` are its `BlockLayout`
-    (one read-only layout per block shape in simple games). A block's utility
-    depends on everyone else only through their occupancy and on itself only
-    through its layout, so `best_reply` caches per (layout, occupancy):
-    blocks compiled from one `BlockLayout` object, such as the equal-size
-    blocks of a simple game, share their entries. The game keeps its
-    kernels, so callers on one game share these caches (see
-    `compile_within_limit`).
+    (one read-only layout per block shape in simple games), and `codes[p]`
+    holds each strategy's usage code. A block's utility depends on everyone
+    else only through their occupancy and on itself only through its
+    layout, so `best_reply` caches per layout, by occupancy code: blocks
+    compiled from one `BlockLayout` object, such as the equal-size blocks
+    of a simple game, share one code list and one cache, built once per
+    kernel. The game keeps its kernels, so callers on one game share these
+    caches (see `compile_within_limit`).
     """
 
     def __init__(self, g: CongestionGame, layouts: Sequence[BlockLayout]):
@@ -744,10 +752,15 @@ class CompiledGame:
         self.strategies = [layout.strategies for layout in layouts]
         self.usage = [layout.usage for layout in layouts]
         self.contributions = [layout.contributions for layout in layouts]
-        # the first position compiled from each layout object keys its cache entries
-        first: dict[int, int] = {}
-        self._slots = [first.setdefault(id(layout), p) for p, layout in enumerate(layouts)]
-        self._replies: dict[tuple[int, tuple[int, ...]], tuple] = {}
+        self.radix = g.n + 1
+        self._powers = powers = [self.radix**r for r in range(len(self.costs))]
+        shared: dict[int, tuple[list[int], dict]] = {}
+        for layout in layouts:
+            if id(layout) not in shared:
+                codes = [sum([used * powers[r] for r, used in contrib]) for contrib in layout.contributions]
+                shared[id(layout)] = (codes, {})
+        self.codes = [shared[id(layout)][0] for layout in layouts]
+        self._replies = [shared[id(layout)][1] for layout in layouts]
 
     @staticmethod
     def agent(g: CongestionGame) -> "CompiledGame":
@@ -756,21 +769,32 @@ class CompiledGame:
         caller shares its best replies."""
         return g._agent
 
-    def best_reply(self, p: int, env: tuple[int, ...]) -> tuple[list[int], int, tuple[int, ...]]:
+    def code(self, counts: Iterable[int]) -> int:
+        """The code of per-resource `counts`, each from 0 to n."""
+        return sum(map(mul, counts, self._powers))
+
+    def digits(self, code: int) -> list[int]:
+        """The per-resource counts whose code is `code`."""
+        counts = []
+        for _ in self._powers:
+            code, count = divmod(code, self.radix)
+            counts.append(count)
+        return counts
+
+    def best_reply(self, p: int, env: int) -> tuple[list[int], int, tuple[int, ...]]:
         """Scaled utility of every strategy of the block at position p when
-        everyone else occupies the resources as counted in `env`, the best
-        of them, and every maximizer."""
-        key = (self._slots[p], env)
-        found = self._replies.get(key)
+        everyone else occupies the resources as coded by `env`, the best of
+        them, and every maximizer. The code is decoded only on a cache miss."""
+        cache = self._replies[p]
+        found = cache.get(env)
         if found is None:
-            costs = self.costs
+            costs, occupancy = self.costs, self.digits(env)
             values = [
-                -sum([used * costs[r][env[r] + used - 1] for r, used in contrib])
+                -sum([used * costs[r][occupancy[r] + used - 1] for r, used in contrib])
                 for contrib in self.contributions[p]
             ]
             best = max(values)
-            found = (values, best, tuple(si for si, v in enumerate(values) if v == best))
-            self._replies[key] = found
+            found = cache[env] = (values, best, tuple(si for si, v in enumerate(values) if v == best))
         return found
 
     def deviation(self, idx: Sequence[int]) -> tuple[int, int, int, int] | None:
@@ -778,10 +802,10 @@ class CompiledGame:
         their joint profile `idx`, nobody else present: (position, first best
         reply, current value, best value), values scaled; None at an
         equilibrium."""
-        usage = [vectors[si] for vectors, si in zip(self.usage, idx)]
-        counts = list(map(sum, zip(*usage)))
+        played = [codes[si] for codes, si in zip(self.codes, idx)]
+        total = sum(played)
         for p, si in enumerate(idx):
-            values, best, arg = self.best_reply(p, tuple(map(sub, counts, usage[p])))
+            values, best, arg = self.best_reply(p, total - played[p])
             if best > values[si]:
                 return p, arg[0], values[si], best
         return None

@@ -11,8 +11,9 @@ A game file is a single JSON object:
     }
 
 Rationals are integers or "p/q" strings; floats are rejected. "strategies"
-is either the literal string "simple" or a map from 1-based sub-agent id to
-an array of resource-id arrays. Sub-agent ids in "partition" are 1-based.
+is either the literal string "simple" or a map from each 1-based sub-agent
+id, "1" to n and no other key, to an array of resource-id arrays. Sub-agent
+ids in "partition" are 1-based.
 
 Emission is deterministic: keys in the order above, resources sorted, block
 members ascending and blocks ordered by first member. The resources array
@@ -217,6 +218,9 @@ def dict_to_game(obj) -> GameWithPartition:
         singles = tuple((r,) for r in resources)
         strategy_sets = tuple(singles for _ in range(n))
     elif isinstance(strategies, dict):
+        unknown = set(strategies).difference(map(str, range(1, n + 1)))
+        if unknown:
+            raise GameFileError(f"'strategies' key {min(map(repr, unknown))} is not a sub-agent id from 1 to {n}")
         strategy_sets = []
         for i in range(1, n + 1):
             raw = strategies.get(str(i))

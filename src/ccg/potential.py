@@ -378,12 +378,11 @@ def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> Equi
     else:
         kernel = compile_within_limit(cg, blocks, False, "materialized utility table", len(blocks))
         sizes = tuple(map(len, kernel.usage))
-        placed = list(enumerate(zip(kernel.usage, sizes, row_major_strides(sizes))))
-        zeros = (0,) * len(kernel.costs)  # a one-block game's fibers have no opponents
+        placed = list(enumerate(zip(kernel.codes, sizes, row_major_strides(sizes))))
 
         def fiber_values(p: int, base: int) -> list[int]:
-            others = [vectors[base // stride % m] for k, (vectors, m, stride) in placed if k != p]
-            return kernel.best_reply(p, tuple(map(sum, zip(zeros, *others))))[0]
+            others = sum([codes[base // stride % m] for k, (codes, m, stride) in placed if k != p])
+            return kernel.best_reply(p, others)[0]
 
         single = [len(block) == 1 for block in cg.blocks]
         pairs = [(i, j) for i, j in itertools.combinations(blocks, 2) if not (single[i] and single[j])]

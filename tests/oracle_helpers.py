@@ -288,6 +288,26 @@ def listed_block_layout(cg: CoalitionalGame, k: int, restricted: bool = False):
     return strategies, usage, contributions
 
 
+def reference_best_reply(cg: CoalitionalGame, k: int, env) -> tuple[list[Fraction], Fraction, tuple[int, ...]]:
+    """Block k's utility for each canonical strategy when everyone else
+    occupies the resources as counted in `env` (resource order), by the
+    definition -sum_r used_r * cost_r(env_r + used_r) on Fractions; the best
+    value; and the indices of every maximizer."""
+    g = cg.base
+    values = []
+    for strat in canonical_block_strategies(cg, k):
+        used = [sum(r in choice for choice in strat) for r in g.resources]
+        values.append(-sum(u * g.costs[r].cost(e + u) for r, e, u in zip(g.resources, env, used) if u))
+    best = max(values)
+    return values, best, tuple(si for si, v in enumerate(values) if v == best)
+
+
+def cached_replies(kernel: CompiledGame) -> int:
+    """The number of best replies a kernel holds: its positions that share a
+    layout share one cache, which is counted once."""
+    return sum({id(cache): len(cache) for cache in kernel._replies}.values())
+
+
 # ---------------------------------------------------------------------------
 # Cost tables on Fractions: the library compares a table's integer numerators
 # over its denominator; these read `CostTable.values` instead.

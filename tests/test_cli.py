@@ -135,6 +135,18 @@ class TestSolve:
         )
         assert main(["solve", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "potential"])
+    def test_unknown_strategies_key_exits_2(self, capsys, tmp_path, command):
+        # an entry for a sub-agent 3 that this two-agent game does not have
+        path = tmp_path / "extra.json"
+        strategies = {"1": [["A"], ["B"]], "2": [["A"], ["B"]], "3": [["B"]]}
+        path.write_text(json.dumps(
+            {"resources": ["A", "B"], "players": 2, "costs": {"A": [1, 2], "B": [1, 3]},
+             "strategies": strategies, "partition": [[1], [2]]}
+        ))
+        assert main([command, str(path)]) == 2
+        assert "'strategies' key '3' is not a sub-agent id from 1 to 2" in capsys.readouterr().err
+
 
 class TestPotential:
     def test_linear_game_exits_0(self, capsys, linear_file):

@@ -44,6 +44,7 @@ from oracle_helpers import (
     brute_ccg_equilibria,
     brute_is_ccg_ne,
     brute_simple_ne_congestions,
+    cached_replies,
     form_from_utilities,
     fix_strategies_subgame,
     pure_nash_equilibria,
@@ -324,11 +325,14 @@ class TestPinnedInstances:
 
     def test_b3_work_per_prefix(self, lookups):
         # The last searched block's listing takes one lookup per prefix, and
-        # the game's three equal pairs share their cached replies.
+        # the game's three equal pairs share their cached replies, as do its
+        # four single agents.
         cg = CoalitionalGame(random_game("b3", 10, 5, "monotone"), random_partition("b3", 10, 2))
         assert len(enumerate_pure_ne(cg).equilibria) == 3429
         kernel = ccg.game.compile_within_limit(cg, range(len(cg.blocks)), False)
-        assert len(kernel._replies) < 1_100
+        caches = {len(block): kernel._replies[k] for k, block in enumerate(cg.blocks)}
+        assert all(kernel._replies[k] is caches[len(block)] for k, block in enumerate(cg.blocks))
+        assert cached_replies(kernel) < 1_100
         lookups.clear()
         assert len(enumerate_pure_ne(cg, stop_after=1).equilibria) == 1
         assert len(lookups) < 1_300
@@ -340,16 +344,16 @@ class TestPinnedInstances:
         simple = ccg.game.compile_within_limit(
             CoalitionalGame(CongestionGame.simple("AB", costs), pairs), range(2), False
         )
-        assert simple.best_reply(0, env) is simple.best_reply(1, env)
-        assert len(simple._replies) == 1
+        assert simple.best_reply(0, simple.code(env)) is simple.best_reply(1, simple.code(env))
+        assert cached_replies(simple) == 1
         # block 1 plays (A, A) or (A, B); block 2 plays (A, B) or (B, B)
         sets = [["A"], ["A", "B"], ["B"], ["A", "B"]]
         crossed = ccg.game.compile_within_limit(
             CoalitionalGame(CongestionGame(("A", "B"), costs, sets), pairs), range(2), False
         )
         assert crossed.strategies[0] != crossed.strategies[1]
-        assert crossed.best_reply(0, env) != crossed.best_reply(1, env)
-        assert len(crossed._replies) == 2
+        assert crossed.best_reply(0, crossed.code(env)) != crossed.best_reply(1, crossed.code(env))
+        assert cached_replies(crossed) == 2
 
     def test_many_single_strategy_blocks_do_not_recurse(self):
         g = CongestionGame.simple(("A",), {"A": tuple(range(1500))})

@@ -197,6 +197,22 @@ def test_strategies_map_must_cover_all_agents():
         loads_game(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "key, named", [("3", "'3'"), ("x", "'x'"), ("0", "'0'"), ("01", "'01'"), (" 1", "' 1'")]
+)
+def test_strategies_map_refuses_keys_that_are_not_sub_agents(key, named):
+    # every sub-agent has its entry; the extra key names no sub-agent
+    obj = {
+        "resources": ["A"],
+        "players": 2,
+        "costs": {"A": [0, 0]},
+        "strategies": {"1": [["A"]], "2": [["A"]], key: [["A"]]},
+        "partition": [[1], [2]],
+    }
+    with pytest.raises(GameFileError, match=f"'strategies' key {named} is not a sub-agent id from 1 to 2"):
+        loads_game(json.dumps(obj))
+
+
 def test_file_round_trip(tmp_path, triple_game):
     partition = Partition.from_one_based([[1, 2], [3, 4]])
     path = tmp_path / "game.json"

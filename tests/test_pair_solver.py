@@ -25,7 +25,7 @@ from ccg import (
 from ccg.errors import NotNashAtExitError, PreconditionViolatedError
 from ccg.experiments import pair_solver_sweep
 from ccg.pair_solver import _arrange_distinct, _arrange_hub, _hub_improvement_loop
-from oracle_helpers import brute_is_ccg_ne
+from oracle_helpers import brute_is_ccg_ne, cached_replies
 
 
 def two_resource_game(a, b) -> CongestionGame:
@@ -283,10 +283,10 @@ class TestOneCompilePerGame:
             partition = random_partition(f"recheck:{trial}", game.n, min(2, game.n))
             trace = solve_pair_ccg(game, partition)
             built = len(compiled)
-            replies = {key: len(kernel._replies) for key, kernel in game._kernels.items()}
+            replies = {key: cached_replies(kernel) for key, kernel in game._kernels.items()}
             assert is_ccg_ne(CoalitionalGame(game, partition), trace.result)
             assert len(compiled) == built
-            assert {key: len(kernel._replies) for key, kernel in game._kernels.items()} == replies
+            assert {key: cached_replies(kernel) for key, kernel in game._kernels.items()} == replies
 
     def test_sweep_compiles_each_trial_once(self, compiled):
         assert pair_solver_sweep(20, 1)["ne_nonempty"] == 20

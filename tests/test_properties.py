@@ -42,7 +42,7 @@ from ccg import (
     underlying_pure_ne,
 )
 from ccg.errors import BlockLargerThanResourceSetError, CcgError
-from ccg.game import validate_profile
+from ccg.game import compile_within_limit, validate_profile
 from ccg.instances import no_ne_overlap_fixture
 
 from oracle_helpers import (
@@ -50,6 +50,7 @@ from oracle_helpers import (
     brute_ccg_equilibria,
     brute_is_ne_congestion,
     pure_nash_equilibria,
+    reference_best_reply,
     scan_pure_ne,
 )
 
@@ -69,9 +70,11 @@ def simple_ccgs(draw, max_n: int = 5, max_r: int = 3, max_block: int | None = No
 
 
 @st.composite
-def non_simple_ccgs(draw, max_n: int = 4, max_r: int = 3):
+def non_simple_ccgs(draw, max_n: int = 4, max_r: int = 3, shared: bool = False):
     """Games whose agents pick one- or two-resource choices from their own
-    strategy sets, so members of one block can play different things."""
+    strategy sets, so members of one block can play different things. With
+    `shared`, every set also holds the first resource alone, so that all
+    sub-agents can crowd onto it."""
     seed = draw(st.integers(0, 10**6))
     n = draw(st.integers(2, max_n))
     r = draw(st.integers(2, max_r))
@@ -82,6 +85,9 @@ def non_simple_ccgs(draw, max_n: int = 4, max_r: int = 3):
         tuple(draw(st.lists(st.sampled_from(menu), min_size=1, max_size=3, unique=True)))
         for _ in range(n)
     )
+    if shared:
+        first = simple.resources[:1]
+        sets = tuple(s if first in s else (*s, first) for s in sets)
     game = CongestionGame(simple.resources, simple.costs, sets)
     return CoalitionalGame(game, random_partition(seed, n, draw(st.integers(1, min(3, n)))))
 
@@ -180,6 +186,28 @@ class TestCompiledKernel:
     @given(non_simple_ccgs())
     def test_non_simple_payoffs_match_coalition_utility(self, cg):
         assert_kernel_matches_definition(cg)
+
+    @COMMON
+    @given(st.one_of(simple_ccgs(), non_simple_ccgs(), non_simple_ccgs(shared=True)), st.data())
+    def test_occupancy_codes_and_best_replies_match_the_reference(self, cg, data):
+        g = cg.base
+        kernel = compile_within_limit(cg, range(len(cg.blocks)), False)
+        vectors = list(itertools.product(range(g.n + 1), repeat=len(g.resources)))
+        codes = [kernel.code(v) for v in vectors]
+        assert len(set(codes)) == len(vectors)
+        assert [tuple(kernel.digits(c)) for c in codes] == vectors
+        # when every sub-agent can use the first resource, crowding onto it
+        # takes that digit to n
+        first = g.resources[0]
+        crowd = data.draw(st.booleans()) and all(any(first in c for c in s) for s in g.strategy_sets)
+        choices = [data.draw(st.sampled_from([c for c in s if first in c or not crowd])) for s in g.strategy_sets]
+        for k, block in enumerate(cg.blocks):
+            assert kernel.codes[k] == [kernel.code(usage) for usage in kernel.usage[k]]
+            env = [sum(r in c for i, c in enumerate(choices) if i not in block) for r in g.resources]
+            values, best, arg = kernel.best_reply(k, kernel.code(env))
+            expected_values, expected_best, expected_arg = reference_best_reply(cg, k, env)
+            assert [Fraction(v, kernel.scale) for v in values] == expected_values
+            assert (Fraction(best, kernel.scale), arg) == (expected_best, expected_arg)
 
 
 def _answer(cg, s, restricted, call):
