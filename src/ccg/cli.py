@@ -6,9 +6,12 @@ machine contract: it round-trips through `json.loads`/`json.dumps`, and the
 text form is rendered purely from it. Its bytes are those of
 `json.dumps(report, indent=2)`, written by the one writer
 `gamefile.dumps_json`, which also writes game files. A potential table
-goes to that writer as its label grid (a `gamefile.TableGrid`), with the
-bytes of its list of row dicts; `render_text` reads its rows through
-`TableGrid.columns_of`, from the grid or from a parsed report alike.
+goes to that writer as its label grid (a `gamefile.TableGrid`), and an
+equilibrium listing as its rows (a `gamefile.EquilibriumRows`: the blocks,
+the canonical profiles and their multiplicities), each with the bytes of
+its list of row dicts; `render_text` reads their rows through
+`TableGrid.columns_of` and `EquilibriumRows.columns_of`, from the object or
+from a parsed report alike.
 
 Exit codes encode verdicts so pipelines can branch on them:
 
@@ -51,10 +54,12 @@ from .game import (
     Partition,
     PureProfile,
     StrategicForm,
+    choice_label,
     materialize,
     require_valid,
 )
 from .gamefile import (
+    EquilibriumRows,
     TableGrid,
     dumps_json,
     game_to_dict,
@@ -101,10 +106,7 @@ def _flat_profile(s: PureProfile) -> list[list[str]]:
 
 def _ne_report_json(cg: CoalitionalGame, report: NeReport) -> dict:
     return {
-        "equilibria": [
-            {"profile": _profile_by_block(cg, p), "multiplicity": m}
-            for p, m in zip(report.equilibria, report.multiplicities)
-        ],
+        "equilibria": EquilibriumRows(cg.blocks, report.equilibria, report.multiplicities),
         "count": len(report.equilibria),
         "exhaustive": report.exhaustive,
         "profiles_checked": report.profiles_checked,
@@ -357,10 +359,7 @@ def _render_matrix(matrix: dict) -> list[str]:
 
 
 def _profile_text(profile: list) -> str:
-    def choice(c: list) -> str:
-        return "".join(c)
-
-    return " | ".join(",".join(choice(c) for c in block) for block in profile)
+    return " | ".join(",".join(map(choice_label, block)) for block in profile)
 
 
 def render_text(report: dict) -> str:
@@ -371,8 +370,9 @@ def render_text(report: dict) -> str:
         if v["method"] == "brute":
             if v["ne_found"]:
                 lines.append(f"{v['count']} pure Nash equilibrium profile(s):")
-                for e in report["traces"]["enumeration"]["equilibria"]:
-                    lines.append(f"  {_profile_text(e['profile'])}  (x{e['multiplicity']})")
+                listing = EquilibriumRows.columns_of(report["traces"]["enumeration"]["equilibria"])
+                for profile, multiplicity in zip(*listing):
+                    lines.append(f"  {_profile_text(profile)}  (x{multiplicity})")
             else:
                 lines.append("no pure Nash equilibrium")
         else:

@@ -601,8 +601,16 @@ def block_orbit(
     members of `block`: its representative, the lexicographically least
     assignment in which every member plays a choice from its own strategy
     set (the sorted order when there is none), and its size, the number of
-    distinct such assignments."""
+    distinct such assignments. When the members share one strategy set
+    holding every choice (as in a simple game), every assignment is
+    playable: the sorted order is least, and the size is the multinomial
+    m! / prod k_c!, where choice c appears k_c times among the m."""
     ordered = sorted(choices, key=g.choice_key)
+    sets = g.strategy_sets
+    shared = sets[block[0]] if block else ()
+    if all(sets[i] == shared for i in block) and all(c in shared for c in ordered):
+        repeats = map(math.factorial, map(ordered.count, set(ordered)))
+        return tuple(ordered), math.factorial(len(ordered)) // math.prod(repeats)
     playable = [
         perm
         for perm in dict.fromkeys(itertools.permutations(ordered))

@@ -33,7 +33,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import GameFileError
-from .game import CongestionGame, CostTable, Partition
+from .game import CongestionGame, CostTable, Partition, PureProfile
 from .rationals import as_fraction, format_scaled
 
 GameWithPartition = tuple[CongestionGame, Partition]
@@ -103,6 +103,29 @@ class TableGrid:
         return itertools.product(*table.labels), map(_formatted(table).__getitem__, table.flat)
 
 
+@dataclass(frozen=True)
+class EquilibriumRows:
+    """An equilibrium listing with one row `{"profile": [[choice, ...],
+    ...], "multiplicity": m}` per profile: row r lists, block by block, the
+    choice of each member i, `profiles[r].choices[i]`, as a list of
+    resource ids, and its multiplicity is `multiplicities[r]`. `dumps_json`
+    writes it as that list of rows without building them."""
+
+    blocks: tuple[tuple[int, ...], ...]
+    profiles: Sequence[PureProfile]
+    multiplicities: Sequence[int]
+
+    @staticmethod
+    def columns_of(listing):
+        """Each row's profile, block by block, and each row's multiplicity,
+        as two iterables in row order, of an `EquilibriumRows` or of the
+        list of row dicts it is written as (a parsed report)."""
+        if type(listing) is not EquilibriumRows:
+            return map(itemgetter("profile"), listing), map(itemgetter("multiplicity"), listing)
+        profiles = ([[p.choices[i] for i in b] for b in listing.blocks] for p in listing.profiles)
+        return profiles, listing.multiplicities
+
+
 def _formatted(grid: TableGrid) -> dict:
     """`format_scaled(v, grid.scale)` by value v of `grid.flat`: a table's
     values repeat across profiles, so each is formatted once."""
@@ -112,31 +135,61 @@ def _formatted(grid: TableGrid) -> dict:
     return texts
 
 
+def _row_parts(newline: str, profiles, value_key: str, values):
+    """The pieces of a nonempty list of rows `{"profile": [item, ...],
+    value_key: value}` as `dumps_json` writes it: `profiles` holds each
+    row's items and `values` each row's value, already written (an item's
+    own line breaks are those of its depth, `newline` plus six spaces)."""
+    # the line breaks before a row, before its keys and before its items
+    row, key, item = newline + "  ", newline + "    ", newline + "      "
+    head = "{" + key + '"profile": [' + item
+    leads = itertools.chain(["[" + row + head], itertools.repeat(row + "}," + row + head))
+    tails = itertools.repeat(key + "]," + key + encode_basestring_ascii(value_key) + ": ")
+    rows = zip(leads, map(("," + item).join, profiles), tails, values)
+    return itertools.chain(itertools.chain.from_iterable(rows), [row + "}" + newline + "]"])
+
+
 def _grid_parts(grid: TableGrid, newline: str):
     """The pieces of `grid`'s rows as `dumps_json` writes a list of row
     dicts: each label is encoded once and each distinct value formatted
     once, and the pieces come from C-level iterators, with no string the
     size of the table besides the writer's one join."""
-    # the line breaks before a row, before its keys and before its labels
-    row, key, label = newline + "  ", newline + "    ", newline + "      "
     if not all(grid.labels):
         return ["[]"]
     texts = {v: f'"{t}"' if type(t) is str else int.__repr__(t) for v, t in _formatted(grid).items()}
-    values = map(texts.__getitem__, grid.flat)
     encoded = [[encode_basestring_ascii(s) for s in block] for block in grid.labels]
-    profiles = map(("," + label).join, itertools.product(*encoded))
-    head = "{" + key + '"profile": [' + label
-    leads = itertools.chain(["[" + row + head], itertools.repeat(row + "}," + row + head))
-    rows = zip(leads, profiles, itertools.repeat(key + "]," + key + '"value": '), values)
-    return itertools.chain(itertools.chain.from_iterable(rows), [row + "}" + newline + "]"])
+    return _row_parts(newline, itertools.product(*encoded), "value", map(texts.__getitem__, grid.flat))
+
+
+def _listing_parts(listing: EquilibriumRows, newline: str):
+    """The pieces of `listing`'s rows as `dumps_json` writes a list of row
+    dicts: each distinct member choice is written once, each distinct
+    assignment of choices to a block's members once per block from those
+    texts, and each row is one join of its blocks' texts."""
+    if not listing.profiles:
+        return ["[]"]
+    block, member, resource = newline + " " * 6, newline + " " * 8, newline + " " * 10
+
+    def listed(items, inner: str, close: str) -> str:
+        return "[" + inner + ("," + inner).join(items) + close + "]"
+
+    choices = [p.choices for p in listing.profiles]
+    distinct = set(itertools.chain.from_iterable(choices))
+    members = {c: listed(map(encode_basestring_ascii, c), resource, member) for c in distinct}
+    columns = []
+    for b in listing.blocks:
+        keys = list(map(itemgetter(*b), choices))  # one member's key is its choice, not a 1-tuple
+        texts = {k: listed(map(members.__getitem__, k if len(b) > 1 else (k,)), member, block) for k in set(keys)}
+        columns.append(map(texts.__getitem__, keys))
+    return _row_parts(newline, zip(*columns), "multiplicity", map(int.__repr__, listing.multiplicities))
 
 
 def dumps_json(obj) -> str:
     """`json.dumps(obj, indent=2)`, byte for byte, in one pass (the stdlib's
     C encoder ignores `indent`). Dicts with string keys, lists, tuples,
     strings, ints, bools and None are written here, sharing separators and
-    encoded keys; a `TableGrid` is written as its list of row dicts; anything
-    else, such as a float, goes to `json.dumps`."""
+    encoded keys; a `TableGrid` or `EquilibriumRows` is written as its list
+    of row dicts; anything else, such as a float, goes to `json.dumps`."""
     parts: list[str] = []
     out = parts.append
     levels: dict[str, tuple[str, str, str, str]] = {}
@@ -177,6 +230,8 @@ def dumps_json(obj) -> str:
                 out(close_list)
         elif kind is TableGrid:
             parts.extend(_grid_parts(value, newline))
+        elif kind is EquilibriumRows:
+            parts.extend(_listing_parts(value, newline))
         else:  # an encoded string holds no raw newline, so this just indents
             out(json.dumps(value, indent=2).replace("\n", newline))
 

@@ -5,8 +5,11 @@ raw (non-canonical) profiles and compute utilities through the public
 per-block utility function, so they can independently confirm solver and
 enumerator outputs on small instances. `scan_pure_ne` is the joint-profile
 scan that the suffix-subgame search replaced, kept to cross-check it report
-for report, and `listed_block_layout` the per-call strategy listing that the
-cached simple-game layouts replaced. The potential oracle checks the
+for report; its representatives and multiplicities come from
+`listed_block_orbit`, which lists member permutations, so the library's
+closed-form orbits are checked against a listing, not against themselves.
+`listed_block_layout` is the per-call strategy listing that the cached
+simple-game layouts replaced. The potential oracle checks the
 defining equation edge by edge on the rational utility mapping, independent
 of the fiber test the library uses. The square oracles evaluate one
 deviation square from `coalition_utility` at its corners, and find the
@@ -36,7 +39,6 @@ from ccg import (
     StrategicForm,
     assemble_profile,
     canonical_block_strategies,
-    canonical_multiplicity,
     coalition_utility,
     congestion,
     four_cycle_residual,
@@ -247,11 +249,27 @@ def first_nonzero_square(game: StrategicForm) -> FourCycleWitness | None:
     return None
 
 
+def listed_block_orbit(g: CongestionGame, block, choices) -> tuple[tuple, int]:
+    """`block_orbit` by listing every assignment of `choices` to the members
+    of `block` and keeping those each member can play: the least of them in
+    resource order (the sorted order when there is none), and their count."""
+    playable = {
+        perm
+        for perm in itertools.permutations(choices)
+        if all(c in g.strategy_sets[i] for i, c in zip(block, perm))
+    }
+    if not playable:
+        return tuple(sorted(choices, key=g.choice_key)), 0
+    return min(playable, key=lambda perm: [g.choice_key(c) for c in perm]), len(playable)
+
+
 def scan_pure_ne(
     cg: CoalitionalGame, restricted: bool = False, stop_after: int | None = None
 ) -> NeReport:
     """Equilibrium enumeration by testing every canonical joint profile in
-    row-major order for a strictly improving block deviation."""
+    row-major order for a strictly improving block deviation. Each reported
+    profile and its multiplicity come from `listed_block_orbit`, not from
+    the library's orbits."""
     kernel = CompiledGame(cg.base, [block_layout(cg, k, restricted) for k in range(len(cg.blocks))])
     total = math.prod(len(s) for s in kernel.strategies)
     equilibria: list[PureProfile] = []
@@ -261,9 +279,15 @@ def scan_pure_ne(
     for idx in itertools.product(*(range(len(s)) for s in kernel.strategies)):
         checked += 1
         if kernel.deviation(idx) is None:
-            profile = assemble_profile(cg, [kernel.strategies[k][si] for k, si in enumerate(idx)])
-            equilibria.append(profile)
-            multiplicities.append(canonical_multiplicity(cg, profile))
+            choices = [()] * cg.base.n
+            multiplicity = 1
+            for block, strategies, si in zip(cg.blocks, kernel.strategies, idx):
+                members, size = listed_block_orbit(cg.base, block, strategies[si])
+                for i, choice in zip(block, members):
+                    choices[i] = choice
+                multiplicity *= size
+            equilibria.append(PureProfile(tuple(choices)))
+            multiplicities.append(multiplicity)
             if stop_after is not None and len(equilibria) >= stop_after:
                 exhaustive = checked == total
                 break

@@ -10,10 +10,10 @@ import ccg.cli
 import ccg.game
 import ccg.instances
 import ccg.potential
-from ccg import CoalitionalGame, Partition, PureProfile, find_deviation
+from ccg import CoalitionalGame, CongestionGame, Partition, PureProfile, find_deviation
 from ccg.cli import main, render_text
 from ccg.game import validate_profile
-from ccg.gamefile import load_game_file, write_game_file
+from ccg.gamefile import EquilibriumRows, dumps_json, load_game_file, write_game_file
 from ccg.instances import (
     no_ne_overlap_fixture,
     no_ne_triple_fixture,
@@ -52,6 +52,22 @@ def nonlinear_file(tmp_path):
     fx = parametric_two_resource_fixture((0, 12, 16), (0, 12, 16))
     path = tmp_path / "nonlinear.json"
     write_game_file(path, fx.game, fx.partition)
+    return str(path)
+
+
+@pytest.fixture
+def split_choice_file(tmp_path):
+    """Sub-agent 1 plays R1 and R2 together or R12 alone, sub-agent 2 one of
+    the three, each alone: the equilibria put sub-agent 1 on R1 and R2."""
+    path = tmp_path / "split.json"
+    game = {
+        "resources": ["R1", "R2", "R12"],
+        "players": 2,
+        "costs": {"R1": [1, 5], "R2": [1, 5], "R12": [10, 20]},
+        "strategies": {"1": [["R1", "R2"], ["R12"]], "2": [["R1"], ["R2"], ["R12"]]},
+        "partition": [[1], [2]],
+    }
+    path.write_text(json.dumps(game))
     return str(path)
 
 
@@ -103,6 +119,27 @@ class TestSolve:
         trace = report["traces"]["solve"]
         assert trace["case"] == "distinct"
         assert trace["result"] == [[["A"], ["B"]], [["A"], ["B"]]]
+
+    def test_text_labels_a_multi_resource_choice_as_matrix_does(self, capsys, split_choice_file):
+        # joined with no separator, {R1, R2} would read as a resource named R1R2
+        assert main(["solve", split_choice_file]) == 0
+        assert capsys.readouterr().out.splitlines()[:-1] == [
+            "2 pure Nash equilibrium profile(s):",
+            "  R1+R2 | R1  (x1)",
+            "  R1+R2 | R2  (x1)",
+        ]
+        assert main(["matrix", split_choice_file]) == 0
+        assert "R1+R2" in capsys.readouterr().out.splitlines()[1]
+
+    def test_constructive_method_text_labels_choices(self, capsys, tmp_path):
+        path = tmp_path / "r12.json"
+        game = CongestionGame.simple(("R1", "R2"), {"R1": (1, 2, 3, 4), "R2": (1, 2, 3, 4)})
+        write_game_file(path, game, Partition.from_one_based([[1, 2], [3, 4]]))
+        report, code = run_json(capsys, "solve", str(path), "--method", "theorem1")
+        assert code == 0
+        assert main(["solve", str(path), "--method", "theorem1"]) == 0
+        result = " | ".join(",".join(c for [c] in block) for block in report["traces"]["solve"]["result"])
+        assert capsys.readouterr().out.splitlines()[0] == f"constructed equilibrium: {result}"
 
     def test_constructive_method_rejects_triple_block(self, capsys, triple_file):
         assert main(["solve", triple_file, "--method", "theorem1"]) == 4
@@ -432,6 +469,15 @@ class TestReportContract:
         assert printed[:-1] == rendered[:-1]
         rows = [f"  {' | '.join(row['profile'])}: {row['value']}" for row in table]
         assert printed[1 : 1 + len(rows)] == rows
+
+    def test_text_of_a_listing_reads_its_rows_as_from_a_parsed_report(self, split_choice_file, triple_file):
+        # triple_file and fixture3.json have no equilibrium
+        for path in (split_choice_file, triple_file, *(str(GOLDEN / n) for n in ("b1.json", "fixture3.json"))):
+            args = ccg.cli._build_parser().parse_args(["solve", path])
+            report, _ = args.func(args)
+            report["timing"] = {"seconds": 0.5}
+            assert type(report["traces"]["enumeration"]["equilibria"]) is EquilibriumRows
+            assert render_text(report) == render_text(json.loads(dumps_json(report)))
 
     def test_threads_flag_does_not_change_output(self, capsys, pair_file):
         r1, _ = run_json(capsys, "solve", pair_file)

@@ -8,9 +8,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ccg import CoalitionalGame, CostTable, Partition, coalition_utility, as_profile
+from ccg import (
+    CoalitionalGame,
+    CongestionGame,
+    CostTable,
+    Partition,
+    as_profile,
+    coalition_utility,
+    enumerate_pure_ne,
+)
 from ccg.errors import GameFileError
 from ccg.gamefile import (
+    EquilibriumRows,
     TableGrid,
     dumps_game,
     dumps_json,
@@ -293,6 +302,53 @@ def test_dumps_json_writes_a_grid_as_its_rows(grid_rows, nest):
     assert dumps_json(nest(grid)) == json.dumps(nest(rows), indent=2)
     assert list(zip(*TableGrid.columns_of(grid))) == [(tuple(r["profile"]), r["value"]) for r in rows]
     assert list(zip(*TableGrid.columns_of(rows))) == [(r["profile"], r["value"]) for r in rows]
+
+
+def _escaped_game() -> CongestionGame:
+    """Resource ids the writer must escape, with one- and two-resource
+    choices and sub-agents 1 and 2 on different strategy sets."""
+    q, b, e = '"', "\\", "é"
+    sets = (((q,), (q, b), (e,)), ((q, b), (b, e)), ((q,), (b,), (e,)))
+    return CongestionGame((q, b, e), {r: (1, 3, 4) for r in (q, b, e)}, sets)
+
+
+def _split_choice_game() -> CongestionGame:
+    """Sub-agent 1 plays R1 and R2 together or R12 alone; sub-agent 2 plays
+    one of the three."""
+    return CongestionGame(
+        ("R1", "R2", "R12"),
+        {"R1": (1, 5), "R2": (1, 5), "R12": (10, 20)},
+        ((("R1", "R2"), ("R12",)), (("R1",), ("R2",), ("R12",))),
+    )
+
+
+_LISTINGS = {
+    "simple pairs": (lambda: no_ne_triple_fixture().game, [[1, 2], [3, 4]]),
+    "simple, none": (lambda: no_ne_triple_fixture().game, [[1, 2, 3], [4]]),
+    "non-simple, one block": (lambda: no_ne_overlap_fixture().game, [[1, 2, 3]]),
+    "non-simple, discrete": (lambda: no_ne_overlap_fixture().game, [[1], [2], [3]]),
+    "escaped ids": (_escaped_game, [[1, 2], [3]]),
+    "split choice": (_split_choice_game, [[1, 2]]),
+}
+
+
+@pytest.mark.parametrize("stop_after", [None, 1, 2])
+@pytest.mark.parametrize("name", list(_LISTINGS))
+def test_dumps_json_writes_a_listing_as_its_rows(name, stop_after):
+    game, blocks = _LISTINGS[name]
+    cg = CoalitionalGame(game(), Partition.from_one_based(blocks))
+    report = enumerate_pure_ne(cg, stop_after=stop_after)
+    listing = EquilibriumRows(cg.blocks, report.equilibria, report.multiplicities)
+    rows = [
+        {"profile": [[list(p.choices[i]) for i in block] for block in cg.blocks], "multiplicity": m}
+        for p, m in zip(report.equilibria, report.multiplicities)
+    ]
+    assert bool(rows) == (name != "simple, none")
+    for nest in _nestings:
+        assert dumps_json(nest(listing)) == json.dumps(nest(rows), indent=2)
+    expected = [(r["profile"], r["multiplicity"]) for r in rows]
+    assert [(json.loads(json.dumps(p)), m) for p, m in zip(*EquilibriumRows.columns_of(listing))] == expected
+    assert list(zip(*EquilibriumRows.columns_of(rows))) == expected
 
 
 def test_dumps_game_is_written_by_dumps_json(triple_game):

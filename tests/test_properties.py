@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ccg import (
     CoalitionalGame,
@@ -42,13 +42,14 @@ from ccg import (
     underlying_pure_ne,
 )
 from ccg.errors import BlockLargerThanResourceSetError, CcgError
-from ccg.game import compile_within_limit, validate_profile
+from ccg.game import block_layout, block_orbit, compile_within_limit, validate_profile
 from ccg.instances import no_ne_overlap_fixture
 
 from oracle_helpers import (
     assert_kernel_matches_definition,
     brute_ccg_equilibria,
     brute_is_ne_congestion,
+    listed_block_orbit,
     pure_nash_equilibria,
     reference_best_reply,
     scan_pure_ne,
@@ -439,6 +440,68 @@ class TestSearchMatchesScan:
     @given(tied_simple_ccgs(), st.booleans(), STOPS)
     def test_ties_and_equal_blocks(self, cg, restricted, stop_after):
         self.check(cg, restricted, stop_after)
+
+
+@st.composite
+def shared_set_ccgs(draw, max_n: int = 4, max_r: int = 3):
+    """Non-simple games whose sub-agents all have one strategy set, holding
+    a two-resource choice, passed as one object or as equal copies."""
+    seed = draw(st.integers(0, 10**6))
+    n = draw(st.integers(2, max_n))
+    r = draw(st.integers(2, max_r))
+    simple = random_game(seed, n, r, "monotone")
+    pairs = list(itertools.combinations(simple.resources, 2))
+    menu = [(x,) for x in simple.resources] + pairs
+    shared = (draw(st.sampled_from(pairs)), *draw(st.lists(st.sampled_from(menu), max_size=3)))
+    sets = [shared] * n if draw(st.booleans()) else [list(shared) for _ in range(n)]
+    game = CongestionGame(simple.resources, simple.costs, tuple(sets))
+    return CoalitionalGame(game, random_partition(seed, n, draw(st.integers(1, n))))
+
+
+def _block_strategy(data, cg, restricted=False):
+    """A block of `cg` and one of its canonical strategies, its choices in
+    any order."""
+    k = data.draw(st.integers(0, len(cg.blocks) - 1))
+    strat = data.draw(st.sampled_from(block_layout(cg, k, restricted).strategies))
+    return cg.blocks[k], data.draw(st.permutations(strat))
+
+
+class TestBlockOrbit:
+    """`block_orbit`, in closed form or listed, equals the listing of member
+    permutations in `oracle_helpers.listed_block_orbit`."""
+
+    @COMMON
+    @given(simple_ccgs(max_n=6, max_r=4), st.data())
+    def test_simple(self, cg, data):
+        block, choices = _block_strategy(data, cg)
+        assert block_orbit(cg.base, block, choices) == listed_block_orbit(cg.base, block, choices)
+
+    @COMMON
+    @given(simple_ccgs(max_n=6, max_r=4), st.data())
+    def test_restricted(self, cg, data):
+        assume(cg.partition.max_block_size <= len(cg.base.resources))
+        block, choices = _block_strategy(data, cg, restricted=True)
+        assert block_orbit(cg.base, block, choices) == listed_block_orbit(cg.base, block, choices)
+
+    @COMMON
+    @given(shared_set_ccgs(), st.data())
+    def test_non_simple_shared_set(self, cg, data):
+        assert not cg.base.is_simple
+        block, choices = _block_strategy(data, cg)
+        assert block_orbit(cg.base, block, choices) == listed_block_orbit(cg.base, block, choices)
+
+    @COMMON
+    @given(non_simple_ccgs(), st.data())
+    def test_non_simple_unplayable_choice(self, cg, data):
+        block, choices = _block_strategy(data, cg)
+        g = cg.base
+        menu = [(x,) for x in g.resources] + list(itertools.combinations(g.resources, 2))
+        outside = [c for c in menu if all(c not in g.strategy_sets[i] for i in block)]
+        assume(outside)
+        choices[data.draw(st.integers(0, len(choices) - 1))] = data.draw(st.sampled_from(outside))
+        expected = listed_block_orbit(g, block, choices)
+        assert expected[1] == 0
+        assert block_orbit(g, block, choices) == expected
 
 
 class TestRestrictedLift:
