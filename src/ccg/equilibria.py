@@ -340,11 +340,11 @@ def enumerate_pure_ne(
 
 
 def in_restricted_space(cg: CoalitionalGame, s: PureProfile) -> bool:
-    """True when every block's members occupy pairwise-distinct resources."""
-    for k in range(len(cg.blocks)):
-        if any(x > 1 for x in private_congestion(cg, s, k).counts):
-            return False
-    return True
+    """True when every block's members occupy pairwise-distinct resources.
+    The profile is validated once, not once per block."""
+    validate_profile(cg.base, s)
+    used = ([r for i in block for r in s.choices[i]] for block in cg.blocks)
+    return all(len(set(u)) == len(u) for u in used)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,6 @@ def check_ne_lift(cg: CoalitionalGame, s: PureProfile, restricted: bool = False)
     what = "restricted lift check" if restricted else "lift check"
     if not cg.base.is_simple:
         raise PreconditionViolatedError(f"{what} needs a simple base game")
-    validate_profile(cg.base, s)
     distinct = in_restricted_space(cg, s)
     if restricted and not distinct:
         raise PreconditionViolatedError("profile assigns one block two sub-agents on one resource")

@@ -21,9 +21,11 @@ an unknown resource, an empty strategy set) is refused with
 `InvalidGameError` whenever it is compiled. A game keeps its scaled tables
 and its kernels, with their best-reply caches, for as long as it lives, so
 the solver, its checks, enumeration and `materialize` share one compile. A
-simple game's blocks read their strategies and usage counts from a
-`BlockLayout` built once per process. `materialize` emits a flat
-`StrategicForm` of such scaled integers.
+simple game's blocks read their strategies and their usage, as sparse
+`(resource, uses)` pairs, from a `BlockLayout` built once per process.
+Utilities come from one evaluator, `CompiledGame.best_reply`: `materialize`
+emits a flat `StrategicForm` of such scaled integers, filled from best
+replies fiber by fiber.
 Sub-agents and blocks are 0-indexed throughout the library; the file format
 and CLI translate to 1-based ids.
 """
@@ -36,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import le, mul, sub
+from operator import le, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -637,25 +639,23 @@ def canonical_multiplicity(cg: CoalitionalGame, s: PureProfile) -> int:
 
 
 class BlockLayout(NamedTuple):
-    """A block's canonical strategies, sorted; `usage[si]` counts strategy
-    si's uses of each resource, in resource order, and `contributions[si]`
-    holds the same counts as sparse `(resource, uses)` pairs."""
+    """A block's canonical strategies, sorted, and their resource usage:
+    `contributions[si]` holds strategy si's `(resource, uses)` pairs for the
+    resources it uses, in resource order."""
 
     strategies: tuple[BlockStrategy, ...]
-    usage: tuple[tuple[int, ...], ...]
     contributions: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _layout(resources: Sequence[str], strategies: tuple[BlockStrategy, ...]) -> BlockLayout:
     index = {r: i for i, r in enumerate(resources)}
-    usage = []
+    contributions = []
     for strat in strategies:
-        counts = [0] * len(index)
-        for r in itertools.chain.from_iterable(strat):
-            counts[index[r]] += 1
-        usage.append(tuple(counts))
-    contributions = tuple(tuple((r, used) for r, used in enumerate(v) if used) for v in usage)
-    return BlockLayout(strategies, tuple(usage), contributions)
+        uses: dict[int, int] = {}
+        for r in sorted([index[r] for r in itertools.chain.from_iterable(strat)]):
+            uses[r] = uses.get(r, 0) + 1
+        contributions.append(tuple(uses.items()))
+    return BlockLayout(strategies, tuple(contributions))
 
 
 @functools.lru_cache(maxsize=64)
@@ -668,7 +668,8 @@ def _simple_layout(resources: tuple[str, ...], members: int, restricted: bool) -
 
 
 def block_layout(cg: CoalitionalGame, k: int, restricted: bool = False) -> BlockLayout:
-    """Block k's canonical strategies and their resource usage.
+    """Block k's canonical strategies and their resource usage as sparse
+    `(resource, uses)` pairs (see `BlockLayout`).
 
     With `restricted=True` (simple games only) the members must occupy
     pairwise-distinct resources.
@@ -744,21 +745,21 @@ class CompiledGame:
     codes do.
 
     A kernel compiles some blocks, in order; for the one at position p,
-    `strategies[p]`, `usage[p]` and `contributions[p]` are its `BlockLayout`
-    (one read-only layout per block shape in simple games), and `codes[p]`
-    holds each strategy's usage code. A block's utility depends on everyone
-    else only through their occupancy and on itself only through its
-    layout, so `best_reply` caches per layout, by occupancy code: blocks
-    compiled from one `BlockLayout` object, such as the equal-size blocks
-    of a simple game, share one code list and one cache, built once per
-    kernel. The game keeps its kernels, so callers on one game share these
-    caches (see `compile_within_limit`).
+    `strategies[p]` and `contributions[p]` are its `BlockLayout` (one
+    read-only layout per block shape in simple games), and `codes[p]` holds
+    each strategy's usage code. A block's utility depends on everyone else
+    only through their occupancy and on itself only through its layout, so
+    `best_reply` is the one evaluator of utilities, cached per layout by
+    occupancy code: blocks compiled from one `BlockLayout` object, such as
+    the equal-size blocks of a simple game, share one code list and one
+    cache, built once per kernel. `form` fills the strategic form from that
+    cache too. The game keeps its kernels, so callers on one game share
+    these caches (see `compile_within_limit`).
     """
 
     def __init__(self, g: CongestionGame, layouts: Sequence[BlockLayout]):
         self.scale, self.costs = g._scaled
         self.strategies = [layout.strategies for layout in layouts]
-        self.usage = [layout.usage for layout in layouts]
         self.contributions = [layout.contributions for layout in layouts]
         self.radix = g.n + 1
         self._powers = powers = [self.radix**r for r in range(len(self.costs))]
@@ -818,43 +819,34 @@ class CompiledGame:
                 return p, arg[0], values[si], best
         return None
 
-    def payoffs(self, env: Sequence[int]) -> list[list[int]]:
-        """Scaled utility table of each compiled block over their joint
-        profiles in row-major order, with `env` counting the occupancy of
-        sub-agents outside the compiled blocks.
-
-        Works a resource at a time: its occupancy over all joint profiles is
-        an outer sum of per-block usage columns, which a table lookup turns
-        into the per-user cost there; a block pays its usage times that
-        cost on every resource it can use.
-        """
-        sizes = [len(s) for s in self.strategies]
-        n_profiles = math.prod(sizes)
-        unit_costs = []
-        for r, table in enumerate(self.costs):
-            occupancy = [env[r]]
-            for vectors in self.usage:
-                occupancy = [c + vector[r] for c in occupancy for vector in vectors]
-            unit_costs.append(list(map((0, *table).__getitem__, occupancy)))
-        tables = []
-        for vectors, m, stride in zip(self.usage, sizes, row_major_strides(sizes)):
-            utility = [0] * n_profiles
-            for r, unit_cost in enumerate(unit_costs):
-                uses = [vector[r] for vector in vectors]
-                if any(uses):
-                    column = [u for u in uses for _ in range(stride)] * (n_profiles // (m * stride))
-                    utility = list(map(sub, utility, map(mul, column, unit_cost)))
-            tables.append(utility)
-        return tables
+    def grid(self, env: int = 0) -> list[int]:
+        """The occupancy code of every joint profile of the compiled blocks,
+        in row-major order, with everyone else occupying `env`: one outer
+        sum of their code lists."""
+        grid = [env]
+        for codes in self.codes:
+            grid = [c + code for c in grid for code in codes]
+        return grid
 
     def labels(self) -> tuple[tuple[str, ...], ...]:
         """Each compiled block's strategy labels, in strategy order."""
         return tuple(tuple(map(block_strategy_label, per_block)) for per_block in self.strategies)
 
-    def form(self, env: Sequence[int]) -> StrategicForm:
-        """The compiled blocks' strategic form against the fixed occupancy
-        `env`. Compile through `compile_within_limit` to bound its size."""
-        return StrategicForm(self.labels(), tuple(map(tuple, self.payoffs(env))), self.scale)
+    def form(self, env: int = 0) -> StrategicForm:
+        """The compiled blocks' strategic form with everyone else occupying
+        the resources as coded by `env`, filled from best replies: each fiber
+        of block p is p's values against the others' occupancy at the fiber's
+        first profile, where p plays strategy 0. Bound its size by compiling
+        through `compile_within_limit`."""
+        grid, sizes = self.grid(env), [len(s) for s in self.strategies]
+        tables = []
+        for p, (m, stride) in enumerate(zip(sizes, row_major_strides(sizes))):
+            span, own, table = m * stride, self.codes[p][0], [0] * len(grid)
+            for base in range(0, len(grid), span):
+                for f in range(base, base + stride):
+                    table[f : f + span : stride] = self.best_reply(p, grid[f] - own)[0]
+            tables.append(tuple(table))
+        return StrategicForm(self.labels(), tuple(tables), self.scale)
 
 
 def compile_within_limit(
@@ -903,6 +895,4 @@ def materialize(cg: CoalitionalGame) -> StrategicForm:
     utility table would exceed the size limit.
     """
     blocks = range(len(cg.blocks))
-    what = "materialized utility table"
-    kernel = compile_within_limit(cg, blocks, False, what, len(blocks))
-    return kernel.form([0] * len(cg.base.resources))
+    return compile_within_limit(cg, blocks, False, "materialized utility table", len(blocks)).form()

@@ -338,20 +338,21 @@ def linearity_report(g: CongestionGame) -> dict[str, LinearityEntry]:
 def _affine_potential(kernel: CompiledGame) -> PotentialTable:
     """The closed form on the kernel's profiles when each scaled table t is
     affine, anchored at zero on the all-first profile: with a = t[1] - t[0]
-    and b = t[0] - a, twice its negation sums a * x_kr^2 and a * n_r^2 +
-    2b * n_r, which is even as n^2 + sum_k x_k^2 = 2n mod 2."""
+    and b = t[0] - a, twice its negation sums each block's own a * x_kr^2,
+    read off its `contributions`, and the occupancy term sum_r a * n_r^2 +
+    2b * n_r, evaluated once per distinct code of `kernel.grid()`. The sum
+    is even as n^2 + sum_k x_k^2 = 2n mod 2."""
     slopes = [t[1] - t[0] if len(t) > 1 else 0 for t in kernel.costs]
     doubled = [0]
-    for vectors in kernel.usage:
-        own = [sum([a * x * x for a, x in zip(slopes, v)]) for v in vectors]
+    for contributions in kernel.contributions:
+        own = [sum([slopes[r] * x * x for r, x in contrib]) for contrib in contributions]
         doubled = [d + w for d in doubled for w in own]
-    for r, (a, t) in enumerate(zip(slopes, kernel.costs)):
-        term = [a * n * n + 2 * (t[0] - a) * n for n in range(len(t) + 1)]  # n_r <= len(t)
-        occupancy = [0]
-        for vectors in kernel.usage:
-            occupancy = [c + v[r] for c in occupancy for v in vectors]
-        doubled = list(map(add, doubled, map(term.__getitem__, occupancy)))
-    anchor, sizes = doubled[0], tuple(map(len, kernel.usage))
+    grid, terms = kernel.grid(), [(a, 2 * (t[0] - a)) for a, t in zip(slopes, kernel.costs)]
+    term = {
+        code: sum([a * n * n + b * n for (a, b), n in zip(terms, kernel.digits(code))]) for code in set(grid)
+    }
+    doubled = list(map(add, doubled, map(term.__getitem__, grid)))
+    anchor, sizes = doubled[0], tuple(map(len, kernel.strategies))
     return PotentialTable(sizes, tuple([(anchor - d) >> 1 for d in doubled]), kernel.scale)
 
 
@@ -377,7 +378,7 @@ def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> Equi
         verdict = PotentialVerdict(_affine_potential(kernel), None)
     else:
         kernel = compile_within_limit(cg, blocks, False, "materialized utility table", len(blocks))
-        sizes = tuple(map(len, kernel.usage))
+        sizes = tuple(map(len, kernel.strategies))
         placed = list(enumerate(zip(kernel.codes, sizes, row_major_strides(sizes))))
 
         def fiber_values(p: int, base: int) -> list[int]:

@@ -295,21 +295,20 @@ def scan_pure_ne(
 
 
 def listed_block_layout(cg: CoalitionalGame, k: int, restricted: bool = False):
-    """Block k's (strategies, usage, contributions) of a simple game, listed
-    from the resource combinations and counted choice by choice."""
+    """Block k's (strategies, contributions) of a simple game, listed from
+    the resource combinations and counted choice by choice."""
     g = cg.base
     combos = itertools.combinations if restricted else itertools.combinations_with_replacement
     strategies = tuple(tuple((r,) for r in combo) for combo in combos(g.resources, len(cg.blocks[k])))
     index = g.resource_index()
-    usage = []
+    contributions = []
     for strat in strategies:
         counts = [0] * len(index)
         for choice in strat:
             for r in choice:
                 counts[index[r]] += 1
-        usage.append(tuple(counts))
-    contributions = [tuple((r, used) for r, used in enumerate(v) if used) for v in usage]
-    return strategies, usage, contributions
+        contributions.append(tuple((r, used) for r, used in enumerate(counts) if used))
+    return strategies, contributions
 
 
 def reference_best_reply(cg: CoalitionalGame, k: int, env) -> tuple[list[Fraction], Fraction, tuple[int, ...]]:
@@ -425,5 +424,5 @@ def fix_strategies_subgame(cg: CoalitionalGame, fixed, free_blocks) -> Strategic
             raise InvalidProfileError(f"sub-agent {i} cannot play {frozen.choices[i]}")
         for r in frozen.choices[i]:
             env[index[r]] += 1
-    what = "materialized utility table"
-    return compile_within_limit(cg, free, False, what, len(free)).form(env)
+    kernel = compile_within_limit(cg, free, False, "materialized utility table", len(free))
+    return kernel.form(kernel.code(env))

@@ -23,6 +23,7 @@ from ccg import (
     congestion,
     enumerate_pure_ne,
     find_deviation,
+    in_restricted_space,
     is_ccg_ne,
     is_ne_congestion,
     materialize,
@@ -439,6 +440,27 @@ class TestLiftChecks:
         with pytest.raises(NeLiftViolationError, match="^lift check: block 0 improves"):
             check_ne_lift(pair_ccg, s)
         assert flags == [True, False]
+
+    def test_restricted_space_validates_the_profile_once(self, monkeypatch):
+        """One validation per call, whatever the block count: each block's
+        members are checked for a shared resource on the profile as given."""
+        resources = tuple("ABCDEFGH")
+        g = CongestionGame.simple(resources, {r: range(1, 17) for r in resources})
+        cg = CoalitionalGame(g, Partition.from_one_based([[b, b + 8] for b in range(1, 9)]))
+        spread = as_profile(g, list(resources) + list(resources[1:] + resources[:1]))
+        doubled = as_profile(g, list(resources) * 2)
+        validate, calls = ccg.game.validate_profile, []
+
+        def counted(game, s):
+            calls.append(s)
+            return validate(game, s)
+
+        for module in (ccg.game, ccg.equilibria):
+            monkeypatch.setattr(module, "validate_profile", counted)
+        assert in_restricted_space(cg, spread)
+        assert calls == [spread]
+        assert not in_restricted_space(cg, doubled)
+        assert calls == [spread, doubled]
 
     def test_restricted_deviation_search_rejects_doubled_profile(self, pair_ccg):
         s = as_profile(pair_ccg.base, ["A", "A", "B", "B"])

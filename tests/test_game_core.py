@@ -331,14 +331,13 @@ class TestBlockLayouts:
                     for _ in range(2)
                 )
                 layout = block_layout(cg, 0, restricted)
-                strategies, usage, contributions = listed_block_layout(cg, 0, restricted)
+                strategies, contributions = listed_block_layout(cg, 0, restricted)
                 assert layout.strategies == canonical_block_strategies(cg, 0, restricted) == strategies
-                assert list(layout.usage) == usage
                 assert list(layout.contributions) == contributions
                 assert block_layout(again, 0, restricted) is layout
                 if m == 1 and not restricted:
                     agent = CompiledGame.agent(cg.base)
-                    assert (agent.strategies, agent.usage) == ([layout.strategies], [layout.usage])
+                    assert (agent.strategies, agent.contributions) == ([layout.strategies], [layout.contributions])
 
 
 class TestCostTable:

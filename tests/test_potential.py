@@ -34,7 +34,9 @@ from ccg.errors import (
     SizeLimitExceededError,
 )
 from ccg.experiments import linearity_sweep
+from ccg.game import compile_within_limit
 from oracle_helpers import (
+    cached_replies,
     first_nonzero_square,
     fix_strategies_subgame,
     form_from_utilities,
@@ -439,6 +441,18 @@ class TestWitnessScan:
         profile = tuple(data.draw(st.integers(0, m - 1)) for m in sizes)
         for t_i, t_j in itertools.product(range(sizes[i]), range(sizes[j])):
             assert square_residual_by_definition(cg, i, j, profile, t_i, t_j) == 0
+
+    def test_materialized_game_leaves_the_decision_no_reply_to_evaluate(self):
+        """`materialize` fills its form from the kernel's best replies, so a
+        potential decision on the same game afterwards finds every fiber it
+        reads already cached."""
+        cg = non_affine_ccg(NON_SIMPLE3, ((0,), (1,), (2,)))
+        materialize(cg)
+        kernel = compile_within_limit(cg, range(len(cg.blocks)), False)
+        cached = cached_replies(kernel)
+        verdict = check_linearity_equivalence(cg.base, cg.partition)
+        assert verdict.has_potential and not verdict.all_linear
+        assert cached_replies(kernel) == cached > 0
 
     def test_scan_is_charged_as_the_materialized_table(self, monkeypatch):
         fx = parametric_two_resource_fixture((0, 12, 16), (0, 12, 16))

@@ -49,6 +49,7 @@ from oracle_helpers import (
     assert_kernel_matches_definition,
     brute_ccg_equilibria,
     brute_is_ne_congestion,
+    fix_strategies_subgame,
     listed_block_orbit,
     pure_nash_equilibria,
     reference_best_reply,
@@ -189,6 +190,26 @@ class TestCompiledKernel:
         assert_kernel_matches_definition(cg)
 
     @COMMON
+    @given(st.one_of(simple_ccgs(), non_simple_ccgs()), st.data())
+    def test_subgame_against_frozen_outsiders_matches_coalition_utility(self, cg, data):
+        """Every entry of a subgame's form, its free blocks playing against
+        outsiders frozen on random choices, is the free block's
+        `coalition_utility` at the assembled profile."""
+        g, blocks = cg.base, range(len(cg.blocks))
+        free = sorted(data.draw(st.lists(st.sampled_from(blocks), min_size=1, unique=True)))
+        outsiders = [i for k in blocks if k not in free for i in cg.blocks[k]]
+        fixed = {i: data.draw(st.sampled_from(g.strategy_sets[i])) for i in outsiders}
+        sub = fix_strategies_subgame(cg, fixed, free)
+        strats = [canonical_block_strategies(cg, k) for k in free]
+        for f, idx in enumerate(sub.profiles()):
+            choices = dict(fixed)
+            for k, per_block, si in zip(free, strats, idx):
+                choices.update(zip(cg.blocks[k], block_orbit(g, cg.blocks[k], per_block[si])[0]))
+            s = PureProfile(tuple(choices[i] for i in range(g.n)))
+            for p, k in enumerate(free):
+                assert Fraction(sub.payoffs[p][f], sub.scale) == coalition_utility(cg, s, k)
+
+    @COMMON
     @given(st.one_of(simple_ccgs(), non_simple_ccgs(), non_simple_ccgs(shared=True)), st.data())
     def test_occupancy_codes_and_best_replies_match_the_reference(self, cg, data):
         g = cg.base
@@ -203,7 +224,8 @@ class TestCompiledKernel:
         crowd = data.draw(st.booleans()) and all(any(first in c for c in s) for s in g.strategy_sets)
         choices = [data.draw(st.sampled_from([c for c in s if first in c or not crowd])) for s in g.strategy_sets]
         for k, block in enumerate(cg.blocks):
-            assert kernel.codes[k] == [kernel.code(usage) for usage in kernel.usage[k]]
+            counts = [[sum(r in c for c in strat) for r in g.resources] for strat in kernel.strategies[k]]
+            assert kernel.codes[k] == [kernel.code(v) for v in counts]
             env = [sum(r in c for i, c in enumerate(choices) if i not in block) for r in g.resources]
             values, best, arg = kernel.best_reply(k, kernel.code(env))
             expected_values, expected_best, expected_arg = reference_best_reply(cg, k, env)
