@@ -38,10 +38,10 @@ from .game import (
     CongestionGame,
     CongestionVector,
     PureProfile,
+    _occupancy,
     block_orbit,
     compile_within_limit,
     congestion,
-    private_congestion,
     row_major_strides,
     validate_profile,
 )
@@ -215,8 +215,8 @@ def coalition_best_response(
     validate_profile(cg.base, s)
     kernel = compile_within_limit(cg, [k], restricted)
     strats = kernel.strategies[0]
-    others = kernel.code(congestion(cg.base, s).counts) - kernel.code(private_congestion(cg, s, k).counts)
-    _, best, arg = kernel.best_reply(0, others)
+    others = (c for i, c in enumerate(s.choices) if i not in cg.blocks[k])
+    _, best, arg = kernel.best_reply(0, kernel.code(_occupancy(cg.base, others).counts))
     return BestReplySet(k, tuple(strats[si] for si in arg), Fraction(best, kernel.scale))
 
 
@@ -366,7 +366,7 @@ def check_ne_lift(cg: CoalitionalGame, s: PureProfile, restricted: bool = False)
     distinct = in_restricted_space(cg, s)
     if restricted and not distinct:
         raise PreconditionViolatedError("profile assigns one block two sub-agents on one resource")
-    if not (distinct and is_ne_congestion(cg.base, congestion(cg.base, s))):
+    if not (distinct and is_ne_congestion(cg.base, _occupancy(cg.base, s.choices))):
         return LiftVerdict(False, None)
     witness = find_deviation(cg, s, restricted=restricted)
     if witness is not None:

@@ -21,8 +21,10 @@ an unknown resource, an empty strategy set) is refused with
 `InvalidGameError` whenever it is compiled. A game keeps its scaled tables
 and its kernels, with their best-reply caches, for as long as it lives, so
 the solver, its checks, enumeration and `materialize` share one compile. A
-simple game's blocks read their strategies and their usage, as sparse
-`(resource, uses)` pairs, from a `BlockLayout` built once per process.
+block is charged against the size limit from its members' sets before it is
+listed; members who share a set (as in a simple game) read their strategies
+and usage, as sparse `(resource, uses)` pairs, from a `BlockLayout` built
+once per process.
 Utilities come from one evaluator, `CompiledGame.best_reply`: `materialize`
 emits a flat `StrategicForm` of such scaled integers, filled from best
 replies fiber by fiber.
@@ -241,7 +243,7 @@ class CongestionGame:
     def _agent(self) -> "CompiledGame":
         """`CompiledGame.agent(self)`, compiled on first use."""
         _require_compilable(self)
-        return CompiledGame(self, [_simple_layout(self.resources, 1, False)])
+        return CompiledGame(self, [_shared_layout(self.resources, self.strategy_sets[0], 1, False)])
 
     @cached_property
     def _kernels(self) -> dict[tuple, "CompiledGame"]:
@@ -543,15 +545,18 @@ def validate_profile(g: CongestionGame, s: PureProfile) -> None:
 # Congestion bookkeeping
 
 
+def _occupancy(g: CongestionGame, choices: Iterable[Choice]) -> CongestionVector:
+    """How many of `choices`, taken as valid in `g`, contain each resource."""
+    index, counts = g._positions, [0] * len(g.resources)
+    for r in itertools.chain.from_iterable(choices):
+        counts[index[r]] += 1
+    return CongestionVector(g.resources, tuple(counts))
+
+
 def congestion(g: CongestionGame, s: PureProfile) -> CongestionVector:
     """Occupancy counts: how many sub-agents' choices contain each resource."""
     validate_profile(g, s)
-    index = g.resource_index()
-    counts = [0] * len(g.resources)
-    for choice in s.choices:
-        for r in choice:
-            counts[index[r]] += 1
-    return CongestionVector(g.resources, tuple(counts))
+    return _occupancy(g, s.choices)
 
 
 def player_cost(g: CongestionGame, s: PureProfile, i: int) -> Fraction:
@@ -567,19 +572,14 @@ def private_congestion(cg: CoalitionalGame, s: PureProfile, k: int) -> Congestio
     """Occupancy counts restricted to block k's members."""
     block = cg.block(k)
     validate_profile(cg.base, s)
-    index = cg.base.resource_index()
-    counts = [0] * len(cg.base.resources)
-    for i in block:
-        for r in s.choices[i]:
-            counts[index[r]] += 1
-    return CongestionVector(cg.base.resources, tuple(counts))
+    return _occupancy(cg.base, (s.choices[i] for i in block))
 
 
 def coalition_utility(cg: CoalitionalGame, s: PureProfile, k: int) -> Fraction:
     """Block k's utility: the (negated) sum of its members' payments."""
     block = cg.block(k)
     validate_profile(cg.base, s)
-    c = congestion(cg.base, s)
+    c = _occupancy(cg.base, s.choices)
     total = Fraction(0)
     for i in block:
         for r in s.choices[i]:
@@ -608,9 +608,8 @@ def block_orbit(
     playable: the sorted order is least, and the size is the multinomial
     m! / prod k_c!, where choice c appears k_c times among the m."""
     ordered = sorted(choices, key=g.choice_key)
-    sets = g.strategy_sets
-    shared = sets[block[0]] if block else ()
-    if all(sets[i] == shared for i in block) and all(c in shared for c in ordered):
+    shared = _shared_set(g, block) or ()
+    if all(c in shared for c in ordered):
         repeats = map(math.factorial, map(ordered.count, set(ordered)))
         return tuple(ordered), math.factorial(len(ordered)) // math.prod(repeats)
     playable = [
@@ -658,25 +657,10 @@ def _layout(resources: Sequence[str], strategies: tuple[BlockStrategy, ...]) -> 
     return BlockLayout(strategies, tuple(contributions))
 
 
-@functools.lru_cache(maxsize=64)
-def _simple_layout(resources: tuple[str, ...], members: int, restricted: bool) -> BlockLayout:
-    """A block of `members` in a simple game over `resources`, on pairwise
-    distinct resources when `restricted`. Built once per process and only
-    read, since every game with these resources shares it."""
-    combos = itertools.combinations if restricted else itertools.combinations_with_replacement
-    return _layout(resources, tuple(tuple((r,) for r in c) for c in combos(resources, members)))
-
-
-def block_layout(cg: CoalitionalGame, k: int, restricted: bool = False) -> BlockLayout:
-    """Block k's canonical strategies and their resource usage as sparse
-    `(resource, uses)` pairs (see `BlockLayout`).
-
-    With `restricted=True` (simple games only) the members must occupy
-    pairwise-distinct resources.
-    """
-    block = cg.block(k)
-    g = cg.base
-    key = g.choice_key
+def _shared_set(g: CongestionGame, block: Sequence[int], restricted: bool = False) -> tuple[Choice, ...] | None:
+    """The first member's strategy set if all members of `block` hold the
+    same choices (sets compared by identity first), else None. `restricted`
+    first requires a simple game and no more members than resources."""
     if restricted:
         if not g.is_simple:
             raise PreconditionViolatedError("restricted strategies need a simple base game")
@@ -684,11 +668,51 @@ def block_layout(cg: CoalitionalGame, k: int, restricted: bool = False) -> Block
             raise BlockLargerThanResourceSetError(
                 f"block of {len(block)} cannot spread over {len(g.resources)} resources"
             )
-    if g.is_simple:
-        return _simple_layout(g.resources, len(block), restricted)
+    sets = g.strategy_sets
+    first = sets[block[0]]
+    return first if all(sets[i] is first or set(sets[i]) == set(first) for i in block) else None
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_layout(
+    resources: tuple[str, ...], choices: tuple[Choice, ...], members: int, restricted: bool
+) -> BlockLayout:
+    """A block of `members` who share the strategy set `choices`: the
+    multisets of its distinct choices in choice order, or their plain sets
+    when `restricted`. Built once per process and only read, since every
+    game with these resources and this set shares it."""
+    distinct = sorted(set(choices), key=lambda c: [resources.index(r) for r in c])
+    combos = itertools.combinations if restricted else itertools.combinations_with_replacement
+    return _layout(resources, tuple(combos(distinct, members)))
+
+
+def block_layout(cg: CoalitionalGame, k: int, restricted: bool = False) -> BlockLayout:
+    """Block k's canonical strategies and their resource usage as sparse
+    `(resource, uses)` pairs (see `BlockLayout`): the `_shared_layout` of a
+    set its members share (every block of a simple game), else the product
+    of their sets, listed. With `restricted=True` (simple games only) the
+    members must occupy pairwise-distinct resources.
+    """
+    block, g = cg.block(k), cg.base
+    shared = _shared_set(g, block, restricted)
+    if shared is not None:
+        return _shared_layout(g.resources, shared, len(block), restricted)
+    key = g.choice_key
     member_sets = [g.strategy_sets[i] for i in block]
     canon = {tuple(sorted(raw, key=key)) for raw in itertools.product(*member_sets)}
     return _layout(g.resources, tuple(sorted(canon, key=lambda t: tuple(key(c) for c in t))))
+
+
+def _listing_size(cg: CoalitionalGame, k: int, restricted: bool) -> int:
+    """How many strategies block k's listing walks: for m members sharing a
+    set of d distinct choices, C(d + m - 1, m), or C(d, m) when restricted;
+    else the product of their set sizes, which bounds the canonical count."""
+    block = cg.block(k)
+    shared = _shared_set(cg.base, block, restricted)
+    if shared is None:
+        return math.prod(len(cg.base.strategy_sets[i]) for i in block)
+    d, m = len(set(shared)), len(block)
+    return math.comb(d, m) if restricted else math.comb(d + m - 1, m)
 
 
 def canonical_block_strategies(
@@ -746,7 +770,7 @@ class CompiledGame:
 
     A kernel compiles some blocks, in order; for the one at position p,
     `strategies[p]` and `contributions[p]` are its `BlockLayout` (one
-    read-only layout per block shape in simple games), and `codes[p]` holds
+    read-only layout per shared set and block size), and `codes[p]` holds
     each strategy's usage code. A block's utility depends on everyone else
     only through their occupancy and on itself only through its layout, so
     `best_reply` is the one evaluator of utilities, cached per layout by
@@ -774,8 +798,8 @@ class CompiledGame:
     @staticmethod
     def agent(g: CongestionGame) -> "CompiledGame":
         """One sub-agent of the simple game `g` as a block of its own: the
-        `(resources, 1, False)` layout, compiled once per game, so every
-        caller shares its best replies."""
+        one-member `_shared_layout` of its strategy set, compiled once per
+        game, so every caller shares its best replies."""
         return g._agent
 
     def code(self, counts: Iterable[int]) -> int:
@@ -857,33 +881,29 @@ def compile_within_limit(
     per_profile: int = 1,
 ) -> CompiledGame:
     """The kernel of `blocks`, compiled on the game's first call and kept on
-    `cg.base`, refused on every call when it exceeds the size limit: `what`
-    names a space of the blocks' joint canonical profiles times
-    `per_profile`; without it each block's strategy count is charged alone.
-    In a simple game a block of m members on r resources has C(r + m - 1, m)
-    canonical strategies, C(r, m) when restricted, so the limit is checked
-    before any strategy is listed."""
+    `cg.base`, refused on every call, before anything is listed, when it
+    exceeds the size limit. Each block is charged its `_listing_size`, read
+    off its members' sets once and kept as the kernel's `listing_sizes`, so
+    a refusal does not depend on call order: `what` names a space of the
+    blocks' joint profiles times `per_profile`; without it each block's
+    count is charged alone."""
     blocks = tuple(blocks)
-
-    def charge(counts: list[int]) -> None:
-        if what is not None:
-            ensure_within_limit(math.prod(counts) * per_profile, what)
-            return
-        bound = effective_size_limit()  # read once per charge, not once per block
+    _require_compilable(cg.base)
+    key = (cg.partition, blocks, restricted)
+    kernel = cg.base._kernels.get(key)
+    counts = kernel.listing_sizes if kernel else [_listing_size(cg, k, restricted) for k in blocks]
+    if what is not None:
+        ensure_within_limit(math.prod(counts) * per_profile, what)
+    else:
+        bound = effective_size_limit()  # read once per call, not once per block
         for k, count in zip(blocks, counts):
             if count > bound:
                 ensure_within_limit(count, f"block {k} strategy space")
-
-    key = (cg.partition, blocks, restricted)
-    kernel = cg.base._kernels.get(key)
     if kernel is None:
-        _require_compilable(cg.base)
-        if cg.base.is_simple:
-            r, sizes = len(cg.base.resources), [len(cg.block(k)) for k in blocks]
-            charge([math.comb(r, m) if restricted else math.comb(r + m - 1, m) for m in sizes])
-        kernel = CompiledGame(cg.base, [block_layout(cg, k, restricted) for k in blocks])
-    charge([len(strats) for strats in kernel.strategies])
-    return cg.base._kernels.setdefault(key, kernel)
+        layouts = [block_layout(cg, k, restricted) for k in blocks]
+        kernel = cg.base._kernels[key] = CompiledGame(cg.base, layouts)
+        kernel.listing_sizes = counts
+    return kernel
 
 
 def materialize(cg: CoalitionalGame) -> StrategicForm:

@@ -19,7 +19,7 @@ built directly instead of searched for:
 
 The final profile is always re-verified by exhaustive deviation search.
 Steps 1 to 3 share the game's one compiled sub-agent
-(`game.CompiledGame.agent`) and compare its scaled integer costs.
+(`game.CompiledGame.agent`) and compare its best replies' scaled values.
 
 `solve_pair_ccg` is the only entry and checks its input once. Steps 2 and 3
 are private helpers that trust those checks and work on resource indices;
@@ -130,7 +130,7 @@ def _hub_improvement_loop(
     g: CongestionGame, partition: Partition, where: list[int], counts: list[int], hub: int
 ) -> tuple[list[int], tuple[LoopMove, ...]]:
     """Peel doubled pairs off the hub while a single-member move strictly
-    lowers the pair's cost; `where` and `counts` are copied, not changed.
+    lowers the pair's cost; `where` is copied, not changed.
 
     In each round the lowest-index block with both members on the hub sends
     its second member to the cheapest alternative (ties to the lowest
@@ -140,8 +140,8 @@ def _hub_improvement_loop(
     doubled pair.
     """
     kernel = CompiledGame.agent(g)
-    tables = kernel.costs
-    where, counts = list(where), list(counts)
+    codes = kernel.codes[0]
+    where, occupancy = list(where), kernel.code(counts)
     others = [ri for ri in range(len(counts)) if ri != hub]
 
     def doubled_blocks() -> list[int]:
@@ -151,19 +151,19 @@ def _hub_improvement_loop(
     bound = len(doubled)
     moves: list[LoopMove] = []
     while doubled and others:
-        stay_cost = 2 * tables[hub][counts[hub] - 1]
-        target = min(others, key=lambda ri: tables[ri][counts[ri]])
-        after = tables[hub][counts[hub] - 2] + tables[target][counts[target]]
-        if after >= stay_cost:
+        values = kernel.best_reply(0, occupancy - codes[hub])[0]
+        target = max(others, key=values.__getitem__)
+        stay = 2 * values[hub]
+        after = kernel.best_reply(0, occupancy - 2 * codes[hub])[0][hub] + values[target]
+        if after <= stay:
             break
         if len(moves) >= bound:
             raise LoopBoundExceededError(f"more than {bound} improvement moves")
         k = doubled[0]
         mover = partition.blocks[k][1]
         where[mover] = target
-        counts[hub] -= 1
-        counts[target] += 1
-        delta = Fraction(after - stay_cost, kernel.scale)
+        occupancy += codes[target] - codes[hub]
+        delta = Fraction(stay - after, kernel.scale)
         moves.append(LoopMove(k, mover, g.resources[hub], g.resources[target], delta))
         doubled = doubled_blocks()
     return where, tuple(moves)

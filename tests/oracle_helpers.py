@@ -8,10 +8,10 @@ scan that the suffix-subgame search replaced, kept to cross-check it report
 for report; its representatives and multiplicities come from
 `listed_block_orbit`, which lists member permutations, so the library's
 closed-form orbits are checked against a listing, not against themselves.
-`listed_block_layout` is the per-call strategy listing that the cached
-simple-game layouts replaced. The potential oracle checks the
-defining equation edge by edge on the rational utility mapping, independent
-of the fiber test the library uses. The square oracles evaluate one
+`listed_block_layout` lists a block's strategies from the product of its
+members' sets, which the cached shared-set layouts replaced. The potential
+oracle checks the defining equation edge by edge on the rational utility
+mapping, independent of the fiber test the library uses. The square oracles evaluate one
 deviation square from `coalition_utility` at its corners, and find the
 first nonzero square by trying every square in order with
 `four_cycle_residual`, the plain scan the library's fiber scan replaced.
@@ -295,11 +295,16 @@ def scan_pure_ne(
 
 
 def listed_block_layout(cg: CoalitionalGame, k: int, restricted: bool = False):
-    """Block k's (strategies, contributions) of a simple game, listed from
-    the resource combinations and counted choice by choice."""
+    """Block k's (strategies, contributions), listed from the product of its
+    members' strategy sets: each tuple sorted in resource order, duplicates
+    dropped, with `restricted` only those on pairwise-distinct resources;
+    usage counted choice by choice."""
     g = cg.base
-    combos = itertools.combinations if restricted else itertools.combinations_with_replacement
-    strategies = tuple(tuple((r,) for r in combo) for combo in combos(g.resources, len(cg.blocks[k])))
+    member_sets = [g.strategy_sets[i] for i in cg.blocks[k]]
+    canon = {tuple(sorted(raw, key=g.choice_key)) for raw in itertools.product(*member_sets)}
+    strategies = sorted(canon, key=lambda strat: [g.choice_key(c) for c in strat])
+    if restricted:
+        strategies = [strat for strat in strategies if len({r for c in strat for r in c}) == len(strat)]
     index = g.resource_index()
     contributions = []
     for strat in strategies:
@@ -308,7 +313,7 @@ def listed_block_layout(cg: CoalitionalGame, k: int, restricted: bool = False):
             for r in choice:
                 counts[index[r]] += 1
         contributions.append(tuple((r, used) for r, used in enumerate(counts) if used))
-    return strategies, contributions
+    return tuple(strategies), contributions
 
 
 def reference_best_reply(cg: CoalitionalGame, k: int, env) -> tuple[list[Fraction], Fraction, tuple[int, ...]]:

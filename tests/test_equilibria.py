@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from fractions import Fraction
 
@@ -462,6 +463,28 @@ class TestLiftChecks:
         assert not in_restricted_space(cg, doubled)
         assert calls == [spread, doubled]
 
+    def test_occupancy_counted_without_validating_again(self, pair_ccg, monkeypatch):
+        """A block's utility and its best reply validate the profile once and
+        count occupancy from it; the lift check validates once for its
+        distinct-resource test and once in its deviation search."""
+        s = as_profile(pair_ccg.base, ["A", "B", "A", "B"])
+        validate, calls = ccg.game.validate_profile, []
+
+        def counted(game, profile):
+            calls.append(profile)
+            return validate(game, profile)
+
+        for module in (ccg.game, ccg.equilibria):
+            monkeypatch.setattr(module, "validate_profile", counted)
+        for check, validations in (
+            (lambda: coalition_utility(pair_ccg, s, 0), 1),
+            (lambda: coalition_best_response(pair_ccg, s, 1), 1),
+            (lambda: check_ne_lift(pair_ccg, s), 2),
+        ):
+            calls.clear()
+            check()
+            assert calls == [s] * validations
+
     def test_restricted_deviation_search_rejects_doubled_profile(self, pair_ccg):
         s = as_profile(pair_ccg.base, ["A", "A", "B", "B"])
         with pytest.raises(PreconditionViolatedError, match="block 0 cannot play"):
@@ -503,8 +526,10 @@ class TestNormalFormBruteForce:
 
 
 class TestSizeLimitBeforeCompiling:
-    """A simple game's canonical strategy counts are binomial coefficients,
-    so an oversized game is refused before any strategy is listed."""
+    """Every block is charged from its members' sets before anything is
+    listed: members who share a set of d distinct choices have binomial
+    counts, C(d + m - 1, m), and other blocks the product of their set
+    sizes, so an oversized game is refused before any strategy is listed."""
 
     @pytest.fixture
     def listed(self, monkeypatch):
@@ -563,6 +588,78 @@ class TestSizeLimitBeforeCompiling:
         with refused(match="materialized utility table needs 75582 entries, limit is 75581"):
             fix_strategies_subgame(cg, {i: "A" for i in range(8, 16)}, [0])
         assert listed == []
+
+    @staticmethod
+    def routes_game(resources: str, members: int, orders: int) -> CoalitionalGame:
+        """One block of `members`, each holding every two-resource route
+        over `resources`, the routes written in `orders` (1 or 2) orders."""
+        routes = [tuple(pair) for pair in itertools.combinations(resources, 2)]
+        sets = [routes if i % orders == 0 else routes[::-1] for i in range(members)]
+        costs = {r: range(1, members + 1) for r in resources}
+        block = Partition.from_one_based([range(1, members + 1)])
+        return CoalitionalGame(CongestionGame(tuple(resources), costs, sets), block)
+
+    def test_shared_set_refused_by_its_binomial_count(self, listed, monkeypatch):
+        # 3 members on the 6 routes over ABCD: C(6 + 3 - 1, 3) = 56 multisets
+        cg = self.routes_game("ABCD", 3, 1)
+        profile = as_profile(cg.base, [("A", "B")] * 3)
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "55")
+        refused = functools.partial(pytest.raises, SizeLimitExceededError)
+        with refused(match="joint canonical profile space needs 56 entries, limit is 55"):
+            enumerate_pure_ne(cg)
+        with refused(match="materialized utility table needs 56 entries"):
+            materialize(cg)
+        with refused(match="block 0 strategy space needs 56 entries"):
+            coalition_best_response(cg, profile, 0)
+        assert listed == []
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "56")
+        assert len(canonical_block_strategies(cg, 0)) == 56
+
+    def test_same_routes_in_two_orders_refused_before_listing(self, listed, monkeypatch):
+        # the members' sets hold the same 15 routes over ABCDEF: C(18, 4) = 3060
+        cg = self.routes_game("ABCDEF", 4, 2)
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "1000")
+        with pytest.raises(SizeLimitExceededError, match="profile space needs 3060 entries, limit is 1000"):
+            enumerate_pure_ne(cg)
+        assert listed == []
+
+    def test_differing_sets_refused_by_their_product(self, listed, monkeypatch):
+        sets = [["A", ("A", "B")], ["A", "B", ("A", "B")], ["B", "C", ("B", "C")], ["C"]]
+        game = CongestionGame(tuple("ABC"), {r: range(1, 5) for r in "ABC"}, sets)
+        cg = CoalitionalGame(game, Partition.from_one_based([[1, 2, 3], [4]]))
+        profile = as_profile(game, ["A", "A", "B", "C"])
+        # the product listing walks 2 * 3 * 3 = 18 tuples
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "17")
+        with pytest.raises(SizeLimitExceededError, match="block 0 strategy space needs 18 entries"):
+            find_deviation(cg, profile)
+        with pytest.raises(SizeLimitExceededError, match="joint canonical profile space needs 18 entries"):
+            enumerate_pure_ne(cg)
+        assert listed == []
+        assert len(canonical_block_strategies(cg, 0)) < 17
+
+    def test_refusals_do_not_depend_on_call_order(self, monkeypatch):
+        """Both blocks list 3 * 2 = 6 tuples for 5 canonical strategies. A
+        bound of 30 admits each block (the deviation search) but not both
+        (enumeration), whichever is compiled first."""
+        sets = [["A", "B", ("A", "B")], ["A", "B"]] * 2
+        costs = {r: range(1, 5) for r in "AB"}
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "30")
+        refused = functools.partial(
+            pytest.raises, SizeLimitExceededError, match="profile space needs 36 entries, limit is 30"
+        )
+        found = []
+        for search_first in (True, False):
+            game = CongestionGame(("A", "B"), costs, sets)
+            cg = CoalitionalGame(game, Partition.from_one_based([[1, 2], [3, 4]]))
+            profile = as_profile(cg.base, ["A"] * 4)
+            if search_first:
+                found.append(find_deviation(cg, profile))
+            with refused():
+                enumerate_pure_ne(cg)
+            if not search_first:
+                found.append(find_deviation(cg, profile))
+            assert [len(canonical_block_strategies(cg, k)) for k in range(2)] == [5, 5]
+        assert found[0] == found[1]
 
     @pytest.mark.parametrize("restricted", [False, True])
     def test_counts_equal_listed_strategies(self, listed, monkeypatch, restricted):

@@ -7,6 +7,7 @@ works on compact integer seeds rather than raw game structures.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,7 @@ from oracle_helpers import (
     brute_ccg_equilibria,
     brute_is_ne_congestion,
     fix_strategies_subgame,
+    listed_block_layout,
     listed_block_orbit,
     pure_nash_equilibria,
     reference_best_reply,
@@ -480,6 +482,30 @@ def shared_set_ccgs(draw, max_n: int = 4, max_r: int = 3):
     return CoalitionalGame(game, random_partition(seed, n, draw(st.integers(1, n))))
 
 
+@st.composite
+def rewritten_set_ccgs(draw, max_n: int = 4, max_r: int = 3):
+    """Non-simple games whose sub-agents each hold one of two strategy sets,
+    each holding a two-resource choice, written as the set itself, a
+    permutation of it, or it with one choice repeated."""
+    seed = draw(st.integers(0, 10**6))
+    n = draw(st.integers(2, max_n))
+    r = draw(st.integers(2, max_r))
+    simple = random_game(seed, n, r, "monotone")
+    pairs = list(itertools.combinations(simple.resources, 2))
+    menu = [(x,) for x in simple.resources] + pairs
+    bases = [
+        (draw(st.sampled_from(pairs)), *draw(st.lists(st.sampled_from(menu), max_size=3, unique=True)))
+        for _ in range(2)
+    ]
+    sets = []
+    for _ in range(n):
+        base = bases[draw(st.integers(0, 1))]
+        repeated = st.sampled_from(base).map(lambda c, base=base: [*base, c])
+        sets.append(draw(st.one_of(st.just(base), st.permutations(base), repeated)))
+    game = CongestionGame(simple.resources, simple.costs, tuple(sets))
+    return CoalitionalGame(game, random_partition(seed, n, draw(st.integers(1, n))))
+
+
 def _block_strategy(data, cg, restricted=False):
     """A block of `cg` and one of its canonical strategies, its choices in
     any order."""
@@ -524,6 +550,29 @@ class TestBlockOrbit:
         expected = listed_block_orbit(g, block, choices)
         assert expected[1] == 0
         assert block_orbit(g, block, choices) == expected
+
+
+class TestSharedSetLayouts:
+    """However its members' sets are written, a block's layout is the
+    product listing of `oracle_helpers.listed_block_layout`, and the size it
+    is charged is the number of strategies that listing walks: exactly its
+    canonical count when the members' sets hold the same choices."""
+
+    @COMMON
+    @given(rewritten_set_ccgs())
+    def test_layout_equals_product_listing(self, cg):
+        assert not cg.base.is_simple
+        g = cg.base
+        for k, block in enumerate(cg.blocks):
+            layout = block_layout(cg, k)
+            strategies, contributions = listed_block_layout(cg, k)
+            assert layout.strategies == strategies
+            assert list(layout.contributions) == contributions
+            charged = compile_within_limit(cg, [k], False).listing_sizes
+            if all(set(g.strategy_sets[i]) == set(g.strategy_sets[block[0]]) for i in block):
+                assert charged == [len(strategies)]
+            else:
+                assert charged == [math.prod(len(g.strategy_sets[i]) for i in block)]
 
 
 class TestRestrictedLift:
