@@ -19,7 +19,6 @@ into rationals.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +38,6 @@ from .game import (
     CongestionVector,
     PureProfile,
     _occupancy,
-    block_orbit,
     compile_within_limit,
     congestion,
     row_major_strides,
@@ -232,12 +230,10 @@ def find_deviation(
     idx = []
     for k, block in enumerate(cg.blocks):
         strat = tuple(sorted((s.choices[i] for i in block), key=cg.base.choice_key))
-        try:
-            idx.append(kernel.strategies[k].index(strat))
-        except ValueError as exc:
-            raise PreconditionViolatedError(
-                f"block {k} cannot play {strat} in this strategy space"
-            ) from exc
+        si = kernel.layouts[k].index.get(strat)
+        if si is None:
+            raise PreconditionViolatedError(f"block {k} cannot play {strat} in this strategy space")
+        idx.append(si)
     found = kernel.deviation(idx)
     if found is None:
         return None
@@ -279,15 +275,18 @@ def _suffix_equilibria(kernel: CompiledGame, order: list[int], background: int):
         return found
 
     def extend(j: int, prefix: int):
-        k, found = order[j], []
+        k, found, best_reply = order[j], [], kernel.best_reply
         for si, code in enumerate(codes[k]):
             for tail, total in listing(j + 1, prefix + code):
-                if si in kernel.best_reply(k, total - code)[2]:
+                if si in best_reply(k, total - code)[2]:
                     found.append(((si, *tail), total))
                     yield found[-1]
         memo[j][prefix] = found
 
-    return listing(0, background)
+    try:
+        yield from listing(0, background)
+    finally:
+        listing = extend = None  # each refers to the other: free the search with its caller
 
 
 def enumerate_pure_ne(
@@ -303,21 +302,20 @@ def enumerate_pure_ne(
         raise InvalidParamsError(f"stop_after must be an integer of at least 1, got {stop_after!r}")
     blocks = cg.blocks
     kernel = compile_within_limit(cg, range(len(blocks)), restricted, "joint canonical profile space")
-    strats = kernel.strategies
-    sizes = [len(s) for s in strats]
+    sizes = [len(s) for s in kernel.strategies]
     total = math.prod(sizes)
     if not total:
         return NeReport((), (), True, 0)
     order = [k for k, size in enumerate(sizes) if size != 1]
     fixed = [k for k, size in enumerate(sizes) if size == 1]
     background = sum(kernel.codes[k][0] for k in fixed)
-    orbit = functools.cache(lambda k, si: block_orbit(cg.base, blocks[k], strats[k][si]))
+    orbits = [layout.orbits for layout in kernel.layouts]
     choices: list = [()] * cg.base.n
     idx = [0] * len(sizes)
 
     def place(k: int, si: int) -> int:
         """Hand block k's strategy si to its members in `choices`; its orbit size."""
-        members, size = orbit(k, si)
+        members, size = orbits[k][si]
         for i, c in zip(blocks[k], members):
             choices[i] = c
         return size

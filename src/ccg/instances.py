@@ -190,7 +190,7 @@ def no_ne_overlap_fixture() -> Fixture:
     Costs per resource are 0, 3, 4 at occupancies 1, 2, 3. With a pair and a
     singleton the coalitional game has no pure equilibrium, showing the pair
     guarantee needs single-resource strategies. The recorded singleton
-    payoffs at (AB,AB | AC) and (AC,AC | AC) are positive, which the cost
+    payoffs at (A+B,A+B | A+C) and (A+C,A+C | A+C) are positive, which the cost
     model cannot produce; they are flagged as discrepancies.
     """
     two_subsets = (("A", "B"), ("A", "C"), ("B", "C"))
@@ -200,24 +200,24 @@ def no_ne_overlap_fixture() -> Fixture:
         tuple(two_subsets for _ in range(3)),
     )
     cells = {
-        ("AB,AB", "AB"): (-16, -8),
-        ("AB,AB", "AC"): (-14, 8),
-        ("AB,AB", "BC"): (-14, -4),
-        ("AC,AC", "AB"): (-14, -4),
-        ("AC,AC", "AC"): (-16, 4),
-        ("AC,AC", "BC"): (-14, -4),
-        ("BC,BC", "AB"): (-14, -4),
-        ("BC,BC", "AC"): (-14, -4),
-        ("BC,BC", "BC"): (-16, -8),
-        ("AB,AC", "AB"): (-11, -7),
-        ("AB,AC", "AC"): (-11, -7),
-        ("AB,AC", "BC"): (-12, -6),
-        ("AB,BC", "AB"): (-11, -7),
-        ("AB,BC", "AC"): (-12, -6),
-        ("AB,BC", "BC"): (-11, -7),
-        ("AC,BC", "AB"): (-12, -6),
-        ("AC,BC", "AC"): (-11, -7),
-        ("AC,BC", "BC"): (-11, -7),
+        ("A+B,A+B", "A+B"): (-16, -8),
+        ("A+B,A+B", "A+C"): (-14, 8),
+        ("A+B,A+B", "B+C"): (-14, -4),
+        ("A+C,A+C", "A+B"): (-14, -4),
+        ("A+C,A+C", "A+C"): (-16, 4),
+        ("A+C,A+C", "B+C"): (-14, -4),
+        ("B+C,B+C", "A+B"): (-14, -4),
+        ("B+C,B+C", "A+C"): (-14, -4),
+        ("B+C,B+C", "B+C"): (-16, -8),
+        ("A+B,A+C", "A+B"): (-11, -7),
+        ("A+B,A+C", "A+C"): (-11, -7),
+        ("A+B,A+C", "B+C"): (-12, -6),
+        ("A+B,B+C", "A+B"): (-11, -7),
+        ("A+B,B+C", "A+C"): (-12, -6),
+        ("A+B,B+C", "B+C"): (-11, -7),
+        ("A+C,B+C", "A+B"): (-12, -6),
+        ("A+C,B+C", "A+C"): (-11, -7),
+        ("A+C,B+C", "B+C"): (-11, -7),
     }
     return Fixture(
         key="3",
@@ -225,7 +225,7 @@ def no_ne_overlap_fixture() -> Fixture:
         game=game,
         partition=Partition.from_one_based([[1, 2], [3]]),
         matrix_claims=_pairs(cells),
-        expected_discrepancies=(("AB,AB", "AC"), ("AC,AC", "AC")),
+        expected_discrepancies=(("A+B,A+B", "A+C"), ("A+C,A+C", "A+C")),
         ne_is_empty=True,
         potential_exists=None,
     )

@@ -62,7 +62,7 @@ def test_a2_overlapping_routes_matrix_with_flagged_cells():
     flagged = {(d.row, d.col) for d in result.discrepancies}
     ok = (
         result.passed
-        and flagged == {("AB,AB", "AC"), ("AC,AC", "AC")}
+        and flagged == {("A+B,A+B", "A+C"), ("A+C,A+C", "A+C")}
         and all(d.expected for d in result.discrepancies)
         and enumerate_pure_ne(CoalitionalGame(fx.game, fx.partition)).is_empty
     )

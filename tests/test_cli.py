@@ -71,6 +71,22 @@ def split_choice_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def one_letter_split_file(tmp_path):
+    """As `split_choice_file`, over the one-letter resources A, B and AB:
+    sub-agent 1 plays A and B together or AB alone."""
+    path = tmp_path / "one_letter_split.json"
+    game = {
+        "resources": ["A", "B", "AB"],
+        "players": 2,
+        "costs": {"A": [1, 5], "B": [1, 5], "AB": [1, 20]},
+        "strategies": {"1": [["A", "B"], ["AB"]], "2": [["A"], ["B"], ["AB"]]},
+        "partition": [[1], [2]],
+    }
+    path.write_text(json.dumps(game))
+    return str(path)
+
+
 def run_json(capsys, *argv) -> tuple[dict, int]:
     code = main([*argv, "--format", "json"])
     report = json.loads(capsys.readouterr().out)
@@ -130,6 +146,18 @@ class TestSolve:
         ]
         assert main(["matrix", split_choice_file]) == 0
         assert "R1+R2" in capsys.readouterr().out.splitlines()[1]
+
+    def test_one_letter_choices_label_apart(self, capsys, one_letter_split_file):
+        # {A, B} is A+B, never AB, the label of the resource AB
+        assert main(["solve", one_letter_split_file]) == 0
+        assert capsys.readouterr().out.splitlines()[1:4] == ["  A+B | AB  (x1)", "  AB | A  (x1)", "  AB | B  (x1)"]
+        report, code = run_json(capsys, "potential", one_letter_split_file)
+        assert code == 0
+        assert [row["profile"] for row in report["traces"]["potential_table"]][2:4] == [["A+B", "AB"], ["AB", "A"]]
+        report, code = run_json(capsys, "matrix", one_letter_split_file)
+        assert code == 0
+        assert report["traces"]["matrix"]["rows"] == ["A+B", "AB"]
+        assert report["traces"]["matrix"]["cols"] == ["A", "B", "AB"]
 
     def test_constructive_method_text_labels_choices(self, capsys, tmp_path):
         path = tmp_path / "r12.json"
@@ -268,7 +296,7 @@ class TestExamples:
         assert set(report["traces"]["fixtures"]) == {"2", "3", "4"}
         # the two expected discrepancies surface as witnesses
         cells = {tuple(w["cell"]) for w in report["witnesses"]}
-        assert cells == {("AB,AB", "AC"), ("AC,AC", "AC")}
+        assert cells == {("A+B,A+B", "A+C"), ("A+C,A+C", "A+C")}
 
     @pytest.mark.parametrize("which", ["2", "3", "4"])
     def test_single_instance(self, capsys, which):

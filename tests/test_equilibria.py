@@ -534,7 +534,7 @@ class TestSizeLimitBeforeCompiling:
     @pytest.fixture
     def listed(self, monkeypatch):
         calls = []
-        for name in ("block_layout", "canonical_block_strategies"):
+        for name in ("block_layout", "canonical_block_strategies", "_list_layout"):
             original = getattr(ccg.game, name)
 
             def counting(*args, original=original, **kwargs):

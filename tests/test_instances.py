@@ -35,14 +35,14 @@ class TestCannedClaims:
         report = evaluate_fixture(no_ne_overlap_fixture())
         assert report.passed
         flagged = {(d.row, d.col) for d in report.discrepancies}
-        assert flagged == {("AB,AB", "AC"), ("AC,AC", "AC")}
+        assert flagged == {("A+B,A+B", "A+C"), ("A+C,A+C", "A+C")}
         assert all(d.expected for d in report.discrepancies)
 
     def test_overlap_recomputed_values(self):
         report = evaluate_fixture(no_ne_overlap_fixture())
         by_cell = {(d.row, d.col): d for d in report.discrepancies}
-        assert by_cell[("AB,AB", "AC")].recomputed == (Fraction(-14), Fraction(-4))
-        assert by_cell[("AC,AC", "AC")].recomputed == (Fraction(-16), Fraction(-8))
+        assert by_cell[("A+B,A+B", "A+C")].recomputed == (Fraction(-14), Fraction(-4))
+        assert by_cell[("A+C,A+C", "A+C")].recomputed == (Fraction(-16), Fraction(-8))
 
     def test_parametric_instance_symbolic_cells(self):
         fx = parametric_two_resource_fixture((1, 2, 3), (2, 4, 6))

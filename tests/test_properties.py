@@ -6,8 +6,10 @@ works on compact integer seeds rather than raw game structures.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -594,3 +596,110 @@ class TestRestrictedLift:
             verdict = check_ne_lift(cg, s, restricted=True)
             assert verdict.applicable and verdict.holds
             assert canonicalize(cg, s).choices in found
+
+
+@st.composite
+def signed_tied_ccgs(draw):
+    """A game with cost steps of -1, 0, 1/2 or 1 from a start of -2 to 0, so
+    that costs go negative and many block strategies tie, and whether to
+    search its restricted space. Its sub-agents all hold the singletons
+    (a simple game, perhaps restricted), all hold one drawn set, or each
+    hold their own."""
+    n = draw(st.integers(2, 5))
+    resources = tuple("ABC"[: draw(st.integers(1, 3))])
+    steps = st.lists(st.sampled_from((-1, 0, 0, Fraction(1, 2), 1)), min_size=n - 1, max_size=n - 1)
+    costs = {r: tuple(itertools.accumulate(draw(steps), initial=draw(st.integers(-2, 0)))) for r in resources}
+    menu = [(x,) for x in resources] + list(itertools.combinations(resources, 2))
+    drawn_set = st.lists(st.sampled_from(menu), min_size=1, max_size=3, unique=True)
+    kind = draw(st.sampled_from(("simple", "shared", "own")))
+    if kind == "simple":
+        sets = [[(x,) for x in resources]] * n
+    elif kind == "shared":
+        sets = [draw(drawn_set)] * n
+    else:
+        sets = [draw(drawn_set) for _ in range(n)]
+    members = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
+    blocks = [members[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    cg = CoalitionalGame(CongestionGame(resources, costs, sets), Partition(blocks))
+    restricted = kind == "simple" and cg.partition.max_block_size <= len(resources) and draw(st.booleans())
+    return cg, restricted
+
+
+class TestLayoutTables:
+    """The tables kept on a `BlockLayout`: a miss evaluated from the term
+    plan, the orbits, and their sharing and freeing."""
+
+    @COMMON
+    @given(signed_tied_ccgs(), st.data())
+    def test_best_reply_from_the_plan_equals_the_reference(self, case, data):
+        cg, restricted = case
+        g = cg.base
+        kernel = compile_within_limit(cg, range(len(cg.blocks)), restricted)
+        for k, block in enumerate(cg.blocks):
+            others = [data.draw(st.sampled_from(g.strategy_sets[i])) for i in range(g.n) if i not in block]
+            env = [sum(r in c for c in others) for r in g.resources]
+            values, best, arg = kernel.best_reply(k, kernel.code(env))
+            # restricted strategies are some of the block's canonical ones
+            reference = dict(zip(canonical_block_strategies(cg, k), reference_best_reply(cg, k, env)[0]))
+            expected = [reference[strat] * kernel.scale for strat in kernel.strategies[k]]
+            assert values == expected
+            assert best == max(expected)
+            assert arg == tuple(si for si, v in enumerate(expected) if v == best)
+
+    @COMMON
+    @given(st.one_of(
+        signed_tied_ccgs(),
+        simple_ccgs(max_n=6, max_r=4).map(lambda cg: (cg, False)),
+        shared_set_ccgs().map(lambda cg: (cg, False)),
+        rewritten_set_ccgs().map(lambda cg: (cg, False)),
+    ))
+    def test_orbits_equal_the_listing(self, case):
+        cg, restricted = case
+        kernel = compile_within_limit(cg, range(len(cg.blocks)), restricted)
+        for layout, block in zip(kernel.layouts, cg.blocks):
+            for si, strat in enumerate(layout.strategies):
+                assert layout.orbits[si] == listed_block_orbit(cg.base, block, strat)
+                assert layout.index[strat] == si
+
+    @COMMON
+    @given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.booleans(), st.data())
+    def test_games_on_one_set_share_one_layout_and_its_tables(self, r, m, simple, restricted, data):
+        resources = tuple("ABC"[:r])
+        menu = [(x,) for x in resources] + list(itertools.combinations(resources, 2))
+        shared = [(x,) for x in resources] if simple else data.draw(st.lists(st.sampled_from(menu), min_size=1))
+        restricted = restricted and simple and m <= r
+        costs = st.lists(st.integers(-2, 3), min_size=m + 1, max_size=m + 1)
+        games = [
+            CoalitionalGame(
+                CongestionGame(resources, {x: data.draw(costs) for x in resources}, [list(shared)] * (m + 1)),
+                Partition([range(m), [m]]),
+            )
+            for _ in range(2)
+        ]
+        layouts = [compile_within_limit(cg, range(2), restricted).layouts[0] for cg in games]
+        assert layouts[0] is layouts[1]
+        layout = layouts[0]
+        tables = []
+        for cg in games:
+            enumerate_pure_ne(cg, restricted)
+            first = [c for c in layout.strategies[0]] + [shared[0]]
+            find_deviation(cg, assemble_profile(cg, [first[:m], first[m:]]), restricted)
+            tables.append({name: vars(layout)[name] for name in ("terms", "orbits", "index") if name in vars(layout)})
+        assert {"terms", "index"} <= tables[0].keys()
+        assert tables[0].keys() == tables[1].keys()
+        assert all(tables[1][name] is table for name, table in tables[0].items())
+
+    def test_product_layout_is_freed_with_its_game(self):
+        sets = [["A", ("A", "B")], ["A", "B", ("A", "B")], ["B", "C", ("B", "C")], ["C"]]
+        cg = CoalitionalGame(
+            CongestionGame(tuple("ABC"), {r: range(1, 5) for r in "ABC"}, sets),
+            Partition.from_one_based([[1, 2, 3], [4]]),
+        )
+        assert enumerate_pure_ne(cg).equilibria
+        layout = compile_within_limit(cg, range(2), False).layouts[0]
+        assert layout.member_sets is not None and layout.orbits and "terms" in vars(layout)
+        freed = weakref.ref(layout)
+        del cg, layout
+        gc.collect()
+        assert freed() is None
