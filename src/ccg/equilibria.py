@@ -209,13 +209,14 @@ def coalition_best_response(
     restricted: bool = False,
 ) -> BestReplySet:
     """Exhaustive best reply of block k against the rest of `s` (block k's
-    own coordinates are ignored). Returns every maximizer."""
+    own coordinates are ignored). Returns every maximizer. Every block is
+    charged against the size limit, as in `find_deviation`."""
     validate_profile(cg.base, s)
-    kernel = compile_within_limit(cg, [k], restricted)
-    strats = kernel.strategies[0]
-    others = (c for i, c in enumerate(s.choices) if i not in cg.blocks[k])
-    _, best, arg = kernel.best_reply(0, kernel.code(_occupancy(cg.base, others).counts))
-    return BestReplySet(k, tuple(strats[si] for si in arg), Fraction(best, kernel.scale))
+    block = cg.block(k)
+    kernel = compile_within_limit(cg, restricted)
+    others = (c for i, c in enumerate(s.choices) if i not in block)
+    _, best, arg = kernel.best_reply(k, kernel.code(_occupancy(cg.base, others).counts))
+    return BestReplySet(k, tuple(kernel.strategies[k][si] for si in arg), Fraction(best, kernel.scale))
 
 
 def find_deviation(
@@ -225,7 +226,7 @@ def find_deviation(
     equilibrium. Blocks are scanned in index order; among a block's best
     replies the lexicographically first is reported. Each block's strategy
     count must be within the size limit, as for its best reply."""
-    kernel = compile_within_limit(cg, range(len(cg.blocks)), restricted)
+    kernel = compile_within_limit(cg, restricted)
     validate_profile(cg.base, s)
     idx = []
     for k, block in enumerate(cg.blocks):
@@ -301,7 +302,7 @@ def enumerate_pure_ne(
     if stop_after is not None and not (type(stop_after) is int and stop_after >= 1):
         raise InvalidParamsError(f"stop_after must be an integer of at least 1, got {stop_after!r}")
     blocks = cg.blocks
-    kernel = compile_within_limit(cg, range(len(blocks)), restricted, "joint canonical profile space")
+    kernel = compile_within_limit(cg, restricted, "joint canonical profile space")
     sizes = [len(s) for s in kernel.strategies]
     total = math.prod(sizes)
     if not total:

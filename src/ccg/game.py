@@ -19,12 +19,12 @@ integer, its code (counts as digits in base n + 1), and best replies are
 cached by code. A game without tables to compile (a missing or short table,
 an unknown resource, an empty strategy set) is refused with
 `InvalidGameError` whenever it is compiled. A game keeps its scaled tables
-and its kernels, with their best-reply caches, for as long as it lives, so
-the solver, its checks, enumeration and `materialize` share one compile. A
-block is charged against the size limit from its members' sets before it is
-listed; members who share a set (as in a simple game) read their strategies
-and usage, as sparse `(resource, uses)` pairs, from a `BlockLayout` built
-once per process, which keeps its term, orbit and index tables.
+and one kernel per partition and strategy space, with its best-reply
+caches, for as long as it lives. Every block is charged against the size
+limit from its members' sets before it is listed; members who share a set
+(as in a simple game) read their strategies and usage, as sparse
+`(resource, uses)` pairs, from a `BlockLayout` built once per process,
+which keeps its term, orbit and index tables.
 Utilities come from one evaluator, `CompiledGame.best_reply`: `materialize`
 emits a flat `StrategicForm` of such scaled integers, filled from best
 replies fiber by fiber.
@@ -247,8 +247,14 @@ class CongestionGame:
 
     @cached_property
     def _kernels(self) -> dict[tuple, "CompiledGame"]:
-        """Kernels by (partition, blocks, restricted); see `compile_within_limit`."""
+        """One kernel per (partition, restricted); see `compile_within_limit`."""
         return {}
+
+    @cached_property
+    def _playable(self) -> tuple[frozenset[Choice], ...]:
+        """Each sub-agent's strategy set as a frozenset, one per set object."""
+        frozen = {key: frozenset(s) for key, s in {id(s): s for s in self.strategy_sets}.items()}
+        return tuple(frozen[id(s)] for s in self.strategy_sets)
 
 
 def _integer_blocks(blocks: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
@@ -537,7 +543,7 @@ def validate_profile(g: CongestionGame, s: PureProfile) -> None:
     if len(s) != g.n:
         raise InvalidProfileError(f"profile has {len(s)} choices, game has {g.n} sub-agents")
     for i, choice in enumerate(s.choices):
-        if choice not in g.strategy_sets[i]:
+        if choice not in g._playable[i]:
             raise InvalidProfileError(f"sub-agent {i} cannot play {choice}")
 
 
@@ -745,20 +751,17 @@ def _shared_layout(
     return BlockLayout(resources, tuple(combos(distinct, members)))
 
 
-def _block_sources(
-    cg: CoalitionalGame, blocks: Iterable[int], restricted: bool
-) -> tuple[list[int], list[int], list[tuple]]:
-    """What `blocks` are listed from, read off their members' sets once per
-    tuple of member set objects (blocks of equal size in a simple game
-    share one): each block's listing size, and the position of its source
-    in the list of distinct sources, each `(shared set or None, member
-    sets)`. For m members sharing a set of d distinct choices the listing
-    walks C(d + m - 1, m) strategies, or C(d, m) when restricted; other
-    blocks walk the product of their set sizes, which bounds the canonical
-    count."""
+def _block_sources(cg: CoalitionalGame, restricted: bool) -> tuple[list[int], list[int], list[tuple]]:
+    """What every block of the partition is listed from, in block order,
+    read off the members' sets once per tuple of member set objects (blocks
+    of equal size in a simple game share one): each block's listing size,
+    and the position of its source in the list of distinct sources, each
+    `(shared set or None, member sets)`. For m members sharing a set of d
+    distinct choices the listing walks C(d + m - 1, m) strategies, or
+    C(d, m) when restricted; other blocks walk the product of their set
+    sizes, which bounds the canonical count."""
     g, sets, seen, counts, where, sources = cg.base, cg.base.strategy_sets, {}, [], [], []
-    for k in blocks:
-        block = cg.block(k)
+    for block in cg.blocks:
         member_sets = [sets[i] for i in block]
         key = tuple(map(id, member_sets))
         found = seen.get(key)
@@ -786,22 +789,15 @@ def _list_layout(g: CongestionGame, shared, member_sets: list, restricted: bool)
     return BlockLayout(g.resources, tuple(sorted(canon, key=lambda t: tuple(key(c) for c in t))), member_sets)
 
 
-def block_layout(cg: CoalitionalGame, k: int, restricted: bool = False) -> BlockLayout:
-    """Block k's canonical strategies and their resource usage as sparse
-    `(resource, uses)` pairs (see `BlockLayout`): the `_shared_layout` of a
-    set its members share (every block of a simple game), else the product
-    of their sets, listed. With `restricted=True` (simple games only) the
-    members must occupy pairwise-distinct resources.
-    """
-    (source,) = _block_sources(cg, [k], restricted)[2]
-    return _list_layout(cg.base, *source, restricted)
-
-
 def canonical_block_strategies(
     cg: CoalitionalGame, k: int, restricted: bool = False
 ) -> tuple[BlockStrategy, ...]:
-    """All canonical strategy tuples of block k, sorted (see `block_layout`)."""
-    return block_layout(cg, k, restricted).strategies
+    """All canonical strategy tuples of block k, sorted: `layouts[k]`'s in
+    the game's kernel, charged like `find_deviation` (see
+    `compile_within_limit`); with `restricted`, a game in which any block
+    cannot spread its members over distinct resources is refused."""
+    cg.block(k)
+    return compile_within_limit(cg, restricted).strategies[k]
 
 
 def assemble_profile(
@@ -850,21 +846,22 @@ class CompiledGame:
     a set, so no count exceeds n. Occupancies add and subtract as their
     codes do.
 
-    A kernel compiles some blocks, in order; for the one at position p,
-    `layouts[p]` is its `BlockLayout` (one read-only layout per shared set
-    and block size), `strategies[p]` and `contributions[p]` are the
-    layout's, and `codes[p]` holds each strategy's usage code. A block's
-    utility depends on everyone else only through their occupancy and on
-    itself only through its layout, so `best_reply` is the one evaluator of
-    utilities, cached per layout by occupancy code: blocks compiled from one
-    `BlockLayout` object, such as the equal-size blocks of a simple game,
-    share one code list, one cache and one plan, built once per kernel. A
-    miss is evaluated from the plan: the layout's `terms` with each term's
-    cost row, built on the first miss. Each term's value is its row read at
-    the term resource's digit of the code, and each strategy's value is one
-    sum of its terms. `form` fills the strategic form from that cache too.
-    The game keeps its kernels, so callers on one game share these caches
-    (see `compile_within_limit`).
+    A kernel compiles every block of a partition, block k at position k
+    (`agent`, one sub-agent at position 0): `layouts[k]` is its
+    `BlockLayout` (one read-only layout per shared set and block size),
+    `strategies[k]` and `contributions[k]` are the layout's, and `codes[k]`
+    holds each strategy's usage code. A block's utility depends on everyone
+    else only through their occupancy and on itself only through its layout,
+    so `best_reply` is the one evaluator of utilities, cached per layout by
+    occupancy code: blocks compiled from one `BlockLayout` object, such as
+    the equal-size blocks of a simple game, share one code list, one cache
+    and one plan, built once per kernel. A miss is evaluated from the plan:
+    the layout's `terms` with each term's cost row, built on the first miss.
+    Each term's value is its row read at the term resource's digit of the
+    code, and each strategy's value is one sum of its terms. `form` fills
+    the strategic form from that cache too. The game keeps one kernel per
+    partition, so every query on it shares these caches (see
+    `compile_within_limit`).
     """
 
     def __init__(self, g: CongestionGame, layouts: Sequence[BlockLayout]):
@@ -940,11 +937,10 @@ class CompiledGame:
                 return p, arg[0], values[si], best
         return None
 
-    def grid(self, env: int = 0) -> list[int]:
+    def grid(self) -> list[int]:
         """The occupancy code of every joint profile of the compiled blocks,
-        in row-major order, with everyone else occupying `env`: one outer
-        sum of their code lists."""
-        grid = [env]
+        in row-major order: one outer sum of their code lists."""
+        grid = [0]
         for codes in self.codes:
             grid = [c + code for c in grid for code in codes]
         return grid
@@ -953,13 +949,12 @@ class CompiledGame:
         """Each compiled block's strategy labels, in strategy order."""
         return tuple(tuple(map(block_strategy_label, per_block)) for per_block in self.strategies)
 
-    def form(self, env: int = 0) -> StrategicForm:
-        """The compiled blocks' strategic form with everyone else occupying
-        the resources as coded by `env`, filled from best replies: each fiber
-        of block p is p's values against the others' occupancy at the fiber's
-        first profile, where p plays strategy 0. Bound its size by compiling
-        through `compile_within_limit`."""
-        grid, sizes = self.grid(env), [len(s) for s in self.strategies]
+    def form(self) -> StrategicForm:
+        """The compiled blocks' strategic form, filled from best replies:
+        each fiber of block p is p's values against the others' occupancy at
+        the fiber's first profile, where p plays strategy 0. Bound its size
+        by compiling through `compile_within_limit`."""
+        grid, sizes = self.grid(), [len(s) for s in self.strategies]
         tables = []
         for p, (m, stride) in enumerate(zip(sizes, row_major_strides(sizes))):
             span, own, table = m * stride, self.codes[p][0], [0] * len(grid)
@@ -971,32 +966,25 @@ class CompiledGame:
 
 
 def compile_within_limit(
-    cg: CoalitionalGame,
-    blocks: Iterable[int],
-    restricted: bool,
-    what: str | None = None,
-    per_profile: int = 1,
+    cg: CoalitionalGame, restricted: bool, what: str | None = None, per_profile: int = 1
 ) -> CompiledGame:
-    """The kernel of `blocks`, compiled on the game's first call and kept on
-    `cg.base`, refused on every call, before anything is listed, when it
-    exceeds the size limit. Each block is charged its listing size (see
-    `_block_sources`), read off its members' sets once per set object and
-    kept as the kernel's `listing_sizes`, so a refusal does not depend on
-    call order: `what` names a space of the blocks' joint profiles times
-    `per_profile`; without it each block's count is charged alone."""
-    blocks = tuple(blocks)
+    """The one kernel of the partition, block k at position k, compiled on
+    the game's first call and kept on `cg.base` under `(partition,
+    restricted)`; it is refused on every call, before anything is listed,
+    when it exceeds the size limit. Each block is charged its listing size
+    (see `_block_sources`), kept as the kernel's `listing_sizes`, so a
+    refusal does not depend on call order: `what` names a space of the
+    joint profiles times `per_profile`; without it each block's count is
+    charged alone, as for every query about one block or one profile."""
     _require_compilable(cg.base)
-    key = (cg.partition, blocks, restricted)
+    key = (cg.partition, restricted)
     kernel = cg.base._kernels.get(key)
-    if kernel is None:
-        counts, where, sources = _block_sources(cg, blocks, restricted)
-    else:
-        counts = kernel.listing_sizes
+    counts, where, sources = _block_sources(cg, restricted) if kernel is None else (kernel.listing_sizes, (), ())
     if what is not None:
         ensure_within_limit(math.prod(counts) * per_profile, what)
     else:
         bound = effective_size_limit()  # read once per call, not once per block
-        for k, count in zip(blocks, counts):
+        for k, count in enumerate(counts):
             if count > bound:
                 ensure_within_limit(count, f"block {k} strategy space")
     if kernel is None:
@@ -1014,5 +1002,4 @@ def materialize(cg: CoalitionalGame) -> StrategicForm:
     utilities, as scaled integers (see `StrategicForm`). Refuses games whose
     utility table would exceed the size limit.
     """
-    blocks = range(len(cg.blocks))
-    return compile_within_limit(cg, blocks, False, "materialized utility table", len(blocks)).form()
+    return compile_within_limit(cg, False, "materialized utility table", len(cg.blocks)).form()

@@ -374,16 +374,17 @@ def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> Equi
     all_linear = all(entry.linear for entry in report.values())
     blocks = range(len(cg.blocks))
     if all_linear:
-        kernel = compile_within_limit(cg, blocks, False, "potential table")
+        kernel = compile_within_limit(cg, False, "potential table")
         verdict = PotentialVerdict(_affine_potential(kernel), None)
     else:
-        kernel = compile_within_limit(cg, blocks, False, "materialized utility table", len(blocks))
-        sizes = tuple(map(len, kernel.strategies))
-        placed = list(enumerate(zip(kernel.codes, sizes, row_major_strides(sizes))))
+        kernel = compile_within_limit(cg, False, "materialized utility table", len(blocks))
+        sizes, codes = tuple(map(len, kernel.strategies)), kernel.codes
+        placed = list(zip(codes, sizes, row_major_strides(sizes)))
+        # each base profile's occupancy, read once for the fibers that start there
+        occupancy = functools.cache(lambda base: sum([c[base // stride % m] for c, m, stride in placed]))
 
         def fiber_values(p: int, base: int) -> list[int]:
-            others = sum([codes[base // stride % m] for k, (codes, m, stride) in placed if k != p])
-            return kernel.best_reply(p, others)[0]
+            return kernel.best_reply(p, occupancy(base) - codes[p][0])[0]
 
         single = [len(block) == 1 for block in cg.blocks]
         pairs = [(i, j) for i, j in itertools.combinations(blocks, 2) if not (single[i] and single[j])]

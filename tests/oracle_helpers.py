@@ -19,7 +19,9 @@ The form and table helpers convert between rational mappings and the
 library's flat scaled-integer tables, and the cost-table references redo
 on Fractions what the library does on each table's integer numerators.
 `fix_strategies_subgame` materializes a subset of blocks against frozen
-outsiders, for tests that restrict a game.
+outsiders, for tests that restrict a game: it builds the free sub-agents'
+own game, whose cost tables start at the frozen occupancy, so it shares no
+kernel with the game it restricts.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from ccg import (
     CongestionVector,
     FourCycleWitness,
     NeReport,
+    Partition,
     PotentialTable,
     PureProfile,
     StrategicForm,
@@ -50,7 +53,6 @@ from ccg.game import (
     CompiledGame,
     Violation,
     as_profile,
-    block_layout,
     compile_within_limit,
     validate_profile,
 )
@@ -270,7 +272,7 @@ def scan_pure_ne(
     row-major order for a strictly improving block deviation. Each reported
     profile and its multiplicity come from `listed_block_orbit`, not from
     the library's orbits."""
-    kernel = CompiledGame(cg.base, [block_layout(cg, k, restricted) for k in range(len(cg.blocks))])
+    kernel = CompiledGame(cg.base, compile_within_limit(cg, restricted).layouts)
     total = math.prod(len(s) for s in kernel.strategies)
     equilibria: list[PureProfile] = []
     multiplicities: list[int] = []
@@ -406,9 +408,10 @@ def fix_strategies_subgame(cg: CoalitionalGame, fixed, free_blocks) -> Strategic
 
     `fixed` maps each sub-agent outside the free blocks to its frozen choice;
     it must cover exactly those sub-agents, and each must be able to play it.
-    This is materialization of the free blocks with the frozen sub-agents'
-    occupancy added; with all blocks free it is just `materialize`, and like
-    it refuses tables larger than the size limit before listing a strategy.
+    This is `materialize` of the free sub-agents' own game, in which each
+    resource's cost table is the original one read from the frozen
+    occupancy on; with all blocks free it is just `materialize`, and like it
+    refuses tables larger than the size limit before listing a strategy.
     """
     free = sorted(set(free_blocks))
     for k in free:
@@ -429,5 +432,9 @@ def fix_strategies_subgame(cg: CoalitionalGame, fixed, free_blocks) -> Strategic
             raise InvalidProfileError(f"sub-agent {i} cannot play {frozen.choices[i]}")
         for r in frozen.choices[i]:
             env[index[r]] += 1
-    kernel = compile_within_limit(cg, free, False, "materialized utility table", len(free))
-    return kernel.form(kernel.code(env))
+    agents = sorted(free_agents)
+    new_index = {i: j for j, i in enumerate(agents)}
+    costs = {r: g.costs[r].values[env[index[r]] : env[index[r]] + len(agents)] for r in g.resources}
+    sub = CongestionGame(g.resources, costs, [g.strategy_sets[i] for i in agents])
+    blocks = [[new_index[i] for i in cg.blocks[k]] for k in free]
+    return materialize(CoalitionalGame(sub, Partition(blocks)))

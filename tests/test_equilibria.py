@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -49,6 +50,7 @@ from oracle_helpers import (
     cached_replies,
     form_from_utilities,
     fix_strategies_subgame,
+    listed_block_layout,
     pure_nash_equilibria,
     scan_pure_ne,
 )
@@ -331,7 +333,7 @@ class TestPinnedInstances:
         # four single agents.
         cg = CoalitionalGame(random_game("b3", 10, 5, "monotone"), random_partition("b3", 10, 2))
         assert len(enumerate_pure_ne(cg).equilibria) == 3429
-        kernel = ccg.game.compile_within_limit(cg, range(len(cg.blocks)), False)
+        kernel = ccg.game.compile_within_limit(cg, False)
         caches = {len(block): kernel._replies[k] for k, block in enumerate(cg.blocks)}
         assert all(kernel._replies[k] is caches[len(block)] for k, block in enumerate(cg.blocks))
         assert cached_replies(kernel) < 1_100
@@ -339,19 +341,33 @@ class TestPinnedInstances:
         assert len(enumerate_pure_ne(cg, stop_after=1).equilibria) == 1
         assert len(lookups) < 1_300
 
+    def test_every_query_shares_one_kernel(self):
+        sets = [["A", ("A", "B")], ["A", "B", ("A", "B")], ["B", "C", ("B", "C")], ["C"], ["A", "C"]]
+        game = CongestionGame(tuple("ABC"), {r: range(1, 6) for r in "ABC"}, sets)
+        cg = CoalitionalGame(game, Partition.from_one_based([[1, 2, 3], [4], [5]]))
+        profile = as_profile(game, ["A", "A", "B", "C", "A"])
+        find_deviation(cg, profile)
+        replies = [coalition_best_response(cg, profile, k) for k in range(3)]
+        strategies = [canonical_block_strategies(cg, k) for k in range(3)]
+        assert enumerate_pure_ne(cg).profiles_checked == math.prod(map(len, strategies))
+        (kernel,) = game._kernels.values()
+        for k in range(3):
+            assert kernel.layouts[k].strategies == strategies[k] == listed_block_layout(cg, k)[0]
+            assert set(replies[k].replies) <= set(strategies[k])
+
     def test_blocks_share_replies_only_through_one_layout(self):
         costs = {r: (0, 1, 2, 3) for r in "AB"}
         env = (1, 1)
         pairs = Partition.from_one_based([[1, 2], [3, 4]])
         simple = ccg.game.compile_within_limit(
-            CoalitionalGame(CongestionGame.simple("AB", costs), pairs), range(2), False
+            CoalitionalGame(CongestionGame.simple("AB", costs), pairs), False
         )
         assert simple.best_reply(0, simple.code(env)) is simple.best_reply(1, simple.code(env))
         assert cached_replies(simple) == 1
         # block 1 plays (A, A) or (A, B); block 2 plays (A, B) or (B, B)
         sets = [["A"], ["A", "B"], ["B"], ["A", "B"]]
         crossed = ccg.game.compile_within_limit(
-            CoalitionalGame(CongestionGame(("A", "B"), costs, sets), pairs), range(2), False
+            CoalitionalGame(CongestionGame(("A", "B"), costs, sets), pairs), False
         )
         assert crossed.strategies[0] != crossed.strategies[1]
         assert crossed.best_reply(0, crossed.code(env)) != crossed.best_reply(1, crossed.code(env))
@@ -370,8 +386,17 @@ class TestRestricted:
     def test_pair_block_two_resources(self, pair_ccg):
         assert canonical_block_strategies(pair_ccg, 0, restricted=True) == ((("A",), ("B",)),)
 
-    def test_singleton_block(self, triple_ccg):
-        assert canonical_block_strategies(triple_ccg, 1, restricted=True) == ((("A",),), (("B",),))
+    def test_singleton_block(self, triple_ccg, triple_game):
+        # every block is compiled: the triple cannot spread over A and B, so
+        # even a query about the singleton is refused
+        profile = as_profile(triple_game, "AAAB")
+        with pytest.raises(BlockLargerThanResourceSetError):
+            canonical_block_strategies(triple_ccg, 1, restricted=True)
+        with pytest.raises(BlockLargerThanResourceSetError):
+            coalition_best_response(triple_ccg, profile, 1, restricted=True)
+        cg = CoalitionalGame(triple_game, Partition.from_one_based([[1, 2], [3], [4]]))
+        assert canonical_block_strategies(cg, 1, restricted=True) == ((("A",),), (("B",),))
+        assert coalition_best_response(cg, profile, 1, restricted=True).block == 1
 
     def test_triple_block_three_resources(self):
         g = CongestionGame.simple(("A", "B", "C"), {r: (0, 1, 2) for r in "ABC"})
@@ -534,7 +559,7 @@ class TestSizeLimitBeforeCompiling:
     @pytest.fixture
     def listed(self, monkeypatch):
         calls = []
-        for name in ("block_layout", "canonical_block_strategies", "_list_layout"):
+        for name in ("canonical_block_strategies", "_list_layout"):
             original = getattr(ccg.game, name)
 
             def counting(*args, original=original, **kwargs):
@@ -556,7 +581,8 @@ class TestSizeLimitBeforeCompiling:
         with refused(match="materialized utility table needs 11425277448 entries"):
             materialize(cg)
         monkeypatch.setenv("CCG_SIZE_LIMIT", "75581")
-        with refused(match="block 1 strategy space needs 75582 entries, limit is 75581"):
+        # a best reply charges every block, as the deviation search does
+        with refused(match="block 0 strategy space needs 75582 entries, limit is 75581"):
             coalition_best_response(cg, profile, 1)
         # C(12, 8) = 495 per block
         monkeypatch.setenv("CCG_SIZE_LIMIT", "245024")
@@ -634,8 +660,19 @@ class TestSizeLimitBeforeCompiling:
             find_deviation(cg, profile)
         with pytest.raises(SizeLimitExceededError, match="joint canonical profile space needs 18 entries"):
             enumerate_pure_ne(cg)
+        with pytest.raises(SizeLimitExceededError, match="block 0 strategy space needs 18 entries"):
+            canonical_block_strategies(cg, 0)
         assert listed == []
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "18")
         assert len(canonical_block_strategies(cg, 0)) < 17
+
+    def test_block_strategies_charged_before_listing(self, listed, monkeypatch):
+        # 3 members on the 66 routes over 12 resources: C(66 + 3 - 1, 3) = 50,116 multisets
+        cg = self.routes_game("ABCDEFGHIJKL", 3, 2)
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "1000")
+        with pytest.raises(SizeLimitExceededError, match="block 0 strategy space needs 50116 entries, limit is 1000"):
+            canonical_block_strategies(cg, 0)
+        assert listed == []
 
     def test_refusals_do_not_depend_on_call_order(self, monkeypatch):
         """Both blocks list 3 * 2 = 6 tuples for 5 canonical strategies. A
@@ -668,7 +705,8 @@ class TestSizeLimitBeforeCompiling:
                 costs = {x: range(m + 1) for x in "ABCD"[:r]}
                 game = CongestionGame.simple(tuple("ABCD"[:r]), costs)
                 cg = CoalitionalGame(game, Partition.from_one_based([range(1, m + 1), [m + 1]]))
-                total = len(canonical_block_strategies(cg, 0, restricted)) * r
+                # read off the oracle's listing, so the game compiles nothing before the refusal
+                total = len(listed_block_layout(cg, 0, restricted)[0]) * r
                 listed.clear()
                 monkeypatch.setenv("CCG_SIZE_LIMIT", str(total - 1))
                 # a one-profile game would need a zero bound, which is refused as a setting

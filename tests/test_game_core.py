@@ -38,7 +38,7 @@ from ccg.errors import (
     InvalidProfileError,
     SizeLimitExceededError,
 )
-from ccg.game import CompiledGame, block_layout, compile_within_limit
+from ccg.game import CompiledGame, compile_within_limit
 from ccg.limits import effective_size_limit, ensure_within_limit
 
 from oracle_helpers import (
@@ -109,6 +109,7 @@ BROKEN_GAMES = {
 }
 
 COMPILING_ENTRY_POINTS = {
+    "canonical_block_strategies": lambda cg: canonical_block_strategies(cg, 0),
     "check_linearity_equivalence": lambda cg: check_linearity_equivalence(cg.base, cg.partition),
     "enumerate_pure_ne": enumerate_pure_ne,
     "materialize": materialize,
@@ -330,11 +331,11 @@ class TestBlockLayouts:
                     )
                     for _ in range(2)
                 )
-                layout = block_layout(cg, 0, restricted)
+                layout = compile_within_limit(cg, restricted).layouts[0]
                 strategies, contributions = listed_block_layout(cg, 0, restricted)
                 assert layout.strategies == canonical_block_strategies(cg, 0, restricted) == strategies
                 assert list(layout.contributions) == contributions
-                assert block_layout(again, 0, restricted) is layout
+                assert compile_within_limit(again, restricted).layouts[0] is layout
                 if m == 1 and not restricted:
                     agent = CompiledGame.agent(cg.base)
                     assert (agent.strategies, agent.contributions) == ([layout.strategies], [layout.contributions])

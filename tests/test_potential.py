@@ -448,7 +448,7 @@ class TestWitnessScan:
         reads already cached."""
         cg = non_affine_ccg(NON_SIMPLE3, ((0,), (1,), (2,)))
         materialize(cg)
-        kernel = compile_within_limit(cg, range(len(cg.blocks)), False)
+        kernel = compile_within_limit(cg, False)
         cached = cached_replies(kernel)
         verdict = check_linearity_equivalence(cg.base, cg.partition)
         assert verdict.has_potential and not verdict.all_linear

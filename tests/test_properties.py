@@ -45,7 +45,7 @@ from ccg import (
     underlying_pure_ne,
 )
 from ccg.errors import BlockLargerThanResourceSetError, CcgError
-from ccg.game import block_layout, block_orbit, compile_within_limit, validate_profile
+from ccg.game import block_orbit, compile_within_limit, validate_profile
 from ccg.instances import no_ne_overlap_fixture
 
 from oracle_helpers import (
@@ -217,7 +217,7 @@ class TestCompiledKernel:
     @given(st.one_of(simple_ccgs(), non_simple_ccgs(), non_simple_ccgs(shared=True)), st.data())
     def test_occupancy_codes_and_best_replies_match_the_reference(self, cg, data):
         g = cg.base
-        kernel = compile_within_limit(cg, range(len(cg.blocks)), False)
+        kernel = compile_within_limit(cg, False)
         vectors = list(itertools.product(range(g.n + 1), repeat=len(g.resources)))
         codes = [kernel.code(v) for v in vectors]
         assert len(set(codes)) == len(vectors)
@@ -512,7 +512,7 @@ def _block_strategy(data, cg, restricted=False):
     """A block of `cg` and one of its canonical strategies, its choices in
     any order."""
     k = data.draw(st.integers(0, len(cg.blocks) - 1))
-    strat = data.draw(st.sampled_from(block_layout(cg, k, restricted).strategies))
+    strat = data.draw(st.sampled_from(compile_within_limit(cg, restricted).strategies[k]))
     return cg.blocks[k], data.draw(st.permutations(strat))
 
 
@@ -564,17 +564,17 @@ class TestSharedSetLayouts:
     @given(rewritten_set_ccgs())
     def test_layout_equals_product_listing(self, cg):
         assert not cg.base.is_simple
-        g = cg.base
+        g, kernel = cg.base, compile_within_limit(cg, False)
         for k, block in enumerate(cg.blocks):
-            layout = block_layout(cg, k)
+            layout = kernel.layouts[k]
             strategies, contributions = listed_block_layout(cg, k)
             assert layout.strategies == strategies
             assert list(layout.contributions) == contributions
-            charged = compile_within_limit(cg, [k], False).listing_sizes
+            charged = kernel.listing_sizes[k]
             if all(set(g.strategy_sets[i]) == set(g.strategy_sets[block[0]]) for i in block):
-                assert charged == [len(strategies)]
+                assert charged == len(strategies)
             else:
-                assert charged == [math.prod(len(g.strategy_sets[i]) for i in block)]
+                assert charged == math.prod(len(g.strategy_sets[i]) for i in block)
 
 
 class TestRestrictedLift:
@@ -635,7 +635,7 @@ class TestLayoutTables:
     def test_best_reply_from_the_plan_equals_the_reference(self, case, data):
         cg, restricted = case
         g = cg.base
-        kernel = compile_within_limit(cg, range(len(cg.blocks)), restricted)
+        kernel = compile_within_limit(cg, restricted)
         for k, block in enumerate(cg.blocks):
             others = [data.draw(st.sampled_from(g.strategy_sets[i])) for i in range(g.n) if i not in block]
             env = [sum(r in c for c in others) for r in g.resources]
@@ -656,7 +656,7 @@ class TestLayoutTables:
     ))
     def test_orbits_equal_the_listing(self, case):
         cg, restricted = case
-        kernel = compile_within_limit(cg, range(len(cg.blocks)), restricted)
+        kernel = compile_within_limit(cg, restricted)
         for layout, block in zip(kernel.layouts, cg.blocks):
             for si, strat in enumerate(layout.strategies):
                 assert layout.orbits[si] == listed_block_orbit(cg.base, block, strat)
@@ -677,7 +677,7 @@ class TestLayoutTables:
             )
             for _ in range(2)
         ]
-        layouts = [compile_within_limit(cg, range(2), restricted).layouts[0] for cg in games]
+        layouts = [compile_within_limit(cg, restricted).layouts[0] for cg in games]
         assert layouts[0] is layouts[1]
         layout = layouts[0]
         tables = []
@@ -697,7 +697,7 @@ class TestLayoutTables:
             Partition.from_one_based([[1, 2, 3], [4]]),
         )
         assert enumerate_pure_ne(cg).equilibria
-        layout = compile_within_limit(cg, range(2), False).layouts[0]
+        layout = compile_within_limit(cg, False).layouts[0]
         assert layout.member_sets is not None and layout.orbits and "terms" in vars(layout)
         freed = weakref.ref(layout)
         del cg, layout
