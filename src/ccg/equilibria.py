@@ -41,6 +41,7 @@ from .game import (
     compile_within_limit,
     congestion,
     row_major_strides,
+    strategy_indices,
     validate_profile,
 )
 
@@ -228,14 +229,7 @@ def find_deviation(
     count must be within the size limit, as for its best reply."""
     kernel = compile_within_limit(cg, restricted)
     validate_profile(cg.base, s)
-    idx = []
-    for k, block in enumerate(cg.blocks):
-        strat = tuple(sorted((s.choices[i] for i in block), key=cg.base.choice_key))
-        si = kernel.layouts[k].index.get(strat)
-        if si is None:
-            raise PreconditionViolatedError(f"block {k} cannot play {strat} in this strategy space")
-        idx.append(si)
-    found = kernel.deviation(idx)
+    found = kernel.deviation(strategy_indices(cg, kernel, ([s.choices[i] for i in block] for block in cg.blocks)))
     if found is None:
         return None
     k, si, current, best = found

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .equilibria import enumerate_pure_ne, is_ccg_ne
 from .errors import InvalidParamsError
-from .game import CoalitionalGame, assemble_profile, canonical_block_strategies, coalition_utility
+from .game import CoalitionalGame, assemble_profile, coalition_utility, compile_within_limit
 from .gamefile import game_to_dict
 from .instances import no_ne_triple_fixture, random_game, random_partition
 from .pair_solver import solve_pair_ccg
@@ -70,7 +70,7 @@ def pair_solver_sweep(
 def _residual_at_corners(cg: CoalitionalGame, w: FourCycleWitness) -> Fraction:
     """The witness square's residual by definition: `coalition_utility` of
     the moving block at each of its four corners."""
-    strategies = [canonical_block_strategies(cg, k) for k in range(len(cg.blocks))]
+    strategies = compile_within_limit(cg, False).strategies
     corners = [assemble_profile(cg, [s[x] for s, x in zip(strategies, c)]) for c in w.cycle_profiles()]
     steps = zip(corners, corners[1:] + corners[:1], (w.player_i, w.player_j, w.player_i, w.player_j))
     return sum(coalition_utility(cg, a, k) - coalition_utility(cg, b, k) for a, b, k in steps)

@@ -21,10 +21,11 @@ an unknown resource, an empty strategy set) is refused with
 `InvalidGameError` whenever it is compiled. A game keeps its scaled tables
 and one kernel per partition and strategy space, with its best-reply
 caches, for as long as it lives. Every block is charged against the size
-limit from its members' sets before it is listed; members who share a set
-(as in a simple game) read their strategies and usage, as sparse
-`(resource, uses)` pairs, from a `BlockLayout` built once per process,
-which keeps its term, orbit and index tables.
+limit from its members' sets before it is listed into a `BlockLayout`
+(built once per process for members who share a set, as in a simple game):
+its strategies, their usage as sparse `(resource, uses)` pairs, and its
+term, orbit and index tables. Every profile the library places takes its
+member orders and orbit sizes from those layouts.
 Utilities come from one evaluator, `CompiledGame.best_reply`: `materialize`
 emits a flat `StrategicForm` of such scaled integers, filled from best
 replies fiber by fiber.
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import contains, itemgetter, le, mul
+from operator import itemgetter, le, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -598,8 +599,8 @@ def coalition_utility(cg: CoalitionalGame, s: PureProfile, k: int) -> Fraction:
 
 # Within a block, member choices can be permuted without changing any
 # utility, so enumeration works on sorted choice tuples (one per orbit). A
-# reported profile hands each block's choices to its members in the
-# lexicographically least order every member can actually play.
+# reported profile hands each block's choices to its members in the least
+# order they can all play, read with the orbit's size off its `BlockLayout`.
 
 
 def _multinomial(ordered: Sequence[Choice]) -> int:
@@ -607,88 +608,64 @@ def _multinomial(ordered: Sequence[Choice]) -> int:
     return math.factorial(len(ordered)) // math.prod(map(math.factorial, map(ordered.count, set(ordered))))
 
 
-def _playable_orbit(ordered: Sequence[Choice], member_sets: Sequence) -> tuple[tuple[Choice, ...], int]:
-    """The assignments of the sorted `ordered` to members with these sets
-    that every member can play: the least of them (`ordered` when there is
-    none), and their count."""
-    perms = dict.fromkeys(itertools.permutations(ordered))
-    playable = [perm for perm in perms if all(map(contains, member_sets, perm))]
-    return (playable[0] if playable else tuple(ordered)), len(playable)
+def strategy_indices(cg: CoalitionalGame, kernel: "CompiledGame", per_block: Iterable) -> list[int]:
+    """Each block's strategy index in `kernel`, the block's choices given in
+    any order: sorted by `choice_key` and looked up in `layouts[k].index`.
+    A block without that strategy is refused."""
+    key, idx = cg.base.choice_key, []
+    for k, (layout, choices) in enumerate(zip(kernel.layouts, per_block)):
+        strat = tuple(choices)
+        if strat not in layout.index:  # every key is sorted, so a hit needs no sort
+            strat = tuple(sorted(strat, key=key))
+        si = layout.index.get(strat)
+        if si is None:
+            raise PreconditionViolatedError(f"block {k} cannot play {strat} in this strategy space")
+        idx.append(si)
+    return idx
 
 
-def block_orbit(
-    g: CongestionGame, block: Sequence[int], choices
-) -> tuple[tuple[Choice, ...], int]:
-    """The orbit of the choice multiset `choices` under permutations of the
-    members of `block`: its representative, the lexicographically least
-    assignment in which every member plays a choice from its own strategy
-    set (the sorted order when there is none), and its size, the number of
-    distinct such assignments. A one-member block's orbit is its choice,
-    of size 1 when playable. When the members share one strategy set
-    holding every choice (as in a simple game), every assignment is
-    playable: the sorted order is least, and the size is the multinomial
-    m! / prod k_c!, where choice c appears k_c times among the m."""
-    if len(block) == 1:
-        return tuple(choices), int(choices[0] in g.strategy_sets[block[0]])
-    ordered = sorted(choices, key=g.choice_key)
-    shared = _shared_set(g, block) or ()
-    if all(c in shared for c in ordered):
-        return tuple(ordered), _multinomial(ordered)
-    return _playable_orbit(ordered, [g.strategy_sets[i] for i in block])
+def _orbits(cg: CoalitionalGame, per_block: Iterable) -> list[tuple[tuple[Choice, ...], int]]:
+    """Each block's orbit (least playable member order, size) off the
+    layouts of the game's kernel, charged like `find_deviation`'s."""
+    kernel = compile_within_limit(cg, False)
+    return [layout.orbits[si] for layout, si in zip(kernel.layouts, strategy_indices(cg, kernel, per_block))]
 
 
 def canonicalize(cg: CoalitionalGame, s: PureProfile) -> PureProfile:
-    """Replace each block's member choices by its orbit's representative:
-    the lexicographically least playable assignment of the same choices."""
+    """Each block's choices handed to its members in its orbit's order, the
+    least they can all play. An unplayable profile is refused."""
+    validate_profile(cg.base, s)
     return assemble_profile(cg, [[s.choices[i] for i in block] for block in cg.blocks])
 
 
 def canonical_multiplicity(cg: CoalitionalGame, s: PureProfile) -> int:
-    """Number of raw profiles sharing this profile's canonical form.
-
-    Counts, per block, the distinct valid assignments of the block's choice
-    multiset to its members.
-    """
-    return math.prod(
-        block_orbit(cg.base, block, [s.choices[i] for i in block])[1] for block in cg.blocks
-    )
-
-
-class _Orbits(dict):
-    """`block_orbit` of each strategy of a product layout, by strategy
-    index, listed on its first lookup from the playable permutations over
-    the members' sets."""
-
-    def __init__(self, strategies: tuple[BlockStrategy, ...], member_sets: Sequence):
-        self.strategies = strategies
-        self.member_sets = [frozenset(s) for s in member_sets]
-
-    def __missing__(self, si: int) -> tuple[tuple[Choice, ...], int]:
-        found = self[si] = _playable_orbit(self.strategies[si], self.member_sets)
-        return found
+    """Number of raw profiles sharing this profile's canonical form: per
+    block, the distinct playable assignments of the block's choice multiset
+    to its members. An unplayable profile is refused."""
+    validate_profile(cg.base, s)
+    return math.prod(size for _, size in _orbits(cg, ([s.choices[i] for i in block] for block in cg.blocks)))
 
 
 class BlockLayout:
     """A block's canonical strategies, sorted, and their resource usage:
     `contributions[si]` holds strategy si's `(resource, uses)` pairs for the
-    resources it uses, in resource order. `member_sets` are the members'
-    sets for a product layout, None when the members share one set.
+    resources it uses, in resource order.
 
-    What depends on the layout alone is kept on it, each table built on
-    first use, so every kernel and game that compiles this layout object
-    shares them:
+    What depends on the layout alone is kept on it, built on first use
+    unless passed in, so every kernel and game compiling it shares it:
     - `terms`: the distinct `(resource, uses)` pairs of all strategies, and
       per strategy an `itemgetter` of its pairs' positions in that list (a
       lone pair padded with position `len(pairs)`, a zero term, so every
       getter returns a tuple to sum);
-    - `orbits[si]`: strategy si's `block_orbit`. Members who share a set
-      get the whole table at once in the multinomial closed form (m! for
-      the distinct choices of a restricted layout); a product layout lists
-      each strategy's playable permutations on its first lookup;
+    - `orbits[si]`: strategy si's orbit under member permutations, its
+      least playable member order and its size: counted while a product
+      layout is listed (see `_list_layout`), else, for members who share a
+      set, the multinomial closed form (m! for the distinct choices of a
+      restricted layout);
     - `index`: each strategy's index.
     """
 
-    def __init__(self, resources: Sequence[str], strategies: tuple[BlockStrategy, ...], member_sets=None):
+    def __init__(self, resources: Sequence[str], strategies: tuple[BlockStrategy, ...], orbits=None):
         index = {r: i for i, r in enumerate(resources)}
         contributions = []
         for strat in strategies:
@@ -698,7 +675,8 @@ class BlockLayout:
             contributions.append(tuple(uses.items()))
         self.strategies = strategies
         self.contributions = tuple(contributions)
-        self.member_sets = member_sets
+        if orbits is not None:  # takes the place of the closed form below
+            self.orbits = orbits
 
     @cached_property
     def terms(self) -> tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...]]:
@@ -711,11 +689,9 @@ class BlockLayout:
         return tuple(at), tuple(itemgetter(*(p if len(p) > 1 else [*p, zero])) for p in getters)
 
     @cached_property
-    def orbits(self) -> Sequence[tuple[tuple[Choice, ...], int]]:
-        if self.member_sets is None:  # whole: these layouts live as long as the process, and entries
-            # filled in one by one across queries held more resident memory (about 0.4 MB, enumerate corpus)
-            return [(strat, _multinomial(strat)) for strat in self.strategies]
-        return _Orbits(self.strategies, self.member_sets)
+    def orbits(self) -> list[tuple[tuple[Choice, ...], int]]:
+        # whole: shared layouts live with the process, and entries filled one by one held ~0.4 MB more (enumerate)
+        return [(strat, _multinomial(strat)) for strat in self.strategies]
 
     @cached_property
     def index(self) -> dict[BlockStrategy, int]:
@@ -781,12 +757,18 @@ def _block_sources(cg: CoalitionalGame, restricted: bool) -> tuple[list[int], li
 
 def _list_layout(g: CongestionGame, shared, member_sets: list, restricted: bool) -> BlockLayout:
     """The `_shared_layout` of a set the members share, else the product of
-    their sets, listed."""
+    their sets, listed with its orbits. The product walks each member's
+    distinct choices in choice order, so assignments come lexicographically:
+    the first one seen of a canonical tuple is its least playable order, and
+    the number seen is its orbit's size."""
     if shared is not None:
         return _shared_layout(g.resources, shared, len(member_sets), restricted)
-    key = g.choice_key
-    canon = {tuple(sorted(raw, key=key)) for raw in itertools.product(*member_sets)}
-    return BlockLayout(g.resources, tuple(sorted(canon, key=lambda t: tuple(key(c) for c in t))), member_sets)
+    key, orbits = g.choice_key, {}
+    for raw in itertools.product(*(sorted(set(s), key=key) for s in member_sets)):
+        canon = tuple(sorted(raw, key=key))  # also the least order when equal: one tuple fewer per orbit
+        orbits.setdefault(canon, [canon if canon == raw else raw, 0])[1] += 1
+    strategies = tuple(sorted(orbits, key=lambda t: tuple(map(key, t))))
+    return BlockLayout(g.resources, strategies, [tuple(orbits.pop(strat)) for strat in strategies])
 
 
 def canonical_block_strategies(
@@ -801,20 +783,23 @@ def canonical_block_strategies(
 
 
 def assemble_profile(
-    cg: CoalitionalGame, block_strategies: Sequence[BlockStrategy]
+    cg: CoalitionalGame, block_strategies: Sequence[Sequence[Choice]]
 ) -> PureProfile:
     """Place one strategy tuple per block into a flat profile: each block's
-    members receive the tuple's choices in the lexicographically least order
-    they can all play (ascending when every order is playable)."""
+    members receive the tuple's choices in its orbit's order, the
+    lexicographically least they can all play (ascending when every order
+    is playable). A tuple that is not one of its block's strategies is
+    refused, and the game is charged like `find_deviation`."""
     if len(block_strategies) != len(cg.blocks):
         raise InvalidBlockError(f"need {len(cg.blocks)} block strategies, got {len(block_strategies)}")
-    choices: list[Choice] = [()] * cg.base.n
     for block, strat in zip(cg.blocks, block_strategies):
         if len(strat) != len(block):
             raise InvalidProfileError(f"tuple of {len(strat)} choices for block of {len(block)}")
-        for i, choice in zip(block, block_orbit(cg.base, block, strat)[0]):
+    choices: list[Choice] = [()] * cg.base.n
+    for block, (members, _) in zip(cg.blocks, _orbits(cg, block_strategies)):
+        for i, choice in zip(block, members):
             choices[i] = choice
-    return PureProfile(tuple(choices))
+    return PureProfile.of_tuples(tuple(choices))
 
 
 def choice_label(choice: Choice) -> str:

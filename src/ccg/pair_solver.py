@@ -17,9 +17,9 @@ built directly instead of searched for:
    strictly pays. The loop is bounded by the initial number of doubled pairs
    and ends in an equilibrium.
 
-The final profile is always re-verified by exhaustive deviation search,
-whose kernel's layouts give each block's reported member order. Steps 1 to 3
-share the game's one compiled sub-agent (`game.CompiledGame.agent`).
+The final profile is always re-verified by exhaustive deviation search;
+`game.canonicalize` orders each block's members off that search's layouts.
+Steps 1 to 3 share one compiled sub-agent (`game.CompiledGame.agent`).
 
 `solve_pair_ccg` is the only entry and checks its input once. Steps 2 and 3
 are private helpers that trust those checks and work on resource indices;
@@ -44,7 +44,7 @@ from .game import (
     CongestionGame,
     Partition,
     PureProfile,
-    compile_within_limit,
+    canonicalize,
     congestion,
     require_valid,
 )
@@ -198,14 +198,4 @@ def solve_pair_ccg(g: CongestionGame, partition: Partition) -> PairSolveTrace:
     witness = find_deviation(cg, result)
     if witness is not None:
         raise NotNashAtExitError(f"block {witness.block} still improves to {witness.best_value}")
-    layouts = compile_within_limit(cg, False).layouts  # the check's kernel: each block's orbits
-
-    def canonical(s: PureProfile) -> PureProfile:  # each block's choices in its orbit's order
-        choices = list(s.choices)
-        for block, layout in zip(partition.blocks, layouts):
-            strat = tuple(sorted((s.choices[i] for i in block), key=g.choice_key))
-            for i, c in zip(block, layout.orbits[layout.index[strat]][0]):
-                choices[i] = c
-        return PureProfile.of_tuples(tuple(choices))
-
-    return PairSolveTrace(dynamics.profile, case, hub, canonical(arrangement), moves, canonical(result))
+    return PairSolveTrace(dynamics.profile, case, hub, canonicalize(cg, arrangement), moves, canonicalize(cg, result))

@@ -6,8 +6,10 @@ per-block utility function, so they can independently confirm solver and
 enumerator outputs on small instances. `scan_pure_ne` is the joint-profile
 scan that the suffix-subgame search replaced, kept to cross-check it report
 for report; its representatives and multiplicities come from
-`listed_block_orbit`, which lists member permutations, so the library's
-closed-form orbits are checked against a listing, not against themselves.
+`listed_block_orbit`, which lists member permutations, so the orbits the
+library's layouts keep (in closed form, or counted while a product of
+member sets is listed) are checked against a listing, not against
+themselves.
 `listed_block_layout` lists a block's strategies from the product of its
 members' sets, which the cached shared-set layouts replaced. The potential
 oracle checks the defining equation edge by edge on the rational utility
@@ -252,9 +254,11 @@ def first_nonzero_square(game: StrategicForm) -> FourCycleWitness | None:
 
 
 def listed_block_orbit(g: CongestionGame, block, choices) -> tuple[tuple, int]:
-    """`block_orbit` by listing every assignment of `choices` to the members
-    of `block` and keeping those each member can play: the least of them in
-    resource order (the sorted order when there is none), and their count."""
+    """The orbit of the choice multiset `choices` that a `BlockLayout` keeps
+    (`layout.orbits`), by listing every assignment of `choices` to the
+    members of `block` and keeping those each member can play: the least of
+    them in resource order (the sorted order when there is none), and their
+    count."""
     playable = {
         perm
         for perm in itertools.permutations(choices)

@@ -18,7 +18,10 @@ from ccg import (
     Partition,
     PureProfile,
     as_profile,
+    assemble_profile,
     canonical_block_strategies,
+    canonical_multiplicity,
+    canonicalize,
     check_ne_lift,
     coalition_best_response,
     coalition_utility,
@@ -672,6 +675,21 @@ class TestSizeLimitBeforeCompiling:
         monkeypatch.setenv("CCG_SIZE_LIMIT", "1000")
         with pytest.raises(SizeLimitExceededError, match="block 0 strategy space needs 50116 entries, limit is 1000"):
             canonical_block_strategies(cg, 0)
+        assert listed == []
+
+    def test_placed_profiles_charged_like_the_deviation_search(self, listed, monkeypatch):
+        # the same block: placing a profile reads the orbits of the kernel the search compiles
+        cg = self.routes_game("ABCDEFGHIJKL", 3, 2)
+        profile = as_profile(cg.base, [("A", "B"), ("A", "C"), ("A", "B")])
+        monkeypatch.setenv("CCG_SIZE_LIMIT", "1000")
+        for refused in (
+            lambda: find_deviation(cg, profile),
+            lambda: canonicalize(cg, profile),
+            lambda: canonical_multiplicity(cg, profile),
+            lambda: assemble_profile(cg, [profile.choices]),
+        ):
+            with pytest.raises(SizeLimitExceededError, match="block 0 strategy space needs 50116 entries"):
+                refused()
         assert listed == []
 
     def test_refusals_do_not_depend_on_call_order(self, monkeypatch):

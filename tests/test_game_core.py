@@ -15,6 +15,7 @@ from ccg import (
     PureProfile,
     StrategicForm,
     as_profile,
+    assemble_profile,
     build_potential_by_path,
     canonical_block_strategies,
     canonical_multiplicity,
@@ -36,6 +37,7 @@ from ccg import (
 from ccg.errors import (
     InvalidGameError,
     InvalidProfileError,
+    PreconditionViolatedError,
     SizeLimitExceededError,
 )
 from ccg.game import CompiledGame, compile_within_limit
@@ -109,6 +111,7 @@ BROKEN_GAMES = {
 }
 
 COMPILING_ENTRY_POINTS = {
+    "assemble_profile": lambda cg: assemble_profile(cg, [(("A",),) * len(block) for block in cg.blocks]),
     "canonical_block_strategies": lambda cg: canonical_block_strategies(cg, 0),
     "check_linearity_equivalence": lambda cg: check_linearity_equivalence(cg.base, cg.partition),
     "enumerate_pure_ne": enumerate_pure_ne,
@@ -263,6 +266,21 @@ class TestCanonicalize:
         s = as_profile(triple_ccg.base, ["A", "A", "B", "B"])
         # (A,A,B) has 3 distinct arrangements, the singleton only one.
         assert canonical_multiplicity(triple_ccg, s) == 3
+
+    def test_unplayable_profiles_and_tuples_refused(self):
+        # sub-agent 1 holds [A] and sub-agent 2 [B, C]: no order of (A, A) is playable, and
+        # (B, A) is an order of the block's strategy (A, B) that neither member can play
+        g = CongestionGame(tuple("ABC"), {r: (1, 2, 3) for r in "ABC"}, [["A"], ["B", "C"], ["C"]])
+        cg = CoalitionalGame(g, Partition.from_one_based([[1, 2], [3]]))
+        s = as_profile(g, ["B", "A", "C"])
+        for unplayable in (canonicalize, canonical_multiplicity):
+            with pytest.raises(InvalidProfileError, match="sub-agent 0 cannot play"):
+                unplayable(cg, s)
+        with pytest.raises(PreconditionViolatedError, match="block 0 cannot play"):
+            assemble_profile(cg, [(("A",), ("A",)), (("C",),)])
+        played = assemble_profile(cg, [(("B",), ("A",)), (("C",),)])
+        assert played.choices == (("A",), ("B",), ("C",))
+        assert canonicalize(cg, played) == played and canonical_multiplicity(cg, played) == 1
 
 
 class TestMaterialize:

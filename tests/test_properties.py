@@ -13,7 +13,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ccg import (
     CoalitionalGame,
@@ -45,7 +45,7 @@ from ccg import (
     underlying_pure_ne,
 )
 from ccg.errors import BlockLargerThanResourceSetError, CcgError
-from ccg.game import block_orbit, compile_within_limit, validate_profile
+from ccg.game import compile_within_limit, validate_profile
 from ccg.instances import no_ne_overlap_fixture
 
 from oracle_helpers import (
@@ -204,11 +204,11 @@ class TestCompiledKernel:
         outsiders = [i for k in blocks if k not in free for i in cg.blocks[k]]
         fixed = {i: data.draw(st.sampled_from(g.strategy_sets[i])) for i in outsiders}
         sub = fix_strategies_subgame(cg, fixed, free)
-        strats = [canonical_block_strategies(cg, k) for k in free]
+        layouts = compile_within_limit(cg, False).layouts
         for f, idx in enumerate(sub.profiles()):
             choices = dict(fixed)
-            for k, per_block, si in zip(free, strats, idx):
-                choices.update(zip(cg.blocks[k], block_orbit(g, cg.blocks[k], per_block[si])[0]))
+            for k, si in zip(free, idx):
+                choices.update(zip(cg.blocks[k], layouts[k].orbits[si][0]))
             s = PureProfile(tuple(choices[i] for i in range(g.n)))
             for p, k in enumerate(free):
                 assert Fraction(sub.payoffs[p][f], sub.scale) == coalition_utility(cg, s, k)
@@ -508,52 +508,6 @@ def rewritten_set_ccgs(draw, max_n: int = 4, max_r: int = 3):
     return CoalitionalGame(game, random_partition(seed, n, draw(st.integers(1, n))))
 
 
-def _block_strategy(data, cg, restricted=False):
-    """A block of `cg` and one of its canonical strategies, its choices in
-    any order."""
-    k = data.draw(st.integers(0, len(cg.blocks) - 1))
-    strat = data.draw(st.sampled_from(compile_within_limit(cg, restricted).strategies[k]))
-    return cg.blocks[k], data.draw(st.permutations(strat))
-
-
-class TestBlockOrbit:
-    """`block_orbit`, in closed form or listed, equals the listing of member
-    permutations in `oracle_helpers.listed_block_orbit`."""
-
-    @COMMON
-    @given(simple_ccgs(max_n=6, max_r=4), st.data())
-    def test_simple(self, cg, data):
-        block, choices = _block_strategy(data, cg)
-        assert block_orbit(cg.base, block, choices) == listed_block_orbit(cg.base, block, choices)
-
-    @COMMON
-    @given(simple_ccgs(max_n=6, max_r=4), st.data())
-    def test_restricted(self, cg, data):
-        assume(cg.partition.max_block_size <= len(cg.base.resources))
-        block, choices = _block_strategy(data, cg, restricted=True)
-        assert block_orbit(cg.base, block, choices) == listed_block_orbit(cg.base, block, choices)
-
-    @COMMON
-    @given(shared_set_ccgs(), st.data())
-    def test_non_simple_shared_set(self, cg, data):
-        assert not cg.base.is_simple
-        block, choices = _block_strategy(data, cg)
-        assert block_orbit(cg.base, block, choices) == listed_block_orbit(cg.base, block, choices)
-
-    @COMMON
-    @given(non_simple_ccgs(), st.data())
-    def test_non_simple_unplayable_choice(self, cg, data):
-        block, choices = _block_strategy(data, cg)
-        g = cg.base
-        menu = [(x,) for x in g.resources] + list(itertools.combinations(g.resources, 2))
-        outside = [c for c in menu if all(c not in g.strategy_sets[i] for i in block)]
-        assume(outside)
-        choices[data.draw(st.integers(0, len(choices) - 1))] = data.draw(st.sampled_from(outside))
-        expected = listed_block_orbit(g, block, choices)
-        assert expected[1] == 0
-        assert block_orbit(g, block, choices) == expected
-
-
 class TestSharedSetLayouts:
     """However its members' sets are written, a block's layout is the
     product listing of `oracle_helpers.listed_block_layout`, and the size it
@@ -698,8 +652,34 @@ class TestLayoutTables:
         )
         assert enumerate_pure_ne(cg).equilibria
         layout = compile_within_limit(cg, False).layouts[0]
-        assert layout.member_sets is not None and layout.orbits and "terms" in vars(layout)
+        assert layout.orbits and "terms" in vars(layout)
         freed = weakref.ref(layout)
         del cg, layout
         gc.collect()
         assert freed() is None
+
+
+class TestCanonicalOrbits:
+    """`canonicalize` and `canonical_multiplicity` read each block's orbit
+    off its layout, in closed form or counted while listed: per block, the
+    member order and the factor equal the listing of member permutations
+    in `oracle_helpers.listed_block_orbit`."""
+
+    @COMMON
+    @given(st.one_of(
+        simple_ccgs(max_n=6, max_r=4),
+        shared_set_ccgs(),
+        rewritten_set_ccgs(),
+        non_simple_ccgs(),
+        signed_tied_ccgs().map(lambda case: case[0]),
+    ), st.data())
+    def test_member_order_and_factor_equal_the_listing(self, cg, data):
+        g = cg.base
+        s = PureProfile(tuple(data.draw(st.sampled_from(g.strategy_sets[i])) for i in range(g.n)))
+        canon = canonicalize(cg, s)
+        for block in cg.blocks:
+            members, size = listed_block_orbit(g, block, [s.choices[i] for i in block])
+            assert tuple(canon.choices[i] for i in block) == members
+            # block's factor alone: every other sub-agent is a block of its own, of orbit size 1
+            alone = Partition([block, *((i,) for i in range(g.n) if i not in block)])
+            assert canonical_multiplicity(CoalitionalGame(g, alone), s) == size
