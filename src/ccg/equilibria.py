@@ -9,6 +9,8 @@ with per-block-distinct resources is an equilibrium of the coalitional game.
 
 Enumeration searches suffix subgames, not every joint profile: the blocks
 from position j on depend on those before j only through their occupancy.
+An exhaustive listing searches the blocks by ascending strategy count and
+sorts what it finds; an early stop keeps block order.
 
 Best replies, deviation search, enumeration, the dynamics and the
 equilibrium congestion test compare exact integers on the game's compiled
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .errors import (
     InvalidParamsError,
@@ -245,13 +246,14 @@ def is_ccg_ne(cg: CoalitionalGame, s: PureProfile, restricted: bool = False) -> 
 def _suffix_equilibria(kernel: CompiledGame, order: list[int], background: int):
     """(strategy indices, total occupancy code) of every profile of the
     blocks in `order` at which each plays a best reply, all other occupancy
-    fixed at the code `background`, in lexicographic order. `listing(j,
-    prefix)` holds those of the blocks from position j on, given the
-    occupancy code `prefix` before j. It depends on the blocks before j only
-    through `prefix`, so it is stored once complete, in level j's memo; it is
-    never computed ahead of need, so a stop is early. The last block's
-    opponents are exactly `prefix`, so its listing is its best replies
-    against `prefix`, found with one cached lookup."""
+    fixed at the code `background`, in lexicographic order of the indices
+    as listed in `order`. `listing(j, prefix)` holds those of the blocks
+    from position j on, given the occupancy code `prefix` before j. It
+    depends on the blocks before j only through `prefix`, so it is stored
+    once complete, in level j's memo; it is never computed ahead of need,
+    so a stop is early. The last block's listing is its best replies against
+    `prefix`, its opponents, found with one cached lookup per prefix; every
+    other level walks all its block's strategies."""
     codes = kernel.codes
     last = len(order) - 1
     memo: list[dict[int, list]] = [{} for _ in order]
@@ -292,7 +294,11 @@ def enumerate_pure_ne(
     """All equilibria over canonical joint profiles in lexicographic order,
     or the first `stop_after`. A block with one canonical strategy always
     plays a best reply, so its occupancy joins the background and the
-    search nests at most log2(profiles) deep."""
+    search nests at most log2(profiles) deep. An exhaustive listing searches
+    the other blocks by ascending strategy count, ties in block order, so
+    the largest takes the last level, one lookup per prefix; it then sorts
+    what it found. An early stop searches in block order, in which the
+    first equilibria come first."""
     if stop_after is not None and not (type(stop_after) is int and stop_after >= 1):
         raise InvalidParamsError(f"stop_after must be an integer of at least 1, got {stop_after!r}")
     blocks = cg.blocks
@@ -306,7 +312,6 @@ def enumerate_pure_ne(
     background = sum(kernel.codes[k][0] for k in fixed)
     orbits = [layout.orbits for layout in kernel.layouts]
     choices: list = [()] * cg.base.n
-    idx = [0] * len(sizes)
 
     def place(k: int, si: int) -> int:
         """Hand block k's strategy si to its members in `choices`; its orbit size."""
@@ -319,15 +324,18 @@ def enumerate_pure_ne(
     equilibria: list[PureProfile] = []
     multiplicities: list[int] = []
     checked = total
-    for found, _ in _suffix_equilibria(kernel, order, background):
+    searched = order if stop_after is not None else sorted(order, key=sizes.__getitem__)
+    back = [searched.index(k) for k in order]
+    listed = ([found[p] for p in back] for found, _ in _suffix_equilibria(kernel, searched, background))
+    for found in listed if stop_after is not None else sorted(listed):
         multiplicity = fixed_multiplicity
         for k, si in zip(order, found):
-            idx[k] = si
             multiplicity *= place(k, si)
         equilibria.append(PureProfile.of_tuples(tuple(choices)))
         multiplicities.append(multiplicity)
         if stop_after is not None and len(equilibria) >= stop_after:
-            checked = sum(map(mul, idx, row_major_strides(sizes))) + 1
+            strides = row_major_strides(sizes)
+            checked = sum(strides[k] * si for k, si in zip(order, found)) + 1
             break
     return NeReport(tuple(equilibria), tuple(multiplicities), checked == total, checked)
 

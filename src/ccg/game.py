@@ -736,6 +736,7 @@ def _block_sources(cg: CoalitionalGame, restricted: bool) -> tuple[list[int], li
     distinct choices the listing walks C(d + m - 1, m) strategies, or
     C(d, m) when restricted; other blocks walk the product of their set
     sizes, which bounds the canonical count."""
+    _require_compilable(cg.base)  # here, not per call: a kernel exists only if this passed, and games are immutable
     g, sets, seen, counts, where, sources = cg.base, cg.base.strategy_sets, {}, [], [], []
     for block in cg.blocks:
         member_sets = [sets[i] for i in block]
@@ -763,7 +764,8 @@ def _list_layout(g: CongestionGame, shared, member_sets: list, restricted: bool)
     the number seen is its orbit's size."""
     if shared is not None:
         return _shared_layout(g.resources, shared, len(member_sets), restricted)
-    key, orbits = g.choice_key, {}
+    rank = {c: i for i, c in enumerate(sorted(set().union(*member_sets), key=g.choice_key))}
+    key, orbits = rank.__getitem__, {}  # order-preserving and injective: choice_key once per choice
     for raw in itertools.product(*(sorted(set(s), key=key) for s in member_sets)):
         canon = tuple(sorted(raw, key=key))  # also the least order when equal: one tuple fewer per orbit
         orbits.setdefault(canon, [canon if canon == raw else raw, 0])[1] += 1
@@ -961,7 +963,6 @@ def compile_within_limit(
     refusal does not depend on call order: `what` names a space of the
     joint profiles times `per_profile`; without it each block's count is
     charged alone, as for every query about one block or one profile."""
-    _require_compilable(cg.base)
     key = (cg.partition, restricted)
     kernel = cg.base._kernels.get(key)
     counts, where, sources = _block_sources(cg, restricted) if kernel is None else (kernel.listing_sizes, (), ())

@@ -344,6 +344,33 @@ class TestPinnedInstances:
         assert len(enumerate_pure_ne(cg, stop_after=1).equilibria) == 1
         assert len(lookups) < 1_300
 
+    @staticmethod
+    def _d1():
+        # block strategy counts 35, 10, 4, 4, 4: the largest block comes first
+        partition = Partition.from_one_based([[1, 2, 3, 4], [5, 6], [7], [8], [9]])
+        return CoalitionalGame(random_game("d1", 9, 4, "convex"), partition)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_exhaustive_search_takes_the_largest_block_last(self, lookups, restricted):
+        # Searched smallest first, the largest block (35 strategies, or 6 of
+        # 1, 6, 4, 4, 4 when restricted) is the last level, listed with one
+        # lookup per prefix; unrestricted in block order it would be the
+        # outermost, each of its strategies opening a search of the others
+        # (2,660 lookups). The listing is sorted back to block order.
+        cg = self._d1()
+        report = enumerate_pure_ne(cg, restricted=restricted)
+        assert len(lookups) < 1_000
+        assert report == scan_pure_ne(cg, restricted=restricted)
+        assert report.equilibria and report.exhaustive
+
+    def test_early_stop_keeps_block_order(self):
+        # the first equilibrium in block order, and the scan position it sets
+        cg = self._d1()
+        first = enumerate_pure_ne(cg, stop_after=1)
+        assert first == scan_pure_ne(cg, stop_after=1)
+        assert not first.exhaustive
+        assert first.equilibria == enumerate_pure_ne(cg).equilibria[:1]
+
     def test_every_query_shares_one_kernel(self):
         sets = [["A", ("A", "B")], ["A", "B", ("A", "B")], ["B", "C", ("B", "C")], ["C"], ["A", "C"]]
         game = CongestionGame(tuple("ABC"), {r: range(1, 6) for r in "ABC"}, sets)
