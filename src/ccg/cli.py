@@ -5,13 +5,13 @@ human-readable text or as JSON (`--format json`). The JSON form is the
 machine contract: it round-trips through `json.loads`/`json.dumps`, and the
 text form is rendered purely from it. Its bytes are those of
 `json.dumps(report, indent=2)`, written by the one writer
-`gamefile.dumps_json`, which also writes game files. A potential table
-goes to that writer as its label grid (a `gamefile.TableGrid`), and an
-equilibrium listing as its rows (a `gamefile.EquilibriumRows`: the blocks,
-the canonical profiles and their multiplicities), each with the bytes of
-its list of row dicts; `render_text` reads their rows through
-`TableGrid.columns_of` and `EquilibriumRows.columns_of`, from the object or
-from a parsed report alike.
+`gamefile.dumps_json`, which also writes game files. A report holds the
+library's results as they are: the `PotentialTable` of `ccg potential`
+(each block's strategy labels and the flat values) and the `NeReport` of
+`ccg solve` (the canonical equilibria, their multiplicities and the
+partition's blocks), which the writer writes as their lists of row dicts;
+`render_text` reads those rows through `gamefile.grid_columns` and
+`gamefile.listing_columns`, from the object or from a parsed report alike.
 
 Exit codes encode verdicts so pipelines can branch on them:
 
@@ -59,10 +59,10 @@ from .game import (
     require_valid,
 )
 from .gamefile import (
-    EquilibriumRows,
-    TableGrid,
     dumps_json,
     game_to_dict,
+    grid_columns,
+    listing_columns,
     loads_game,
     read_game_bytes,
     write_game_file,
@@ -104,9 +104,9 @@ def _flat_profile(s: PureProfile) -> list[list[str]]:
     return [list(c) for c in s.choices]
 
 
-def _ne_report_json(cg: CoalitionalGame, report: NeReport) -> dict:
+def _ne_report_json(report: NeReport) -> dict:
     return {
-        "equilibria": EquilibriumRows(cg.blocks, report.equilibria, report.multiplicities),
+        "equilibria": report,
         "count": len(report.equilibria),
         "exhaustive": report.exhaustive,
         "profiles_checked": report.profiles_checked,
@@ -213,7 +213,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
     if args.method == "brute":
         report = enumerate_pure_ne(cg)
         verdicts = {"method": "brute", "ne_found": not report.is_empty, "count": len(report.equilibria)}
-        traces = {"enumeration": _ne_report_json(cg, report)}
+        traces = {"enumeration": _ne_report_json(report)}
         code = EXIT_OK if not report.is_empty else EXIT_NONE_EXISTS
         return _report("solve", inputs, digest, verdicts, [], traces), code
     trace = solve_pair_ccg(game, partition)
@@ -231,17 +231,14 @@ def _cmd_solve(args) -> tuple[dict, int]:
 def _cmd_potential(args) -> tuple[dict, int]:
     game, partition, digest = _load(args.file)
     eq = check_linearity_equivalence(game, partition)
-    labels, verdict, table = eq.strategies, eq.potential, eq.potential.table
+    verdict = eq.potential
     verdicts = {
         "has_potential": verdict.has_potential,
         "all_linear": eq.all_linear,
         "equivalence": _equivalence_json(eq) if game.is_simple else None,
     }
-    witnesses = [] if verdict.witness is None else [_witness_json(labels, verdict.witness)]
-    traces = {
-        "linearity": _linearity_json(eq.linearity),
-        "potential_table": None if table is None else TableGrid(labels, table.flat, table.scale),
-    }
+    witnesses = [] if verdict.witness is None else [_witness_json(eq.strategies, verdict.witness)]
+    traces = {"linearity": _linearity_json(eq.linearity), "potential_table": verdict.table}
     code = EXIT_OK if verdict.has_potential else EXIT_NONE_EXISTS
     return _report("potential", {"file": args.file}, digest, verdicts, witnesses, traces), code
 
@@ -370,7 +367,7 @@ def render_text(report: dict) -> str:
         if v["method"] == "brute":
             if v["ne_found"]:
                 lines.append(f"{v['count']} pure Nash equilibrium profile(s):")
-                listing = EquilibriumRows.columns_of(report["traces"]["enumeration"]["equilibria"])
+                listing = listing_columns(report["traces"]["enumeration"]["equilibria"])
                 for profile, multiplicity in zip(*listing):
                     lines.append(f"  {_profile_text(profile)}  (x{multiplicity})")
             else:
@@ -387,7 +384,7 @@ def render_text(report: dict) -> str:
         if v["has_potential"]:
             lines.append("exact potential exists")
             # each distinct value is formatted once; a row is one C-level join and format
-            profiles, values = TableGrid.columns_of(report["traces"]["potential_table"])
+            profiles, values = grid_columns(report["traces"]["potential_table"])
             lines.extend(map("  {}: {}".format, map(" | ".join, profiles), values))
         else:
             lines.append("no exact potential")

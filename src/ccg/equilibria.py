@@ -74,7 +74,8 @@ class NeReport:
     `equilibria` holds canonical profiles in lexicographic order. When the
     search was stopped early (`exhaustive` False) the list is a prefix of the
     full answer. `multiplicities` counts the raw profiles each canonical
-    equilibrium represents.
+    equilibrium represents. `blocks` are the partition's blocks, which group
+    each profile's choices by coalition.
 
     `profiles_checked` is a scan position, not work done: all canonical
     joint profiles, or after an early stop those up to the last one found.
@@ -84,6 +85,7 @@ class NeReport:
     multiplicities: tuple[int, ...]
     exhaustive: bool
     profiles_checked: int
+    blocks: tuple[tuple[int, ...], ...]
 
     @property
     def is_empty(self) -> bool:
@@ -146,7 +148,7 @@ def is_ne_congestion(g: CongestionGame, c: CongestionVector) -> bool:
         raise InvalidVectorError(f"vector totals {c.total}, game has {g.n} sub-agents")
     if any(x < 0 for x in c.counts):
         raise InvalidVectorError("negative occupancy")
-    kernel = CompiledGame.agent(g)
+    kernel = g._agent
     total, codes = kernel.code(c.counts), kernel.codes[0]
     for ri, x in enumerate(c.counts):
         if x and ri not in kernel.best_reply(0, total - codes[ri])[2]:
@@ -167,7 +169,7 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
         raise PreconditionViolatedError("best-response dynamics need a simple game")
     # Every sub-agent has the same strategies, one per resource in order,
     # so one compiled singleton block answers every sub-agent's best reply.
-    kernel = CompiledGame.agent(g)
+    kernel = g._agent
     codes = kernel.codes[0]
     position = [0] * g.n
     occupancy = g.n * codes[0]
@@ -306,7 +308,7 @@ def enumerate_pure_ne(
     sizes = [len(s) for s in kernel.strategies]
     total = math.prod(sizes)
     if not total:
-        return NeReport((), (), True, 0)
+        return NeReport((), (), True, 0, blocks)
     order = [k for k, size in enumerate(sizes) if size != 1]
     fixed = [k for k, size in enumerate(sizes) if size == 1]
     background = sum(kernel.codes[k][0] for k in fixed)
@@ -337,7 +339,7 @@ def enumerate_pure_ne(
             strides = row_major_strides(sizes)
             checked = sum(strides[k] * si for k, si in zip(order, found)) + 1
             break
-    return NeReport(tuple(equilibria), tuple(multiplicities), checked == total, checked)
+    return NeReport(tuple(equilibria), tuple(multiplicities), checked == total, checked, blocks)
 
 
 def in_restricted_space(cg: CoalitionalGame, s: PureProfile) -> bool:

@@ -152,7 +152,7 @@ class CongestionGame:
     best-response dynamics and the canonical sort order for choices.
     `is_simple`, the resource positions behind `choice_key`, the violations
     behind `require_valid`, the scaled cost tables, the compiled sub-agent
-    behind `CompiledGame.agent` and the coalitional kernels of
+    `_agent` and the coalitional kernels of
     `compile_within_limit` are computed once per game; equality and hashing
     see the fields only.
     """
@@ -165,6 +165,8 @@ class CongestionGame:
         resources = tuple(str(r) for r in self.resources)
         if len(set(resources)) != len(resources):
             raise InvalidGameError(f"duplicate resource ids in {resources}")
+        if any("+" in r or "," in r for r in resources):
+            raise InvalidGameError(f"resource ids in {resources} may not hold '+' or ',', which labels join with")
         index = {r: i for i, r in enumerate(resources)}
         costs = {
             str(r): t if isinstance(t, CostTable) else CostTable(t)
@@ -242,7 +244,9 @@ class CongestionGame:
 
     @cached_property
     def _agent(self) -> "CompiledGame":
-        """`CompiledGame.agent(self)`, compiled on first use."""
+        """One sub-agent of a simple game as a block of its own: the
+        one-member `_shared_layout` of its strategy set, compiled on first
+        use, so every caller shares its best replies."""
         _require_compilable(self)
         return CompiledGame(self, [_shared_layout(self.resources, self.strategy_sets[0], 1, False)])
 
@@ -866,13 +870,6 @@ class CompiledGame:
         self.codes = [shared[id(layout)][0] for layout in layouts]
         self._replies = [shared[id(layout)][1] for layout in layouts]
         self._plans = [shared[id(layout)][2] for layout in layouts]
-
-    @staticmethod
-    def agent(g: CongestionGame) -> "CompiledGame":
-        """One sub-agent of the simple game `g` as a block of its own: the
-        one-member `_shared_layout` of its strategy set, compiled once per
-        game, so every caller shares its best replies."""
-        return g._agent
 
     def code(self, counts: Iterable[int]) -> int:
         """The code of per-resource `counts`, each from 0 to n."""

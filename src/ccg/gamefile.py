@@ -15,9 +15,10 @@ is either the literal string "simple" or a map from each 1-based sub-agent
 id, "1" to n and no other key, to an array of resource-id arrays. Sub-agent
 ids in "partition" are 1-based.
 
-Emission is deterministic: keys in the order above, resources sorted, block
-members ascending and blocks ordered by first member. The resources array
-defines the canonical resource order of the loaded game.
+Emission is deterministic: keys in the order above, resources and costs in
+the game's resource order, block members ascending and blocks ordered by
+first member. The resources array defines the resource order of the loaded
+game, its tie-break and canonical order, so a game reads back as written.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ import contextlib
 import itertools
 import json
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
+from .equilibria import NeReport
 from .errors import GameFileError
-from .game import CongestionGame, CostTable, Partition, PureProfile
+from .game import CongestionGame, CostTable, Partition
+from .potential import PotentialTable
 from .rationals import as_fraction, format_scaled
 
 GameWithPartition = tuple[CongestionGame, Partition]
@@ -61,7 +62,7 @@ def _cost_pair(v, r: str, j: int) -> tuple[int, int]:
 
 
 def game_to_dict(game: CongestionGame, partition: Partition) -> dict:
-    resources = sorted(game.resources)
+    resources = list(game.resources)
     tables = {r: game.costs[r] for r in resources}
     costs = {r: [format_scaled(x, t.denominator) for x in t.numerators] for r, t in tables.items()}
     if game.is_simple:
@@ -80,53 +81,31 @@ def game_to_dict(game: CongestionGame, partition: Partition) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class TableGrid:
-    """A table with one row `{"profile": [label, ...], "value": v}` per
-    joint profile, given as its label grid: `labels` holds each player's
-    labels (a game has at least one player), the profiles are
-    `itertools.product(*labels)` and row f has value
-    `format_scaled(flat[f], scale)`. `dumps_json` writes it as that list of
-    rows without building them."""
-
-    labels: tuple[tuple[str, ...], ...]
-    flat: Sequence[int]
-    scale: int
-
-    @staticmethod
-    def columns_of(table):
-        """Each row's profile labels and each row's value, as two iterables
-        in row order, of a `TableGrid` or of the list of row dicts it is
-        written as (a parsed report)."""
-        if type(table) is not TableGrid:
-            return map(itemgetter("profile"), table), map(itemgetter("value"), table)
-        return itertools.product(*table.labels), map(_formatted(table).__getitem__, table.flat)
+def grid_columns(table):
+    """The rows `{"profile": [label, ...], "value": v}` of a potential table,
+    one per joint profile in row-major order, as two iterables: each row's
+    labels, from `itertools.product(*table.strategies)`, and its value,
+    `format_scaled(table.flat[f], table.scale)`. `table` is a
+    `PotentialTable` or the list of row dicts it is written as (a parsed
+    report)."""
+    if type(table) is not PotentialTable:
+        return map(itemgetter("profile"), table), map(itemgetter("value"), table)
+    return itertools.product(*table.strategies), map(_formatted(table).__getitem__, table.flat)
 
 
-@dataclass(frozen=True)
-class EquilibriumRows:
-    """An equilibrium listing with one row `{"profile": [[choice, ...],
-    ...], "multiplicity": m}` per profile: row r lists, block by block, the
-    choice of each member i, `profiles[r].choices[i]`, as a list of
-    resource ids, and its multiplicity is `multiplicities[r]`. `dumps_json`
-    writes it as that list of rows without building them."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    profiles: Sequence[PureProfile]
-    multiplicities: Sequence[int]
-
-    @staticmethod
-    def columns_of(listing):
-        """Each row's profile, block by block, and each row's multiplicity,
-        as two iterables in row order, of an `EquilibriumRows` or of the
-        list of row dicts it is written as (a parsed report)."""
-        if type(listing) is not EquilibriumRows:
-            return map(itemgetter("profile"), listing), map(itemgetter("multiplicity"), listing)
-        profiles = ([[p.choices[i] for i in b] for b in listing.blocks] for p in listing.profiles)
-        return profiles, listing.multiplicities
+def listing_columns(listing):
+    """The rows `{"profile": [[choice, ...], ...], "multiplicity": m}` of an
+    equilibrium listing, one per equilibrium, as two iterables: each row's
+    member choices block by block, and its multiplicity. `listing` is a
+    `NeReport` or the list of row dicts it is written as (a parsed
+    report)."""
+    if type(listing) is not NeReport:
+        return map(itemgetter("profile"), listing), map(itemgetter("multiplicity"), listing)
+    profiles = ([[p.choices[i] for i in b] for b in listing.blocks] for p in listing.equilibria)
+    return profiles, listing.multiplicities
 
 
-def _formatted(grid: TableGrid) -> dict:
+def _formatted(grid: PotentialTable) -> dict:
     """`format_scaled(v, grid.scale)` by value v of `grid.flat`: a table's
     values repeat across profiles, so each is formatted once."""
     texts = dict.fromkeys(grid.flat)
@@ -149,31 +128,31 @@ def _row_parts(newline: str, profiles, value_key: str, values):
     return itertools.chain(itertools.chain.from_iterable(rows), [row + "}" + newline + "]"])
 
 
-def _grid_parts(grid: TableGrid, newline: str):
+def _grid_parts(grid: PotentialTable, newline: str):
     """The pieces of `grid`'s rows as `dumps_json` writes a list of row
     dicts: each label is encoded once and each distinct value formatted
     once, and the pieces come from C-level iterators, with no string the
     size of the table besides the writer's one join."""
-    if not all(grid.labels):
+    if not all(grid.strategies):
         return ["[]"]
     texts = {v: f'"{t}"' if type(t) is str else int.__repr__(t) for v, t in _formatted(grid).items()}
-    encoded = [[encode_basestring_ascii(s) for s in block] for block in grid.labels]
+    encoded = [[encode_basestring_ascii(s) for s in block] for block in grid.strategies]
     return _row_parts(newline, itertools.product(*encoded), "value", map(texts.__getitem__, grid.flat))
 
 
-def _listing_parts(listing: EquilibriumRows, newline: str):
+def _listing_parts(listing: NeReport, newline: str):
     """The pieces of `listing`'s rows as `dumps_json` writes a list of row
     dicts: each distinct member choice is written once, each distinct
     assignment of choices to a block's members once per block from those
     texts, and each row is one join of its blocks' texts."""
-    if not listing.profiles:
+    if not listing.equilibria:
         return ["[]"]
     block, member, resource = newline + " " * 6, newline + " " * 8, newline + " " * 10
 
     def listed(items, inner: str, close: str) -> str:
         return "[" + inner + ("," + inner).join(items) + close + "]"
 
-    choices = [p.choices for p in listing.profiles]
+    choices = [p.choices for p in listing.equilibria]
     distinct = set(itertools.chain.from_iterable(choices))
     members = {c: listed(map(encode_basestring_ascii, c), resource, member) for c in distinct}
     columns = []
@@ -188,8 +167,9 @@ def dumps_json(obj) -> str:
     """`json.dumps(obj, indent=2)`, byte for byte, in one pass (the stdlib's
     C encoder ignores `indent`). Dicts with string keys, lists, tuples,
     strings, ints, bools and None are written here, sharing separators and
-    encoded keys; a `TableGrid` or `EquilibriumRows` is written as its list
-    of row dicts; anything else, such as a float, goes to `json.dumps`."""
+    encoded keys; a `PotentialTable` or a `NeReport` is written as its list
+    of row dicts (see `grid_columns` and `listing_columns`); anything else,
+    such as a float, goes to `json.dumps`."""
     parts: list[str] = []
     out = parts.append
     levels: dict[str, tuple[str, str, str, str]] = {}
@@ -228,9 +208,9 @@ def dumps_json(obj) -> str:
                     write(item, inner)
                     sep = comma
                 out(close_list)
-        elif kind is TableGrid:
+        elif kind is PotentialTable:
             parts.extend(_grid_parts(value, newline))
-        elif kind is EquilibriumRows:
+        elif kind is NeReport:
             parts.extend(_listing_parts(value, newline))
         else:  # an encoded string holds no raw newline, so this just indents
             out(json.dumps(value, indent=2).replace("\n", newline))
@@ -293,10 +273,12 @@ def dict_to_game(obj) -> GameWithPartition:
         isinstance(b, list) and all(type(i) is int for i in b) for b in partition_obj
     ):
         raise GameFileError("'partition' must be an array of arrays of 1-based sub-agent ids")
+    ids = sorted(i for b in partition_obj for i in b)
+    if ids != list(range(1, n + 1)):
+        raise GameFileError(f"'partition' must hold each sub-agent id from 1 to {n} once, got {ids}")
     try:
         partition = Partition.from_one_based(partition_obj)
         game = CongestionGame(tuple(resources), costs, strategy_sets)
-        partition.validate_for(n)
     except Exception as exc:
         raise GameFileError(str(exc)) from exc
     if game.n != n:

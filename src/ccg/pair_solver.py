@@ -19,7 +19,7 @@ built directly instead of searched for:
 
 The final profile is always re-verified by exhaustive deviation search;
 `game.canonicalize` orders each block's members off that search's layouts.
-Steps 1 to 3 share one compiled sub-agent (`game.CompiledGame.agent`).
+Steps 1 to 3 share the game's one compiled sub-agent (`_agent`).
 
 `solve_pair_ccg` is the only entry and checks its input once. Steps 2 and 3
 are private helpers that trust those checks and work on resource indices;
@@ -40,7 +40,6 @@ from .errors import (
 from .equilibria import find_deviation, underlying_pure_ne
 from .game import (
     CoalitionalGame,
-    CompiledGame,
     CongestionGame,
     Partition,
     PureProfile,
@@ -139,7 +138,7 @@ def _hub_improvement_loop(
     creates a new doubled pair, so the loop runs at most once per initially
     doubled pair.
     """
-    kernel = CompiledGame.agent(g)
+    kernel = g._agent
     codes = kernel.codes[0]
     where, occupancy = list(where), kernel.code(counts)
     others = [ri for ri in range(len(counts)) if ri != hub]
@@ -176,12 +175,11 @@ def solve_pair_ccg(g: CongestionGame, partition: Partition) -> PairSolveTrace:
     require_valid(g)
     if not g.is_simple:
         raise PreconditionViolatedError("constructive solver needs a simple game")
-    partition.validate_for(g.n)
+    cg = CoalitionalGame(g, partition)
     if partition.max_block_size > 2:
         raise PreconditionViolatedError(
             f"constructive solver handles blocks of size <= 2, got {partition.max_block_size}"
         )
-    cg = CoalitionalGame(g, partition)
 
     dynamics = underlying_pure_ne(g)
     counts = list(congestion(g, dynamics.profile).counts)

@@ -61,13 +61,18 @@ from .limits import ensure_within_limit
 class PotentialTable:
     """Candidate potential values, one per joint strategy index tuple.
 
-    Stored flat like a `StrategicForm`: `flat[f] / scale` is the value at
-    the profile with row-major flat index f on a grid of `sizes`.
+    Stored flat like a `StrategicForm`: `strategies` holds each player's
+    strategy labels, and `flat[f] / scale` is the value at the profile with
+    row-major flat index f on their grid.
     """
 
-    sizes: tuple[int, ...]
+    strategies: tuple[tuple[str, ...], ...]
     flat: tuple[int, ...]
     scale: int
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(map(len, self.strategies))
 
 
 @dataclass(frozen=True)
@@ -148,11 +153,12 @@ def _slices(game: StrategicForm) -> Fibers:
     return lambda p, base: payoffs[p][base : base + sizes[p] * strides[p] : strides[p]]
 
 
-def _path_table(sizes: tuple[int, ...], scale: int, fiber: Fibers) -> PotentialTable:
+def _path_table(strategies: tuple[tuple[str, ...], ...], scale: int, fiber: Fibers) -> PotentialTable:
     """Integrate utility differences along one-coordinate steps from the
-    all-first profile, anchored at zero: the value at `base + t * stride_j`,
-    where `base` has zeros from coordinate j on, is the value at `base` plus
-    `fiber(j, base)[t] - fiber(j, base)[0]`."""
+    all-first profile of the grid of `strategies`, anchored at zero: the
+    value at `base + t * stride_j`, where `base` has zeros from coordinate j
+    on, is the value at `base` plus `fiber(j, base)[t] - fiber(j, base)[0]`."""
+    sizes = tuple(map(len, strategies))
     values = [0] * math.prod(sizes)
     for j, (m, stride) in enumerate(zip(sizes, row_major_strides(sizes))):
         span = m * stride
@@ -160,7 +166,7 @@ def _path_table(sizes: tuple[int, ...], scale: int, fiber: Fibers) -> PotentialT
             u = fiber(j, base)
             offset = values[base] - u[0]
             values[base + stride : base + span : stride] = [offset + x for x in u[1:]]
-    return PotentialTable(sizes, tuple(values), scale)
+    return PotentialTable(strategies, tuple(values), scale)
 
 
 def build_potential_by_path(game: StrategicForm) -> PotentialTable:
@@ -170,7 +176,7 @@ def build_potential_by_path(game: StrategicForm) -> PotentialTable:
     between the two. It is an exact potential iff the game has one, which
     `exact_potential` decides and `verify_exact_potential` checks."""
     ensure_within_limit(game.num_profiles(), "potential table")
-    return _path_table(game.sizes, game.scale, _slices(game))
+    return _path_table(game.strategies, game.scale, _slices(game))
 
 
 def _rescaled(values: tuple[int, ...], factor: int) -> tuple[int, ...] | list[int]:
@@ -294,14 +300,14 @@ def _first_nonzero_square(
 
 
 def _decide(
-    sizes: tuple[int, ...], scale: int, pairs: Iterable[tuple[int, int]], fiber_values: Fibers
+    strategies: tuple[tuple[str, ...], ...], scale: int, pairs: Iterable[tuple[int, int]], fiber_values: Fibers
 ) -> PotentialVerdict:
-    """The first nonzero square among `pairs`, else the path table, both
-    read from one cache of fibers. With every square zero the path table is
-    an exact potential (Monderer & Shapley), so it is not verified."""
+    """The first nonzero square among `pairs`, else the path table on
+    `strategies`, both read from one cache of fibers. With every square zero
+    it is an exact potential (Monderer & Shapley), so it is not verified."""
     fiber = functools.cache(fiber_values)
-    witness = _first_nonzero_square(sizes, scale, pairs, fiber)
-    return PotentialVerdict(_path_table(sizes, scale, fiber) if witness is None else None, witness)
+    witness = _first_nonzero_square(tuple(map(len, strategies)), scale, pairs, fiber)
+    return PotentialVerdict(_path_table(strategies, scale, fiber) if witness is None else None, witness)
 
 
 def exact_potential(game: StrategicForm) -> PotentialVerdict:
@@ -312,7 +318,7 @@ def exact_potential(game: StrategicForm) -> PotentialVerdict:
     none, the table is `build_potential_by_path`'s, an exact potential.
     """
     ensure_within_limit(game.num_profiles(), "potential table")
-    return _decide(game.sizes, game.scale, itertools.combinations(range(game.players), 2), _slices(game))
+    return _decide(game.strategies, game.scale, itertools.combinations(range(game.players), 2), _slices(game))
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +341,13 @@ def linearity_report(g: CongestionGame) -> dict[str, LinearityEntry]:
     return {r: is_linear(g.costs[r]) for r in g.resources}
 
 
-def _affine_potential(kernel: CompiledGame) -> PotentialTable:
+def _affine_potential(kernel: CompiledGame, labels: tuple[tuple[str, ...], ...]) -> PotentialTable:
     """The closed form on the kernel's profiles when each scaled table t is
     affine, anchored at zero on the all-first profile: with a = t[1] - t[0]
     and b = t[0] - a, twice its negation sums each block's own a * x_kr^2,
     read off its `contributions`, and the occupancy term sum_r a * n_r^2 +
     2b * n_r, evaluated once per distinct code of `kernel.grid()`. The sum
-    is even as n^2 + sum_k x_k^2 = 2n mod 2."""
+    is even as n^2 + sum_k x_k^2 = 2n mod 2. `labels` are the kernel's."""
     slopes = [t[1] - t[0] if len(t) > 1 else 0 for t in kernel.costs]
     doubled = [0]
     for contributions in kernel.contributions:
@@ -352,8 +358,8 @@ def _affine_potential(kernel: CompiledGame) -> PotentialTable:
         code: sum([a * n * n + b * n for (a, b), n in zip(terms, kernel.digits(code))]) for code in set(grid)
     }
     doubled = list(map(add, doubled, map(term.__getitem__, grid)))
-    anchor, sizes = doubled[0], tuple(map(len, kernel.strategies))
-    return PotentialTable(sizes, tuple([(anchor - d) >> 1 for d in doubled]), kernel.scale)
+    anchor = doubled[0]
+    return PotentialTable(labels, tuple([(anchor - d) >> 1 for d in doubled]), kernel.scale)
 
 
 def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> EquivalenceVerdict:
@@ -373,12 +379,13 @@ def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> Equi
     report = linearity_report(g)
     all_linear = all(entry.linear for entry in report.values())
     blocks = range(len(cg.blocks))
+    charge = ("potential table", 1) if all_linear else ("materialized utility table", len(blocks))
+    kernel = compile_within_limit(cg, False, *charge)
+    labels = kernel.labels()
     if all_linear:
-        kernel = compile_within_limit(cg, False, "potential table")
-        verdict = PotentialVerdict(_affine_potential(kernel), None)
+        verdict = PotentialVerdict(_affine_potential(kernel, labels), None)
     else:
-        kernel = compile_within_limit(cg, False, "materialized utility table", len(blocks))
-        sizes, codes = tuple(map(len, kernel.strategies)), kernel.codes
+        sizes, codes = tuple(map(len, labels)), kernel.codes
         placed = list(zip(codes, sizes, row_major_strides(sizes)))
         # each base profile's occupancy, read once for the fibers that start there
         occupancy = functools.cache(lambda base: sum([c[base // stride % m] for c, m, stride in placed]))
@@ -388,7 +395,7 @@ def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> Equi
 
         single = [len(block) == 1 for block in cg.blocks]
         pairs = [(i, j) for i, j in itertools.combinations(blocks, 2) if not (single[i] and single[j])]
-        verdict = _decide(sizes, kernel.scale, pairs, fiber_values)
+        verdict = _decide(labels, kernel.scale, pairs, fiber_values)
     applicable = g.is_simple and bool(partition.singletons() and partition.pairs()) and len(g.resources) >= 2
     consistent: bool | None = None
     if applicable:
@@ -397,5 +404,4 @@ def check_linearity_equivalence(g: CongestionGame, partition: Partition) -> Equi
             raise LinearityEquivalenceViolationError(
                 f"all_linear={all_linear} but has_potential={verdict.has_potential}"
             )
-    labels = kernel.labels()
     return EquivalenceVerdict(applicable, all_linear, verdict.has_potential, consistent, verdict, report, labels)

@@ -87,12 +87,13 @@ def form_utilities(game: StrategicForm) -> dict[tuple[int, ...], tuple[Fraction,
 
 
 def table_from_values(values) -> PotentialTable:
-    """The potential table holding `values[profile]` on a full grid."""
+    """The potential table holding `values[profile]` on a full grid, each
+    grid position labelled `str(i)`."""
     profiles = sorted(values)
     sizes = tuple(max(p[k] for p in profiles) + 1 for k in range(len(profiles[0])))
     assert len(profiles) == math.prod(sizes)
     flat, scale = _scaled(values[p] for p in profiles)
-    return PotentialTable(sizes, tuple(flat), scale)
+    return PotentialTable(tuple(tuple(map(str, range(m))) for m in sizes), tuple(flat), scale)
 
 
 def table_values(table: PotentialTable) -> dict[tuple[int, ...], Fraction]:
@@ -297,7 +298,7 @@ def scan_pure_ne(
             if stop_after is not None and len(equilibria) >= stop_after:
                 exhaustive = checked == total
                 break
-    return NeReport(tuple(equilibria), tuple(multiplicities), exhaustive, checked)
+    return NeReport(tuple(equilibria), tuple(multiplicities), exhaustive, checked, cg.blocks)
 
 
 def listed_block_layout(cg: CoalitionalGame, k: int, restricted: bool = False):

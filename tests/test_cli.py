@@ -10,10 +10,10 @@ import ccg.cli
 import ccg.game
 import ccg.instances
 import ccg.potential
-from ccg import CoalitionalGame, CongestionGame, Partition, PureProfile, find_deviation
+from ccg import CoalitionalGame, CongestionGame, NeReport, Partition, PureProfile, find_deviation
 from ccg.cli import main, render_text
 from ccg.game import validate_profile
-from ccg.gamefile import EquilibriumRows, dumps_json, load_game_file, write_game_file
+from ccg.gamefile import dumps_json, load_game_file, write_game_file
 from ccg.instances import (
     no_ne_overlap_fixture,
     no_ne_triple_fixture,
@@ -211,6 +211,19 @@ class TestSolve:
         ))
         assert main([command, str(path)]) == 2
         assert "'strategies' key '3' is not a sub-agent id from 1 to 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "matrix"])
+    @pytest.mark.parametrize("joined", ["A+B", "A,B"])
+    def test_resource_id_holding_a_label_separator_exits_2(self, capsys, tmp_path, command, joined):
+        # labels join a choice's ids with "+" and a block's choices with ",",
+        # so the resource "A+B" would be labelled as the choice {A, B}
+        path = tmp_path / "joined.json"
+        path.write_text(json.dumps(
+            {"resources": ["A", "B", joined], "players": 2, "costs": {r: [1, 2] for r in ("A", "B", joined)},
+             "strategies": {"1": [["A", "B"], [joined]], "2": [["A"], [joined]]}, "partition": [[1], [2]]}
+        ))
+        assert main([command, str(path)]) == 2
+        assert "may not hold '+' or ','" in capsys.readouterr().err
 
 
 class TestPotential:
@@ -504,7 +517,7 @@ class TestReportContract:
             args = ccg.cli._build_parser().parse_args(["solve", path])
             report, _ = args.func(args)
             report["timing"] = {"seconds": 0.5}
-            assert type(report["traces"]["enumeration"]["equilibria"]) is EquilibriumRows
+            assert type(report["traces"]["enumeration"]["equilibria"]) is NeReport
             assert render_text(report) == render_text(json.loads(dumps_json(report)))
 
     def test_threads_flag_does_not_change_output(self, capsys, pair_file):

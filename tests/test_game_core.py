@@ -40,7 +40,7 @@ from ccg.errors import (
     PreconditionViolatedError,
     SizeLimitExceededError,
 )
-from ccg.game import CompiledGame, compile_within_limit
+from ccg.game import compile_within_limit
 from ccg.limits import effective_size_limit, ensure_within_limit
 
 from oracle_helpers import (
@@ -355,7 +355,7 @@ class TestBlockLayouts:
                 assert list(layout.contributions) == contributions
                 assert compile_within_limit(again, restricted).layouts[0] is layout
                 if m == 1 and not restricted:
-                    agent = CompiledGame.agent(cg.base)
+                    agent = cg.base._agent
                     assert (agent.strategies, agent.contributions) == ([layout.strategies], [layout.contributions])
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,22 +14,25 @@ from ccg import (
     CongestionGame,
     CostTable,
     Partition,
+    PotentialTable,
     as_profile,
     coalition_utility,
+    check_linearity_equivalence,
     enumerate_pure_ne,
+    underlying_pure_ne,
 )
 from ccg.errors import GameFileError
 from ccg.gamefile import (
-    EquilibriumRows,
-    TableGrid,
     dumps_game,
     dumps_json,
     game_to_dict,
+    grid_columns,
+    listing_columns,
     load_game_file,
     loads_game,
 )
 from ccg.rationals import as_fraction, format_rational, format_scaled
-from ccg.instances import no_ne_overlap_fixture, no_ne_triple_fixture
+from ccg.instances import no_ne_overlap_fixture, no_ne_triple_fixture, random_game
 
 
 def test_round_trip_simple(triple_game):
@@ -62,7 +66,7 @@ def test_emission_is_deterministic(triple_game):
     assert dumps_game(triple_game, partition) == dumps_game(triple_game, partition)
     obj = game_to_dict(triple_game, partition)
     assert list(obj) == ["resources", "players", "costs", "strategies", "partition"]
-    assert obj["resources"] == sorted(obj["resources"])
+    assert obj["resources"] == list(triple_game.resources)
     assert obj["partition"] == [[1, 2, 3], [4]]
 
 
@@ -164,10 +168,15 @@ def test_missing_keys(key):
         loads_game(json.dumps(obj))
 
 
-def test_bad_partition_rejected():
+@pytest.mark.parametrize(
+    "partition, ids",
+    [([[1, 2], [2, 3, 4]], "[1, 2, 2, 3, 4]"), ([[1, 1], [3, 4]], "[1, 1, 3, 4]"), ([[1, 3], [4, 5]], "[1, 3, 4, 5]")],
+)
+def test_bad_partition_rejected(partition, ids):
+    # the message names the file's 1-based ids, not the library's 0-based ones
     obj = game_to_dict(no_ne_triple_fixture().game, Partition.from_one_based([[1, 2, 3], [4]]))
-    obj["partition"] = [[1, 2], [2, 3, 4]]
-    with pytest.raises(GameFileError):
+    obj["partition"] = partition
+    with pytest.raises(GameFileError, match=re.escape(f"each sub-agent id from 1 to 4 once, got {ids}")):
         loads_game(json.dumps(obj))
 
 
@@ -222,6 +231,16 @@ def test_strategies_map_refuses_keys_that_are_not_sub_agents(key, named):
         loads_game(json.dumps(obj))
 
 
+def test_round_trip_keeps_the_resource_order():
+    """Resource order is the game's tie-break and canonical order: R1..R30
+    must not come back sorted as strings (R1, R10, R11, ...)."""
+    game = random_game(1, 3, 30, "monotone")
+    game2, _ = loads_game(dumps_game(game, Partition.discrete(3)))
+    assert game2.resources == game.resources == tuple(f"R{i}" for i in range(1, 31))
+    assert game2 == game
+    assert underlying_pure_ne(game2).profile == underlying_pure_ne(game).profile
+
+
 def test_file_round_trip(tmp_path, triple_game):
     partition = Partition.from_one_based([[1, 2], [3, 4]])
     path = tmp_path / "game.json"
@@ -274,12 +293,12 @@ _labels = st.lists(
 
 @st.composite
 def _grids(draw):
-    """A table grid of 1-4 players with 1-5 labels each, and its rows."""
+    """A potential table of 1-4 players with 1-5 labels each, and its rows."""
     labels = draw(st.lists(st.lists(_labels, min_size=1, max_size=5).map(tuple), min_size=1, max_size=4))
     scale = draw(st.sampled_from([1, 12, 1_000_003, 2**61 - 1]))
     value = st.integers(-(10**20), 10**20) | st.integers(-50, 50).map(lambda m: m * scale)
     flat = draw(st.lists(value, min_size=math.prod(map(len, labels)), max_size=math.prod(map(len, labels))))
-    grid = TableGrid(tuple(labels), tuple(flat), scale)
+    grid = PotentialTable(tuple(labels), tuple(flat), scale)
     rows = [
         {"profile": list(profile), "value": format_scaled(v, scale)}
         for profile, v in zip(itertools.product(*labels), flat)
@@ -300,8 +319,8 @@ _nestings = [
 def test_dumps_json_writes_a_grid_as_its_rows(grid_rows, nest):
     grid, rows = grid_rows
     assert dumps_json(nest(grid)) == json.dumps(nest(rows), indent=2)
-    assert list(zip(*TableGrid.columns_of(grid))) == [(tuple(r["profile"]), r["value"]) for r in rows]
-    assert list(zip(*TableGrid.columns_of(rows))) == [(r["profile"], r["value"]) for r in rows]
+    assert list(zip(*grid_columns(grid))) == [(tuple(r["profile"]), r["value"]) for r in rows]
+    assert list(zip(*grid_columns(rows))) == [(r["profile"], r["value"]) for r in rows]
 
 
 def _escaped_game() -> CongestionGame:
@@ -338,17 +357,30 @@ def test_dumps_json_writes_a_listing_as_its_rows(name, stop_after):
     game, blocks = _LISTINGS[name]
     cg = CoalitionalGame(game(), Partition.from_one_based(blocks))
     report = enumerate_pure_ne(cg, stop_after=stop_after)
-    listing = EquilibriumRows(cg.blocks, report.equilibria, report.multiplicities)
     rows = [
         {"profile": [[list(p.choices[i]) for i in block] for block in cg.blocks], "multiplicity": m}
         for p, m in zip(report.equilibria, report.multiplicities)
     ]
     assert bool(rows) == (name != "simple, none")
     for nest in _nestings:
-        assert dumps_json(nest(listing)) == json.dumps(nest(rows), indent=2)
+        assert dumps_json(nest(report)) == json.dumps(nest(rows), indent=2)
     expected = [(r["profile"], r["multiplicity"]) for r in rows]
-    assert [(json.loads(json.dumps(p)), m) for p, m in zip(*EquilibriumRows.columns_of(listing))] == expected
-    assert list(zip(*EquilibriumRows.columns_of(rows))) == expected
+    assert [(json.loads(json.dumps(p)), m) for p, m in zip(*listing_columns(report))] == expected
+    assert list(zip(*listing_columns(rows))) == expected
+
+
+@pytest.mark.parametrize("name", list(_LISTINGS))
+def test_results_carry_their_labels_and_blocks(name):
+    """A potential table holds its players' strategy labels, from the closed
+    form ("split choice" is affine) or the path table alike, and a listing
+    its partition's blocks, so the writer needs nothing beside them."""
+    game, blocks = _LISTINGS[name]
+    cg = CoalitionalGame(game(), Partition.from_one_based(blocks))
+    eq = check_linearity_equivalence(cg.base, cg.partition)
+    assert eq.has_potential == (name not in ("simple, none", "escaped ids"))
+    if eq.has_potential:
+        assert eq.potential.table.strategies == eq.strategies
+    assert enumerate_pure_ne(cg).blocks == cg.blocks
 
 
 def test_dumps_game_is_written_by_dumps_json(triple_game):
