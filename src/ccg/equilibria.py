@@ -202,8 +202,8 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
 # Coalitional equilibria
 #
 # All of these compare scaled integer utilities on the game's `CompiledGame`
-# for the blocks they search, whose best replies are cached per layout, by
-# opponent occupancy code, and shared by every later call on the same game.
+# for the blocks they search, whose best replies the game caches per layout
+# by opponent occupancy code, for every later call on it, whatever the partition.
 
 
 def coalition_best_response(

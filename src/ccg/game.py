@@ -15,17 +15,17 @@ validation compares those integers. For analysis a coalitional game is
 compiled once (`CompiledGame`): every table is brought to the LCM of the
 table denominators, so inner loops run on Python integers, and values become
 Fractions only when they leave the kernel. There an occupancy vector is one
-integer, its code (counts as digits in base n + 1), and best replies are
-cached by code. A game without tables to compile (a missing or short table,
-an unknown resource, an empty strategy set) is refused with
-`InvalidGameError` whenever it is compiled. A game keeps its scaled tables
-and one kernel per partition and strategy space, with its best-reply
-caches, for as long as it lives. Every block is charged against the size
-limit from its members' sets before it is listed into a `BlockLayout`
-(built once per process for members who share a set, as in a simple game):
-its strategies, their usage as sparse `(resource, uses)` pairs, and its
-term, orbit and index tables. Every profile the library places takes its
-member orders and orbit sizes from those layouts.
+integer, its code (counts as digits in base n + 1). A game without tables to
+compile (a missing or short table, an unknown resource, an empty strategy
+set) is refused with `InvalidGameError` whenever it is compiled. Every block
+is charged against the size limit from its members' sets before it is listed
+into a `BlockLayout` (built once per process for members who share a set, as
+in a simple game): its strategies, their usage as sparse `(resource, uses)`
+pairs, and its term, orbit and index tables. Every profile the library
+places takes its member orders and orbit sizes from those layouts. A game
+keeps its scaled tables, one kernel per partition and strategy space, and
+one best-reply cache by code per layout, which all its kernels share, for as
+long as it lives.
 Utilities come from one evaluator, `CompiledGame.best_reply`: `materialize`
 emits a flat `StrategicForm` of such scaled integers, filled from best
 replies fiber by fiber.
@@ -152,9 +152,9 @@ class CongestionGame:
     best-response dynamics and the canonical sort order for choices.
     `is_simple`, the resource positions behind `choice_key`, the violations
     behind `require_valid`, the scaled cost tables, the compiled sub-agent
-    `_agent` and the coalitional kernels of
-    `compile_within_limit` are computed once per game; equality and hashing
-    see the fields only.
+    `_agent`, the coalitional kernels of `compile_within_limit` and the
+    best-reply cache of each layout they compile (one for all of them) are
+    computed once per game; equality and hashing see the fields only.
     """
 
     resources: tuple[str, ...]
@@ -165,8 +165,8 @@ class CongestionGame:
         resources = tuple(str(r) for r in self.resources)
         if len(set(resources)) != len(resources):
             raise InvalidGameError(f"duplicate resource ids in {resources}")
-        if any("+" in r or "," in r for r in resources):
-            raise InvalidGameError(f"resource ids in {resources} may not hold '+' or ',', which labels join with")
+        if any(sep in r for r in resources for sep in "+,|"):
+            raise InvalidGameError(f"resource ids in {resources} may not hold '+', ',' or '|', which labels join with")
         index = {r: i for i, r in enumerate(resources)}
         costs = {
             str(r): t if isinstance(t, CostTable) else CostTable(t)
@@ -253,6 +253,11 @@ class CongestionGame:
     @cached_property
     def _kernels(self) -> dict[tuple, "CompiledGame"]:
         """One kernel per (partition, restricted); see `compile_within_limit`."""
+        return {}
+
+    @cached_property
+    def _per_layout(self) -> dict["BlockLayout", tuple[list[int], dict, list]]:
+        """Per layout object its kernels compile: codes, best replies, plan."""
         return {}
 
     @cached_property
@@ -838,21 +843,20 @@ class CompiledGame:
     codes do.
 
     A kernel compiles every block of a partition, block k at position k
-    (`agent`, one sub-agent at position 0): `layouts[k]` is its
+    (`_agent`, one sub-agent at position 0): `layouts[k]` is its
     `BlockLayout` (one read-only layout per shared set and block size),
     `strategies[k]` and `contributions[k]` are the layout's, and `codes[k]`
     holds each strategy's usage code. A block's utility depends on everyone
     else only through their occupancy and on itself only through its layout,
-    so `best_reply` is the one evaluator of utilities, cached per layout by
-    occupancy code: blocks compiled from one `BlockLayout` object, such as
-    the equal-size blocks of a simple game, share one code list, one cache
-    and one plan, built once per kernel. A miss is evaluated from the plan:
-    the layout's `terms` with each term's cost row, built on the first miss.
-    Each term's value is its row read at the term resource's digit of the
-    code, and each strategy's value is one sum of its terms. `form` fills
-    the strategic form from that cache too. The game keeps one kernel per
-    partition, so every query on it shares these caches (see
-    `compile_within_limit`).
+    so `best_reply` is the one evaluator of utilities, cached per game and
+    layout by occupancy code: blocks compiled from one `BlockLayout` object,
+    such as the equal-size blocks of a simple game, share one code list, one
+    cache and one plan, which the game keeps for every kernel compiling that
+    object, whatever its partition (all radices are n + 1). A miss is
+    evaluated from the plan: the layout's `terms` with each term's cost row,
+    built on the first miss. Each term's value is its row read at the term
+    resource's digit of the code, and each strategy's value is one sum of
+    its terms. `form` fills the strategic form from that cache too.
     """
 
     def __init__(self, g: CongestionGame, layouts: Sequence[BlockLayout]):
@@ -862,14 +866,10 @@ class CompiledGame:
         self.contributions = [layout.contributions for layout in layouts]
         self.radix = g.n + 1
         self._powers = powers = [self.radix**r for r in range(len(self.costs))]
-        shared: dict[int, tuple[list[int], dict, list]] = {}
         for layout in layouts:
-            if id(layout) not in shared:
-                codes = [sum([used * powers[r] for r, used in contrib]) for contrib in layout.contributions]
-                shared[id(layout)] = (codes, {}, [])
-        self.codes = [shared[id(layout)][0] for layout in layouts]
-        self._replies = [shared[id(layout)][1] for layout in layouts]
-        self._plans = [shared[id(layout)][2] for layout in layouts]
+            if layout not in g._per_layout:
+                g._per_layout[layout] = ([sum([u * powers[r] for r, u in c]) for c in layout.contributions], {}, [])
+        self.codes, self._replies, self._plans = map(list, zip(*(g._per_layout[layout] for layout in layouts)))
 
     def code(self, counts: Iterable[int]) -> int:
         """The code of per-resource `counts`, each from 0 to n."""

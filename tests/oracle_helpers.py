@@ -5,7 +5,9 @@ raw (non-canonical) profiles and compute utilities through the public
 per-block utility function, so they can independently confirm solver and
 enumerator outputs on small instances. `scan_pure_ne` is the joint-profile
 scan that the suffix-subgame search replaced, kept to cross-check it report
-for report; its representatives and multiplicities come from
+for report. It evaluates on a twin of the game (equal, not the same object),
+so it neither reads nor fills the best replies the game caches per layout;
+its representatives and multiplicities come from
 `listed_block_orbit`, which lists member permutations, so the orbits the
 library's layouts keep (in closed form, or counted while a product of
 member sets is listed) are checked against a listing, not against
@@ -276,8 +278,10 @@ def scan_pure_ne(
     """Equilibrium enumeration by testing every canonical joint profile in
     row-major order for a strictly improving block deviation. Each reported
     profile and its multiplicity come from `listed_block_orbit`, not from
-    the library's orbits."""
-    kernel = CompiledGame(cg.base, compile_within_limit(cg, restricted).layouts)
+    the library's orbits. Its kernel is compiled on a twin of `cg.base`, so
+    its best replies are its own, and `cg.base` is left as it was."""
+    twin = CongestionGame(cg.base.resources, cg.base.costs, cg.base.strategy_sets)
+    kernel = compile_within_limit(CoalitionalGame(twin, cg.partition), restricted)
     total = math.prod(len(s) for s in kernel.strategies)
     equilibria: list[PureProfile] = []
     multiplicities: list[int] = []
@@ -338,9 +342,16 @@ def reference_best_reply(cg: CoalitionalGame, k: int, env) -> tuple[list[Fractio
 
 
 def cached_replies(kernel: CompiledGame) -> int:
-    """The number of best replies a kernel holds: its positions that share a
-    layout share one cache, which is counted once."""
+    """The number of best replies held for a kernel's layouts. They are the
+    game's records: one cache per layout object, read by every kernel of the
+    game that compiles it, so positions sharing a layout count it once."""
     return sum({id(cache): len(cache) for cache in kernel._replies}.values())
+
+
+def reply_keys(g: CongestionGame) -> dict:
+    """A snapshot of the game's best-reply records: per layout object, the
+    occupancy codes its cache holds."""
+    return {layout: frozenset(replies) for layout, (_, replies, _) in g._per_layout.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -213,17 +213,18 @@ class TestSolve:
         assert "'strategies' key '3' is not a sub-agent id from 1 to 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["solve", "matrix"])
-    @pytest.mark.parametrize("joined", ["A+B", "A,B"])
+    @pytest.mark.parametrize("joined", ["A+B", "A,B", "A | B"])
     def test_resource_id_holding_a_label_separator_exits_2(self, capsys, tmp_path, command, joined):
         # labels join a choice's ids with "+" and a block's choices with ",",
-        # so the resource "A+B" would be labelled as the choice {A, B}
+        # so the resource "A+B" would be labelled as the choice {A, B}; text
+        # reports join a profile's blocks with " | ", which "A | B" would split
         path = tmp_path / "joined.json"
         path.write_text(json.dumps(
             {"resources": ["A", "B", joined], "players": 2, "costs": {r: [1, 2] for r in ("A", "B", joined)},
              "strategies": {"1": [["A", "B"], [joined]], "2": [["A"], [joined]]}, "partition": [[1], [2]]}
         ))
         assert main([command, str(path)]) == 2
-        assert "may not hold '+' or ','" in capsys.readouterr().err
+        assert "may not hold '+', ',' or '|'" in capsys.readouterr().err
 
 
 class TestPotential:

@@ -55,6 +55,7 @@ from oracle_helpers import (
     fix_strategies_subgame,
     listed_block_layout,
     pure_nash_equilibria,
+    reply_keys,
     scan_pure_ne,
 )
 
@@ -402,6 +403,43 @@ class TestPinnedInstances:
         assert crossed.strategies[0] != crossed.strategies[1]
         assert crossed.best_reply(0, crossed.code(env)) != crossed.best_reply(1, crossed.code(env))
         assert cached_replies(crossed) == 2
+
+    def test_partitions_of_one_game_share_each_layouts_replies(self, monkeypatch):
+        # Best replies are kept per game and layout, not per kernel: both
+        # partitions compile the game's pair layout and its one-agent layout,
+        # so each is one cache, and no occupancy is evaluated twice.
+        misses = []
+        best_reply = ccg.game.CompiledGame.best_reply
+
+        def counted(kernel, p, env):
+            if env not in kernel._replies[p]:
+                misses.append((kernel.layouts[p], env))
+            return best_reply(kernel, p, env)
+
+        monkeypatch.setattr(ccg.game.CompiledGame, "best_reply", counted)
+        game = random_game("share", 6, 3, "convex")
+        kernels = []
+        for blocks in ([[1, 2], [3], [4, 5], [6]], [[1], [2, 3], [4], [5, 6]]):
+            cg = CoalitionalGame(game, Partition.from_one_based(blocks))
+            enumerate_pure_ne(cg)
+            kernels.append(ccg.game.compile_within_limit(cg, False))
+        first, second = kernels
+        assert first._replies[0] is second._replies[1] and first._replies[1] is second._replies[0]
+        assert first.codes[0] is second.codes[1] and first._plans[1] is second._plans[0]
+        keys = {(layout, env) for k in kernels for layout, cache in zip(k.layouts, k._replies) for env in cache}
+        assert set(misses) == keys
+        assert len(misses) == len(keys) > 0
+
+    def test_scan_leaves_the_games_replies_alone(self):
+        cg = self._d1()
+        assert scan_pure_ne(cg).exhaustive
+        assert reply_keys(cg.base) == {}
+        enumerate_pure_ne(cg)
+        before = reply_keys(cg.base)
+        assert before and all(before.values())
+        scan_pure_ne(cg)
+        scan_pure_ne(cg, restricted=True)
+        assert reply_keys(cg.base) == before
 
     def test_many_single_strategy_blocks_do_not_recurse(self):
         g = CongestionGame.simple(("A",), {"A": tuple(range(1500))})

@@ -294,10 +294,16 @@ class TestOneCompilePerGame:
         for g, kernel in compiled:
             by_game.setdefault(id(g), (g, []))[1].append(kernel)
         assert len(by_game) == 20
+        singles = 0
         for g, kernels in by_game.values():
             # its sub-agent and one coalitional kernel, on one scaled table
             assert kernels == [g._agent, *g._kernels.values()]
             assert {id(kernel.costs) for kernel in kernels} == {id(g._scaled[1])}
+            # whose singleton blocks read the sub-agent's best replies
+            ((partition, _), kernel), = g._kernels.items()
+            assert all(kernel._replies[k] is g._agent._replies[0] for k in partition.singletons())
+            singles += len(partition.singletons())
+        assert singles > 0
 
     def test_large_pair_game_solves_under_default_limit(self, monkeypatch):
         # 100 pairs of C(21, 2) = 210 strategies each: only blocks are charged
