@@ -202,7 +202,7 @@ def underlying_pure_ne(g: CongestionGame) -> DynamicsResult:
 # Coalitional equilibria
 #
 # All of these compare scaled integer utilities on the game's `CompiledGame`
-# for the blocks they search, whose best replies the game caches per layout
+# for the blocks they search, whose best replies the game caches per layout source
 # by opponent occupancy code, for every later call on it, whatever the partition.
 
 
@@ -307,8 +307,6 @@ def enumerate_pure_ne(
     kernel = compile_within_limit(cg, restricted, "joint canonical profile space")
     sizes = [len(s) for s in kernel.strategies]
     total = math.prod(sizes)
-    if not total:
-        return NeReport((), (), True, 0, blocks)
     order = [k for k, size in enumerate(sizes) if size != 1]
     fixed = [k for k, size in enumerate(sizes) if size == 1]
     background = sum(kernel.codes[k][0] for k in fixed)

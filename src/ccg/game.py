@@ -19,13 +19,13 @@ integer, its code (counts as digits in base n + 1). A game without tables to
 compile (a missing or short table, an unknown resource, an empty strategy
 set) is refused with `InvalidGameError` whenever it is compiled. Every block
 is charged against the size limit from its members' sets before it is listed
-into a `BlockLayout` (built once per process for members who share a set, as
-in a simple game): its strategies, their usage as sparse `(resource, uses)`
-pairs, and its term, orbit and index tables. Every profile the library
-places takes its member orders and orbit sizes from those layouts. A game
-keeps its scaled tables, one kernel per partition and strategy space, and
-one best-reply cache by code per layout, which all its kernels share, for as
-long as it lives.
+into a `BlockLayout`: its strategies, their usage as sparse `(resource,
+uses)` pairs, and its term, orbit and index tables. Every profile the
+library places takes its member orders and orbit sizes from those layouts.
+A game keeps its scaled tables, one kernel per partition and strategy
+space, and one table of layouts by source, each with a best-reply cache by
+code that all its kernels share; a shared set's layout comes, on the
+game's first use, from a process-wide LRU that every game on it reads.
 Utilities come from one evaluator, `CompiledGame.best_reply`: `materialize`
 emits a flat `StrategicForm` of such scaled integers, filled from best
 replies fiber by fiber.
@@ -152,8 +152,8 @@ class CongestionGame:
     best-response dynamics and the canonical sort order for choices.
     `is_simple`, the resource positions behind `choice_key`, the violations
     behind `require_valid`, the scaled cost tables, the compiled sub-agent
-    `_agent`, the coalitional kernels of `compile_within_limit` and the
-    best-reply cache of each layout they compile (one for all of them) are
+    `_agent`, the coalitional kernels of `compile_within_limit` and their
+    `_layouts` table of layouts and best replies (see `_list_layout`) are
     computed once per game; equality and hashing see the fields only.
     """
 
@@ -248,7 +248,7 @@ class CongestionGame:
         one-member `_shared_layout` of its strategy set, compiled on first
         use, so every caller shares its best replies."""
         _require_compilable(self)
-        return CompiledGame(self, [_shared_layout(self.resources, self.strategy_sets[0], 1, False)])
+        return CompiledGame(self, [_list_layout(self, self.strategy_sets[0], self.strategy_sets[:1], False)])
 
     @cached_property
     def _kernels(self) -> dict[tuple, "CompiledGame"]:
@@ -256,8 +256,8 @@ class CongestionGame:
         return {}
 
     @cached_property
-    def _per_layout(self) -> dict["BlockLayout", tuple[list[int], dict, list]]:
-        """Per layout object its kernels compile: codes, best replies, plan."""
+    def _layouts(self) -> dict[tuple, tuple["BlockLayout", list[int], dict, list]]:
+        """Per layout source, its record: layout, codes, best replies, plan."""
         return {}
 
     @cached_property
@@ -729,26 +729,25 @@ def _shared_layout(
 ) -> BlockLayout:
     """A block of `members` who share the strategy set `choices`: the
     multisets of its distinct choices in choice order, or their plain sets
-    when `restricted`. Built once per process and only read, since every
-    game with these resources and this set shares it (and its tables)."""
+    when `restricted`. Kept by a process-wide LRU and only read, since every
+    game with these resources and this set shares it (and its tables); a
+    game holds those it used in `_layouts`, so no eviction splits its cache."""
     distinct = sorted(set(choices), key=lambda c: [resources.index(r) for r in c])
     combos = itertools.combinations if restricted else itertools.combinations_with_replacement
     return BlockLayout(resources, tuple(combos(distinct, members)))
 
 
-def _block_sources(cg: CoalitionalGame, restricted: bool) -> tuple[list[int], list[int], list[tuple]]:
-    """What every block of the partition is listed from, in block order,
-    read off the members' sets once per tuple of member set objects (blocks
-    of equal size in a simple game share one): each block's listing size,
-    and the position of its source in the list of distinct sources, each
-    `(shared set or None, member sets)`. For m members sharing a set of d
-    distinct choices the listing walks C(d + m - 1, m) strategies, or
-    C(d, m) when restricted; other blocks walk the product of their set
-    sizes, which bounds the canonical count."""
+def _block_sources(cg: CoalitionalGame, restricted: bool) -> tuple[list[int], list[tuple]]:
+    """Each block's listing size and source, `(shared set or None, member
+    sets)`, in block order, read off the members' sets once per tuple of
+    set objects (blocks of equal size in a simple game share one). For m
+    members sharing a set of d distinct choices the listing walks
+    C(d + m - 1, m) strategies, or C(d, m) when restricted; other blocks
+    walk the product of their set sizes, which bounds the canonical count."""
     _require_compilable(cg.base)  # here, not per call: a kernel exists only if this passed, and games are immutable
-    g, sets, seen, counts, where, sources = cg.base, cg.base.strategy_sets, {}, [], [], []
+    g, sets, seen, counts, sources = cg.base, cg.base.strategy_sets, {}, [], []
     for block in cg.blocks:
-        member_sets = [sets[i] for i in block]
+        member_sets = tuple(sets[i] for i in block)
         key = tuple(map(id, member_sets))
         found = seen.get(key)
         if found is None:
@@ -758,28 +757,37 @@ def _block_sources(cg: CoalitionalGame, restricted: bool) -> tuple[list[int], li
             else:
                 d, m = len(set(shared)), len(block)
                 count = math.comb(d, m) if restricted else math.comb(d + m - 1, m)
-            found = seen[key] = count, len(sources)
-            sources.append((shared, member_sets))
+            found = seen[key] = count, (shared, member_sets)
         counts.append(found[0])
-        where.append(found[1])
-    return counts, where, sources
+        sources.append(found[1])
+    return counts, sources
 
 
-def _list_layout(g: CongestionGame, shared, member_sets: list, restricted: bool) -> BlockLayout:
-    """The `_shared_layout` of a set the members share, else the product of
-    their sets, listed with its orbits. The product walks each member's
-    distinct choices in choice order, so assignments come lexicographically:
-    the first one seen of a canonical tuple is its least playable order, and
-    the number seen is its orbit's size."""
-    if shared is not None:
-        return _shared_layout(g.resources, shared, len(member_sets), restricted)
-    rank = {c: i for i, c in enumerate(sorted(set().union(*member_sets), key=g.choice_key))}
-    key, orbits = rank.__getitem__, {}  # order-preserving and injective: choice_key once per choice
-    for raw in itertools.product(*(sorted(set(s), key=key) for s in member_sets)):
-        canon = tuple(sorted(raw, key=key))  # also the least order when equal: one tuple fewer per orbit
-        orbits.setdefault(canon, [canon if canon == raw else raw, 0])[1] += 1
-    strategies = tuple(sorted(orbits, key=lambda t: tuple(map(key, t))))
-    return BlockLayout(g.resources, strategies, [tuple(orbits.pop(strat)) for strat in strategies])
+def _list_layout(g: CongestionGame, shared, member_sets: tuple, restricted: bool) -> tuple:
+    """The game's record of a block's layout: the layout, each strategy's
+    usage code, its best replies by occupancy code and its plan. Records are
+    keyed by source, `(shared set, members, restricted)` when the members
+    share a set, else their sets, and added only here, on the game's first
+    use of a key: from `_shared_layout`, or else listed from the product of
+    the sets. The product walks each member's distinct choices in choice
+    order, so assignments come lexicographically: the first one seen of a
+    canonical tuple is its least playable order, and the number seen is its
+    orbit's size."""
+    key = member_sets if shared is None else (shared, len(member_sets), restricted)
+    if key not in g._layouts:
+        if shared is not None:
+            layout = _shared_layout(g.resources, shared, len(member_sets), restricted)
+        else:
+            rank = {c: i for i, c in enumerate(sorted(set().union(*member_sets), key=g.choice_key))}
+            order, orbits = rank.__getitem__, {}  # order-preserving and injective: choice_key once per choice
+            for raw in itertools.product(*(sorted(set(s), key=order) for s in member_sets)):
+                canon = tuple(sorted(raw, key=order))  # also the least order when equal: one tuple fewer per orbit
+                orbits.setdefault(canon, [canon if canon == raw else raw, 0])[1] += 1
+            strategies = tuple(sorted(orbits, key=lambda t: tuple(map(order, t))))
+            layout = BlockLayout(g.resources, strategies, [tuple(orbits.pop(strat)) for strat in strategies])
+        powers = [(g.n + 1) ** r for r in range(len(g.resources))]
+        g._layouts[key] = (layout, [sum([u * powers[r] for r, u in c]) for c in layout.contributions], {}, [])
+    return g._layouts[key]
 
 
 def canonical_block_strategies(
@@ -843,33 +851,27 @@ class CompiledGame:
     codes do.
 
     A kernel compiles every block of a partition, block k at position k
-    (`_agent`, one sub-agent at position 0): `layouts[k]` is its
-    `BlockLayout` (one read-only layout per shared set and block size),
+    (`_agent`, one sub-agent at position 0), from the game's record of its
+    layout (see `_list_layout`): `layouts[k]` is its `BlockLayout`,
     `strategies[k]` and `contributions[k]` are the layout's, and `codes[k]`
     holds each strategy's usage code. A block's utility depends on everyone
     else only through their occupancy and on itself only through its layout,
-    so `best_reply` is the one evaluator of utilities, cached per game and
-    layout by occupancy code: blocks compiled from one `BlockLayout` object,
-    such as the equal-size blocks of a simple game, share one code list, one
-    cache and one plan, which the game keeps for every kernel compiling that
-    object, whatever its partition (all radices are n + 1). A miss is
-    evaluated from the plan: the layout's `terms` with each term's cost row,
-    built on the first miss. Each term's value is its row read at the term
-    resource's digit of the code, and each strategy's value is one sum of
-    its terms. `form` fills the strategic form from that cache too.
+    so `best_reply` is the one evaluator of utilities, cached by occupancy
+    code in the record, which every kernel of the game listing that source
+    reads, whatever its partition (all radices are n + 1). A miss is
+    evaluated from the record's plan: the layout's `terms` with each term's
+    cost row, built on the first miss. Each term's value is its row read at
+    the term resource's digit of the code, and each strategy's value is one
+    sum of its terms. `form` fills the strategic form from that cache too.
     """
 
-    def __init__(self, g: CongestionGame, layouts: Sequence[BlockLayout]):
+    def __init__(self, g: CongestionGame, records: Sequence[tuple]):
         self.scale, self.costs = g._scaled
-        self.layouts = list(layouts)
-        self.strategies = [layout.strategies for layout in layouts]
-        self.contributions = [layout.contributions for layout in layouts]
+        self.layouts, self.codes, self._replies, self._plans = map(list, zip(*records))
+        self.strategies = [layout.strategies for layout in self.layouts]
+        self.contributions = [layout.contributions for layout in self.layouts]
         self.radix = g.n + 1
-        self._powers = powers = [self.radix**r for r in range(len(self.costs))]
-        for layout in layouts:
-            if layout not in g._per_layout:
-                g._per_layout[layout] = ([sum([u * powers[r] for r, u in c]) for c in layout.contributions], {}, [])
-        self.codes, self._replies, self._plans = map(list, zip(*(g._per_layout[layout] for layout in layouts)))
+        self._powers = [self.radix**r for r in range(len(self.costs))]
 
     def code(self, counts: Iterable[int]) -> int:
         """The code of per-resource `counts`, each from 0 to n."""
@@ -962,7 +964,7 @@ def compile_within_limit(
     charged alone, as for every query about one block or one profile."""
     key = (cg.partition, restricted)
     kernel = cg.base._kernels.get(key)
-    counts, where, sources = _block_sources(cg, restricted) if kernel is None else (kernel.listing_sizes, (), ())
+    counts, sources = _block_sources(cg, restricted) if kernel is None else (kernel.listing_sizes, ())
     if what is not None:
         ensure_within_limit(math.prod(counts) * per_profile, what)
     else:
@@ -971,8 +973,7 @@ def compile_within_limit(
             if count > bound:
                 ensure_within_limit(count, f"block {k} strategy space")
     if kernel is None:
-        listed = [_list_layout(cg.base, *source, restricted) for source in sources]
-        kernel = cg.base._kernels[key] = CompiledGame(cg.base, [listed[i] for i in where])
+        kernel = cg.base._kernels[key] = CompiledGame(cg.base, [_list_layout(cg.base, *s, restricted) for s in sources])
         kernel.listing_sizes = counts
     return kernel
 

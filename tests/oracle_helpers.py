@@ -6,8 +6,8 @@ per-block utility function, so they can independently confirm solver and
 enumerator outputs on small instances. `scan_pure_ne` is the joint-profile
 scan that the suffix-subgame search replaced, kept to cross-check it report
 for report. It evaluates on a twin of the game (equal, not the same object),
-so it neither reads nor fills the best replies the game caches per layout;
-its representatives and multiplicities come from
+so it neither reads nor fills the best replies the game caches per layout
+source; its representatives and multiplicities come from
 `listed_block_orbit`, which lists member permutations, so the orbits the
 library's layouts keep (in closed form, or counted while a product of
 member sets is listed) are checked against a listing, not against
@@ -343,15 +343,16 @@ def reference_best_reply(cg: CoalitionalGame, k: int, env) -> tuple[list[Fractio
 
 def cached_replies(kernel: CompiledGame) -> int:
     """The number of best replies held for a kernel's layouts. They are the
-    game's records: one cache per layout object, read by every kernel of the
-    game that compiles it, so positions sharing a layout count it once."""
+    game's records, one per game and layout source (see `_list_layout`),
+    read by every kernel of the game that lists that source, so positions
+    sharing a record count it once."""
     return sum({id(cache): len(cache) for cache in kernel._replies}.values())
 
 
 def reply_keys(g: CongestionGame) -> dict:
-    """A snapshot of the game's best-reply records: per layout object, the
+    """A snapshot of the game's best-reply records: per layout source, the
     occupancy codes its cache holds."""
-    return {layout: frozenset(replies) for layout, (_, replies, _) in g._per_layout.items()}
+    return {key: frozenset(replies) for key, (_, _, replies, _) in g._layouts.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -404,10 +404,13 @@ class TestPinnedInstances:
         assert crossed.best_reply(0, crossed.code(env)) != crossed.best_reply(1, crossed.code(env))
         assert cached_replies(crossed) == 2
 
-    def test_partitions_of_one_game_share_each_layouts_replies(self, monkeypatch):
-        # Best replies are kept per game and layout, not per kernel: both
-        # partitions compile the game's pair layout and its one-agent layout,
-        # so each is one cache, and no occupancy is evaluated twice.
+    @pytest.mark.parametrize("case", ["simple", "product"])
+    def test_partitions_of_one_game_share_each_layouts_replies(self, monkeypatch, case):
+        # Best replies are kept per game and layout source, not per kernel:
+        # both partitions compile the simple game's pair layout and its
+        # one-agent layout, or the other game's product layout of sub-agents
+        # 1 and 2, so each is one layout and one cache, and no occupancy is
+        # evaluated twice.
         misses = []
         best_reply = ccg.game.CompiledGame.best_reply
 
@@ -417,18 +420,39 @@ class TestPinnedInstances:
             return best_reply(kernel, p, env)
 
         monkeypatch.setattr(ccg.game.CompiledGame, "best_reply", counted)
-        game = random_game("share", 6, 3, "convex")
+        if case == "simple":
+            game = random_game("share", 6, 3, "convex")
+            partitions = ([[1, 2], [3], [4, 5], [6]], [[1], [2, 3], [4], [5, 6]])
+            shared = [(0, 1), (1, 0)]
+        else:
+            sets = [["A", ("A", "B")], ["A", "B", ("A", "B")], ["B", "C"], ["C"], ["A", "C"]]
+            game = CongestionGame(tuple("ABC"), {r: range(1, 6) for r in "ABC"}, sets)
+            partitions = ([[1, 2], [3], [4], [5]], [[1, 2], [3, 4], [5]])
+            shared = [(0, 0)]
         kernels = []
-        for blocks in ([[1, 2], [3], [4, 5], [6]], [[1], [2, 3], [4], [5, 6]]):
+        for blocks in partitions:
             cg = CoalitionalGame(game, Partition.from_one_based(blocks))
             enumerate_pure_ne(cg)
             kernels.append(ccg.game.compile_within_limit(cg, False))
         first, second = kernels
-        assert first._replies[0] is second._replies[1] and first._replies[1] is second._replies[0]
-        assert first.codes[0] is second.codes[1] and first._plans[1] is second._plans[0]
+        for p, q in shared:
+            assert first.layouts[p] is second.layouts[q] and first._replies[p] is second._replies[q]
+            assert first.codes[p] is second.codes[q] and first._plans[p] is second._plans[q]
         keys = {(layout, env) for k in kernels for layout, cache in zip(k.layouts, k._replies) for env in cache}
         assert set(misses) == keys
         assert len(misses) == len(keys) > 0
+
+    def test_a_game_keeps_its_layouts_past_the_process_lru(self):
+        # The process keeps the last 64 shared layouts, a game every record it
+        # made: after 136 other layouts the discrete partition's singletons
+        # still read `_agent`'s cache, the game's one one-member record.
+        game = CongestionGame.simple(("A", "B"), {r: range(1, 141) for r in "AB"})
+        agent = game._agent
+        for m in range(2, 70):
+            ccg.game.compile_within_limit(CoalitionalGame(game, Partition([range(m), range(m, 140)])), False)
+        kernel = ccg.game.compile_within_limit(CoalitionalGame(game, Partition.discrete(140)), False)
+        assert all(cache is agent._replies[0] for cache in kernel._replies)
+        assert sum(len(layout.strategies[0]) == 1 for layout, *_ in game._layouts.values()) == 1
 
     def test_scan_leaves_the_games_replies_alone(self):
         cg = self._d1()
