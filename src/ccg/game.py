@@ -248,7 +248,7 @@ class CongestionGame:
         one-member `_shared_layout` of its strategy set, compiled on first
         use, so every caller shares its best replies."""
         _require_compilable(self)
-        return CompiledGame(self, [_list_layout(self, self.strategy_sets[0], self.strategy_sets[:1], False)])
+        return CompiledGame(self, [_list_layout(self, frozenset(self.strategy_sets[0]), self.strategy_sets[:1], False)])
 
     @cached_property
     def _kernels(self) -> dict[tuple, "CompiledGame"]:
@@ -725,14 +725,14 @@ def _shared_set(g: CongestionGame, block: Sequence[int], restricted: bool = Fals
 
 @functools.lru_cache(maxsize=64)
 def _shared_layout(
-    resources: tuple[str, ...], choices: tuple[Choice, ...], members: int, restricted: bool
+    resources: tuple[str, ...], choices: frozenset[Choice], members: int, restricted: bool
 ) -> BlockLayout:
     """A block of `members` who share the strategy set `choices`: the
-    multisets of its distinct choices in choice order, or their plain sets
-    when `restricted`. Kept by a process-wide LRU and only read, since every
+    multisets of its choices in choice order, or their plain sets when
+    `restricted`. Kept by a process-wide LRU and only read, since every
     game with these resources and this set shares it (and its tables); a
     game holds those it used in `_layouts`, so no eviction splits its cache."""
-    distinct = sorted(set(choices), key=lambda c: [resources.index(r) for r in c])
+    distinct = sorted(choices, key=lambda c: [resources.index(r) for r in c])
     combos = itertools.combinations if restricted else itertools.combinations_with_replacement
     return BlockLayout(resources, tuple(combos(distinct, members)))
 
@@ -740,8 +740,9 @@ def _shared_layout(
 def _block_sources(cg: CoalitionalGame, restricted: bool) -> tuple[list[int], list[tuple]]:
     """Each block's listing size and source, `(shared set or None, member
     sets)`, in block order, read off the members' sets once per tuple of
-    set objects (blocks of equal size in a simple game share one). For m
-    members sharing a set of d distinct choices the listing walks
+    set objects (blocks of equal size in a simple game share one), a shared
+    set as the frozenset of its choices, however members list it.
+    For m members sharing a set of d distinct choices the listing walks
     C(d + m - 1, m) strategies, or C(d, m) when restricted; other blocks
     walk the product of their set sizes, which bounds the canonical count."""
     _require_compilable(cg.base)  # here, not per call: a kernel exists only if this passed, and games are immutable
@@ -755,7 +756,8 @@ def _block_sources(cg: CoalitionalGame, restricted: bool) -> tuple[list[int], li
             if shared is None:
                 count = math.prod(map(len, member_sets))
             else:
-                d, m = len(set(shared)), len(block)
+                shared = frozenset(shared)
+                d, m = len(shared), len(block)
                 count = math.comb(d, m) if restricted else math.comb(d + m - 1, m)
             found = seen[key] = count, (shared, member_sets)
         counts.append(found[0])
@@ -766,13 +768,13 @@ def _block_sources(cg: CoalitionalGame, restricted: bool) -> tuple[list[int], li
 def _list_layout(g: CongestionGame, shared, member_sets: tuple, restricted: bool) -> tuple:
     """The game's record of a block's layout: the layout, each strategy's
     usage code, its best replies by occupancy code and its plan. Records are
-    keyed by source, `(shared set, members, restricted)` when the members
-    share a set, else their sets, and added only here, on the game's first
-    use of a key: from `_shared_layout`, or else listed from the product of
-    the sets. The product walks each member's distinct choices in choice
-    order, so assignments come lexicographically: the first one seen of a
-    canonical tuple is its least playable order, and the number seen is its
-    orbit's size."""
+    keyed by source, `(frozenset of the shared set, members, restricted)`
+    when the members share a set, else their sets, and added only here, on
+    the game's first use of a key: from `_shared_layout`, or else listed
+    from the product of the sets. The product walks each member's distinct
+    choices in choice order, so assignments come lexicographically: the
+    first one seen of a canonical tuple is its least playable order, and the
+    number seen is its orbit's size."""
     key = member_sets if shared is None else (shared, len(member_sets), restricted)
     if key not in g._layouts:
         if shared is not None:

@@ -23,7 +23,6 @@ game, its tie-break and canonical order, so a game reads back as written.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
@@ -49,8 +48,10 @@ def _cost_pair(v, r: str, j: int) -> tuple[int, int]:
     num, _, den = v.partition("/") if type(v) is str else ("", "", "")
     digits = num.removeprefix("-")
     if digits.isascii() and digits.isdigit() and den.isascii() and den.isdigit() and den.strip("0"):
-        with contextlib.suppress(ValueError):  # int() refuses strings past the digit limit
+        try:
             return int(num), int(den)
+        except ValueError:  # int() refuses strings past the digit limit
+            pass
     where = f"costs[{r}][{j + 1}]"
     if isinstance(v, float):
         raise GameFileError(f"{where}: floats are not allowed, use ints or 'p/q' strings")
@@ -166,10 +167,11 @@ def _listing_parts(listing: NeReport, newline: str):
 def dumps_json(obj) -> str:
     """`json.dumps(obj, indent=2)`, byte for byte, in one pass (the stdlib's
     C encoder ignores `indent`). Dicts with string keys, lists, tuples,
-    strings, ints, bools and None are written here, sharing separators and
-    encoded keys; a `PotentialTable` or a `NeReport` is written as its list
-    of row dicts (see `grid_columns` and `listing_columns`); anything else,
-    such as a float, goes to `json.dumps`."""
+    strings, ints, finite floats (`float.__repr__`, as json), bools and None
+    are written here, sharing separators and encoded keys; a `PotentialTable`
+    or a `NeReport` is written as its list of row dicts (see `grid_columns`
+    and `listing_columns`); non-finite floats, dicts with other keys and
+    other types go to `json.dumps`."""
     parts: list[str] = []
     out = parts.append
     levels: dict[str, tuple[str, str, str, str]] = {}
@@ -183,9 +185,11 @@ def dumps_json(obj) -> str:
             out(int.__repr__(value))
         elif value is None or value is True or value is False:
             out("null" if value is None else "true" if value else "false")
-        elif value and (kind is list or kind is tuple or (
-            kind is dict and all(type(key) is str for key in value)
-        )):
+        elif kind is float and math.isfinite(value):
+            out(float.__repr__(value))
+        elif not value and (kind is list or kind is tuple or kind is dict):
+            out("{}" if kind is dict else "[]")
+        elif kind is list or kind is tuple or (kind is dict and all(type(key) is str for key in value)):
             if newline not in levels:
                 inner = newline + "  "
                 levels[newline] = (inner, "," + inner, newline + "]", newline + "}")
@@ -297,7 +301,8 @@ def loads_game(data: str | bytes) -> GameWithPartition:
 
 def read_game_bytes(path: str | Path) -> bytes:
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as file:
+            return file.read()
     except OSError as exc:
         raise GameFileError(f"cannot read {path}: {exc}") from exc
 

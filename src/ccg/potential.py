@@ -346,17 +346,17 @@ def _affine_potential(kernel: CompiledGame, labels: tuple[tuple[str, ...], ...])
     affine, anchored at zero on the all-first profile: with a = t[1] - t[0]
     and b = t[0] - a, twice its negation sums each block's own a * x_kr^2,
     read off its `contributions`, and the occupancy term sum_r a * n_r^2 +
-    2b * n_r, evaluated once per distinct code of `kernel.grid()`. The sum
-    is even as n^2 + sum_k x_k^2 = 2n mod 2. `labels` are the kernel's."""
+    2b * n_r, once per distinct code of `kernel.grid()`: per-resource rows
+    read at the code's digits, as in `best_reply`'s plan. The sum is even as
+    n^2 + sum_k x_k^2 = 2n mod 2. `labels` are the kernel's."""
     slopes = [t[1] - t[0] if len(t) > 1 else 0 for t in kernel.costs]
     doubled = [0]
     for contributions in kernel.contributions:
         own = [sum([slopes[r] * x * x for r, x in contrib]) for contrib in contributions]
         doubled = [d + w for d in doubled for w in own]
-    grid, terms = kernel.grid(), [(a, 2 * (t[0] - a)) for a, t in zip(slopes, kernel.costs)]
-    term = {
-        code: sum([a * n * n + b * n for (a, b), n in zip(terms, kernel.digits(code))]) for code in set(grid)
-    }
+    grid, radix, terms = kernel.grid(), kernel.radix, [(a, 2 * (t[0] - a)) for a, t in zip(slopes, kernel.costs)]
+    rows = [(radix**r, [a * n * n + b * n for n in range(radix)]) for r, (a, b) in enumerate(terms)]
+    term = {code: sum([row[code // power % radix] for power, row in rows]) for code in set(grid)}
     doubled = list(map(add, doubled, map(term.__getitem__, grid)))
     anchor = doubled[0]
     return PotentialTable(labels, tuple([(anchor - d) >> 1 for d in doubled]), kernel.scale)

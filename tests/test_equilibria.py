@@ -454,6 +454,18 @@ class TestPinnedInstances:
         assert all(cache is agent._replies[0] for cache in kernel._replies)
         assert sum(len(layout.strategies[0]) == 1 for layout, *_ in game._layouts.values()) == 1
 
+    def test_members_listing_one_set_in_different_orders_share_its_layout(self):
+        # Blocks {1, 2} and {3, 4} hold the set {A, B}, listed A first and B
+        # first: one source, so one layout, one cache and one record.
+        costs = {r: (1, 3, 4, 7) for r in "AB"}
+        game = CongestionGame(("A", "B"), costs, [["A", "B"], ["A", "B"], ["B", "A"], ["B", "A"]])
+        cg = CoalitionalGame(game, Partition([(0, 1), (2, 3)]))
+        report = enumerate_pure_ne(cg)
+        kernel = ccg.game.compile_within_limit(cg, False)
+        assert kernel.layouts[0] is kernel.layouts[1] and kernel._replies[0] is kernel._replies[1]
+        assert len(game._layouts) == 1
+        assert report == scan_pure_ne(cg)
+
     def test_scan_leaves_the_games_replies_alone(self):
         cg = self._d1()
         assert scan_pure_ne(cg).exhaustive

@@ -358,6 +358,24 @@ class TestBlockLayouts:
                     agent = cg.base._agent
                     assert (agent.strategies, agent.contributions) == ([layout.strategies], [layout.contributions])
 
+    def test_one_layout_gives_each_game_codes_in_its_own_radix(self):
+        # Simple games of 2 and 3 agents over A, B share the LRU's pair
+        # layout, and each reads its codes in its own base n + 1; the third
+        # game's pair lists a product.
+        costs = {r: (1, 3, 4) for r in "AB"}
+        games = [CongestionGame.simple(("A", "B"), {r: t[:n] for r, t in costs.items()}) for n in (2, 3)]
+        sets = [["A", "B"], [("A", "B"), "B"], ["A"]]
+        games.append(CongestionGame(("A", "B"), costs, sets))
+        kernels = [
+            compile_within_limit(CoalitionalGame(g, Partition([(0, 1), *[(i,) for i in range(2, g.n)]])), False)
+            for g in games
+        ]
+        assert kernels[0].layouts[0] is kernels[1].layouts[0] and kernels[0].radix != kernels[1].radix
+        for kernel in kernels:
+            for codes, contributions in zip(kernel.codes, kernel.contributions):
+                counts = [[dict(contrib).get(r, 0) for r in range(2)] for contrib in contributions]
+                assert codes == [kernel.code(c) for c in counts]
+
 
 class TestCostTable:
     def test_exact_fractions(self):

@@ -199,8 +199,9 @@ def test_invalid_json():
 
 
 def test_missing_file(tmp_path):
-    with pytest.raises(GameFileError):
-        load_game_file(tmp_path / "missing.json")
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(GameFileError, match=f"^cannot read {re.escape(str(path))}"):
+            load_game_file(path)
 
 
 def test_strategies_map_must_cover_all_agents():
@@ -279,7 +280,12 @@ def test_dumps_json_equals_stdlib_indent_2(value):
 
 
 @pytest.mark.parametrize(
-    "value", [{}, [], (), "", 0, -1, 10**100, True, None, 1.5, {"a": {}, "b": [[], {}]}]
+    "value",
+    [
+        {}, [], (), "", 0, -1, 10**100, True, None, 1.5, {"a": {}, "b": [[], {}]},
+        -0.0, 1e-07, 1e16, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+        [[], {}, ()], {"timing": {"seconds": 0.000728}, "witnesses": []},
+    ],
 )
 def test_dumps_json_edge_values(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
